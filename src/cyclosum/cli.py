@@ -7,8 +7,13 @@ generators are seeded by hashing (seed, identity, n, trial), and timing is
 left out of the serialized records unless explicitly requested, so the same
 config and seed produce byte-identical jsonl twice.
 
+A work item that raises still yields a record: verdict "error", empty lhs
+and rhs, and "<ExceptionClass>: <message>" in notes, so one bad item never
+costs the campaign its other records.
+
 Exit codes: 0 all pass/skipped/inconclusive, 1 any fail, 2 usage or parse
-error, 3 cap exceeded.
+error, 3 cap exceeded, 4 any other error in a work item.  A campaign exits
+with its worst outcome, ranked 0 < 1 < 3 < 4.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ import io
 import json
 import os
 import sys
+import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from random import Random
@@ -101,13 +108,12 @@ def _child_rng(seed: int, identity: str, n: int, trial: int) -> Random:
     return Random(int(digest, 16))
 
 
-def _thm3_1_valid_ks(n: int, want_odd_l: bool, permanent_cap: int) -> list[int]:
+def _thm3_1_valid_ks(n: int, want_odd_l: bool, cfg: CampaignConfig) -> list[int]:
+    # derangement_sums takes the permanent route up to its cap and
+    # enumerates beyond it up to the enumeration cap.
+    cap = max(cfg.permanent_cap, cfg.enumeration_cap)
     ks = [0] + list(range(2, n))
-    return [
-        k
-        for k in ks
-        if (n - k) % 2 == (1 if want_odd_l else 0) and n - k <= permanent_cap
-    ]
+    return [k for k in ks if (n - k) % 2 == (1 if want_odd_l else 0) and n - k <= cap]
 
 
 def _skip_reason(identity: str, n: int, cfg: CampaignConfig) -> str | None:
@@ -133,21 +139,49 @@ def _skip_reason(identity: str, n: int, cfg: CampaignConfig) -> str | None:
     elif identity == "lemma3_2":
         if n < 3:
             return "statement needs l > 2"
+        if n > cfg.enumeration_cap:
+            return f"l={n} exceeds enumeration cap {cfg.enumeration_cap}"
     elif identity == "eq3_1":
         if n < 3 or n % 2 == 0:
             return "needs odd l >= 3"
+        if n > cfg.enumeration_cap:
+            return f"l={n} exceeds enumeration cap {cfg.enumeration_cap}"
     elif identity == "thm3_1_odd":
-        if not _thm3_1_valid_ks(n, True, cfg.permanent_cap):
+        if not _thm3_1_valid_ks(n, True, cfg):
             return "no deletion size gives odd l within the cap"
     elif identity == "thm3_1_even":
-        if not _thm3_1_valid_ks(n, False, cfg.permanent_cap):
+        if not _thm3_1_valid_ks(n, False, cfg):
             return "no deletion size gives even l within the cap"
     return None
 
 
 def _run_item(args: tuple) -> VerificationReport:
-    identity, n, trial, seed, permanent_cap, tol = args
-    rng = _child_rng(seed, identity, n, trial)
+    """One work item's report; an exception becomes an "error" record."""
+    identity, n, trial, cfg = args
+    t0 = time.perf_counter()
+    try:
+        return _verify_item(identity, n, trial, cfg)
+    except Exception as exc:
+        sys.stderr.write(
+            f"error: {identity} n={n} trial {trial}\n{traceback.format_exc()}"
+        )
+        return VerificationReport(
+            identity,
+            n,
+            {"trial": trial},
+            "",
+            "",
+            "error",
+            (time.perf_counter() - t0) * 1e3,
+            f"{type(exc).__name__}: {exc}",
+        )
+
+
+def _verify_item(
+    identity: str, n: int, trial: int, cfg: CampaignConfig
+) -> VerificationReport:
+    permanent_cap, tol = cfg.permanent_cap, cfg.tol
+    rng = _child_rng(cfg.seed, identity, n, trial)
     if identity == "eq1_1":
         return verify_eq1_1(n, permanent_cap=permanent_cap)
     if identity == "eq1_2":
@@ -167,10 +201,15 @@ def _run_item(args: tuple) -> VerificationReport:
     elif identity == "eq3_1":
         report = verify_eq3_1(n, random_distinct_rationals(n, rng))
     elif identity in ("thm3_1_odd", "thm3_1_even"):
-        ks = _thm3_1_valid_ks(n, identity == "thm3_1_odd", permanent_cap)
+        ks = _thm3_1_valid_ks(n, identity == "thm3_1_odd", cfg)
         k = 0 if trial == 0 and 0 in ks else ks[rng.randrange(len(ks))]
         deleted = sorted(rng.sample(range(1, n + 1), k))
-        report = verify_thm3_1(n, deleted, permanent_cap=permanent_cap)
+        report = verify_thm3_1(
+            n,
+            deleted,
+            permanent_cap=permanent_cap,
+            enumeration_cap=cfg.enumeration_cap,
+        )
     else:
         raise ValueError(f"unknown identity {identity!r}")
     return replace(report, parameters={"trial": trial, **report.parameters})
@@ -197,9 +236,13 @@ def _render_csv(records: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _render_pretty(records: list[dict]) -> str:
-    cols = ("identity_id", "n", "verdict", "lhs", "rhs", "notes")
+def _render_pretty(records: list[dict], timing: bool) -> str:
+    cols = ["identity_id", "n", "verdict", "lhs", "rhs", "notes"]
     rows = [[str(r[c]) for c in cols] for r in records]
+    if timing:
+        cols.insert(5, "elapsed_ms")
+        for row, r in zip(rows, records):
+            row.insert(5, f"{r['elapsed']:.3f}")
     widths = [max(len(c), *(len(row[i]) for row in rows)) if rows else len(c)
               for i, c in enumerate(cols)]
     lines = ["  ".join(c.ljust(w) for c, w in zip(cols, widths)).rstrip()]
@@ -230,32 +273,24 @@ def cmd_verify(config: CampaignConfig) -> int:
                 continue
             trials = config.trials if identity in RANDOMIZED_IDS else 1
             for trial in range(trials):
-                work.append(
-                    (identity, n, trial, config.seed, config.permanent_cap, config.tol)
-                )
+                work.append((identity, n, trial, config))
 
     jobs = config.jobs
     if jobs is None:
         env = os.environ.get("CYCLOSUM_JOBS")
         jobs = int(env) if env else (os.cpu_count() or 1)
-    try:
-        if jobs > 1 and len(work) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                reports.extend(pool.map(_run_item, work))
-        else:
-            reports.extend(_run_item(w) for w in work)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    if jobs > 1 and len(work) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            reports.extend(pool.map(_run_item, work))
+    else:
+        reports.extend(_run_item(w) for w in work)
 
     reports.sort(key=lambda r: (r.identity_id, r.n, r.parameters.get("trial", 0)))
     records = [r.to_json_dict(include_elapsed=config.timing) for r in reports]
-    renderer = {
-        "jsonl": _render_jsonl,
-        "csv": _render_csv,
-        "pretty": _render_pretty,
-    }[config.format]
-    text = renderer(records)
+    if config.format == "pretty":
+        text = _render_pretty(records, config.timing)
+    else:
+        text = {"jsonl": _render_jsonl, "csv": _render_csv}[config.format](records)
     if config.output is None or config.output == "-":
         sys.stdout.write(text)
     else:
@@ -265,7 +300,20 @@ def cmd_verify(config: CampaignConfig) -> int:
         except OSError as exc:
             print(f"error: cannot write {config.output}: {exc}", file=sys.stderr)
             return 2
-    return 1 if any(r.verdict == "fail" for r in reports) else 0
+    return _exit_code(reports)
+
+
+def _exit_code(reports: list[VerificationReport]) -> int:
+    """The campaign's worst outcome: 4 for an item that raised anything but
+    CapExceededError, 3 for one that hit a cap, 1 for a fail, else 0."""
+    code = 0
+    for r in reports:
+        if r.verdict == "fail":
+            code = max(code, 1)
+        elif r.verdict == "error":
+            capped = r.notes.startswith(f"{CapExceededError.__name__}:")
+            code = max(code, 3 if capped else 4)
+    return code
 
 
 def cmd_compute(
@@ -364,15 +412,26 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, default=5)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tol", type=float, default=1e-8)
-    v.add_argument("--permanent-cap", type=int, default=16)
-    v.add_argument("--enumeration-cap", type=int, default=11)
+    v.add_argument(
+        "--permanent-cap",
+        type=int,
+        default=16,
+        help="largest permanent dimension (eq1_1, eq1_2, thm3_1)",
+    )
+    v.add_argument(
+        "--enumeration-cap",
+        type=int,
+        default=11,
+        help="largest l enumerated (lemma3_2, eq3_1; thm3_1 beyond the permanent cap)",
+    )
     v.add_argument("--format", choices=("jsonl", "csv", "pretty"), default="jsonl")
     v.add_argument("--output", default=None, help="output path (default: stdout)")
     v.add_argument("--jobs", type=int, default=None, help="worker processes")
     v.add_argument(
         "--timing",
         action="store_true",
-        help="include elapsed milliseconds (breaks byte reproducibility)",
+        help="include elapsed milliseconds, also as an elapsed_ms column in "
+        "--format pretty (breaks byte reproducibility)",
     )
 
     c = sub.add_parser("compute", help="exact computation on a matrix file")

@@ -139,15 +139,14 @@ def _jacobi_symmetric(s: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, 
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
                 c = 1.0 / math.hypot(t, 1.0)
                 sn = t * c
-                for mat in (a,):
-                    colp = mat[:, p].copy()
-                    colq = mat[:, q].copy()
-                    mat[:, p] = c * colp - sn * colq
-                    mat[:, q] = sn * colp + c * colq
-                    rowp = mat[p, :].copy()
-                    rowq = mat[q, :].copy()
-                    mat[p, :] = c * rowp - sn * rowq
-                    mat[q, :] = sn * rowp + c * rowq
+                colp = a[:, p].copy()
+                colq = a[:, q].copy()
+                a[:, p] = c * colp - sn * colq
+                a[:, q] = sn * colp + c * colq
+                rowp = a[p, :].copy()
+                rowq = a[q, :].copy()
+                a[p, :] = c * rowp - sn * rowq
+                a[q, :] = sn * rowp + c * rowq
                 colp = v[:, p].copy()
                 colq = v[:, q].copy()
                 v[:, p] = c * colp - sn * colq
@@ -271,6 +270,33 @@ class EeiResult:
     conclusive: bool
 
 
+def _eei_pair(
+    dec: SpectralDecomposition,
+    minor_lam: np.ndarray,
+    i: int,
+    j: int,
+    gap_threshold: float,
+) -> EeiResult:
+    """The identity for one pair (i, j), given the decomposition of the full
+    matrix and the eigenvalues of its minor j (empty at dimension 1).
+    Both verify_eei and eei_residual judge every pair through here."""
+    lam = dec.eigenvalues
+    d = len(lam)
+    li = lam[i - 1]
+    gap = min(
+        (abs(li - lam[k]) for k in range(d) if k != i - 1), default=math.inf
+    )
+    lhs = abs(dec.eigenvectors[j - 1, i - 1]) ** 2
+    for k in range(d):
+        if k != i - 1:
+            lhs *= li - lam[k]
+    rhs = 1.0
+    for mk in minor_lam:
+        rhs *= li - mk
+    residual = abs(lhs - rhs) / (1.0 + abs(lhs))
+    return EeiResult(lhs, rhs, residual, gap, gap > gap_threshold)
+
+
 def eei_residual(
     m: HermMatrix, i: int, j: int, gap_threshold: float = 1e-8
 ) -> EeiResult:
@@ -285,22 +311,8 @@ def eei_residual(
     if not (1 <= i <= d and 1 <= j <= d):
         raise IndexError(f"indices ({i},{j}) outside 1..{d}")
     dec = herm_eigen(m)
-    lam = dec.eigenvalues
-    li = lam[i - 1]
-    gap = min(
-        (abs(li - lam[k]) for k in range(d) if k != i - 1), default=math.inf
-    )
-    lhs = abs(dec.eigenvectors[j - 1, i - 1]) ** 2
-    for k in range(d):
-        if k != i - 1:
-            lhs *= li - lam[k]
-    rhs = 1.0
-    if d > 1:
-        minor_lam = herm_eigen(m.minor(j)).eigenvalues
-        for mk in minor_lam:
-            rhs *= li - mk
-    residual = abs(lhs - rhs) / (1.0 + abs(lhs))
-    return EeiResult(lhs, rhs, residual, gap, gap > gap_threshold)
+    minor_lam = herm_eigen(m.minor(j)).eigenvalues if d > 1 else np.empty(0)
+    return _eei_pair(dec, minor_lam, i, j, gap_threshold)
 
 
 def minor_det_closed_form(n: int) -> Fraction:

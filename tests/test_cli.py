@@ -6,8 +6,16 @@ import json
 
 import pytest
 
-from cyclosum import build_sun_matrix, cyc_context, identity_matrix, save_matrix
-from cyclosum.cli import CampaignConfig, cmd_verify, main
+import cyclosum.cli
+from cyclosum import (
+    CapExceededError,
+    VerificationReport,
+    build_sun_matrix,
+    cyc_context,
+    identity_matrix,
+    save_matrix,
+)
+from cyclosum.cli import CampaignConfig, _exit_code, cmd_verify, main
 
 
 def run_campaign(tmp_path, name, *argv):
@@ -140,6 +148,115 @@ def test_campaign_timing_flag(tmp_path):
         "--identities", "eq1_2", "--n", "3", "--jobs", "1",
     )
     assert all("elapsed" not in r for r in records)
+
+
+PRETTY_UNTIMED = (
+    "identity_id  n  verdict  lhs   rhs   notes\n"
+    "eq1_2        3  pass     1/3   1/3   minors from deleting index n and index 1 agree\n"
+    "eq1_2        4  skipped              needs odd n >= 3\n"
+    "eq1_3        3  pass     -1/3  -1/3\n"
+    "eq1_3        4  skipped              needs odd n >= 3\n"
+)
+
+
+def test_pretty_table_without_timing_is_unchanged(capsys):
+    argv = ["verify", "--identities", "eq1_2,eq1_3", "--n", "3..4", "--jobs", "1"]
+    assert main([*argv, "--format", "pretty"]) == 0
+    assert capsys.readouterr().out == PRETTY_UNTIMED
+
+
+def test_pretty_table_with_timing_has_elapsed_column(capsys):
+    argv = ["verify", "--identities", "eq1_2,eq1_3", "--n", "3..4", "--jobs", "1"]
+    assert main([*argv, "--format", "pretty", "--timing"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == [
+        "identity_id", "n", "verdict", "lhs", "rhs", "elapsed_ms", "notes"
+    ]
+    start = lines[0].index("elapsed_ms")
+    for line in lines[1:]:
+        elapsed = float(line[start:].split()[0])
+        assert elapsed >= 0.0
+    skipped = [line for line in lines if "skipped" in line]
+    assert all(line[start:].split()[0] == "0.000" for line in skipped)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_campaign_item_error_becomes_record(tmp_path, capfd, jobs):
+    # eq2_3_liu's root finder raises ConvergenceError at n=21; the eq1_3
+    # pass at the same n must still be written.
+    code, records = run_campaign(
+        tmp_path, "errors.jsonl",
+        "--identities", "eq1_3,eq2_3_liu", "--n", "21..21", "--jobs", jobs,
+    )
+    assert code == 4
+    assert [(r["identity_id"], r["verdict"]) for r in records] == [
+        ("eq1_3", "pass"), ("eq2_3_liu", "error")
+    ]
+    error = records[1]
+    assert error["lhs"] == "" and error["rhs"] == ""
+    assert error["notes"].startswith("ConvergenceError: ")
+    assert "eq2_3_liu n=21" in capfd.readouterr().err
+
+
+def test_campaign_cap_error_exits_3(tmp_path, monkeypatch, capsys):
+    def over_cap(n):
+        raise CapExceededError(f"dimension {n} exceeds permanent cap 1")
+
+    monkeypatch.setattr(cyclosum.cli, "verify_eq1_3", over_cap)
+    code, records = run_campaign(
+        tmp_path, "capped.jsonl",
+        "--identities", "eq1_2,eq1_3", "--n", "3", "--jobs", "1",
+    )
+    assert code == 3
+    assert [r["verdict"] for r in records] == ["pass", "error"]
+    assert records[1]["notes"] == "CapExceededError: dimension 3 exceeds permanent cap 1"
+    capsys.readouterr()
+
+
+def _report(verdict, notes=""):
+    return VerificationReport("eq1_3", 3, {}, "", "", verdict, 0.0, notes)
+
+
+@pytest.mark.parametrize(
+    "verdicts,code",
+    [
+        ([("pass", ""), ("skipped", ""), ("inconclusive", "")], 0),
+        ([("pass", ""), ("fail", "")], 1),
+        ([("fail", ""), ("error", "CapExceededError: over")], 3),
+        ([("error", "CapExceededError: over"), ("error", "ValueError: bad"),
+          ("fail", "")], 4),
+    ],
+)
+def test_campaign_exit_code_is_worst_outcome(verdicts, code):
+    assert _exit_code([_report(v, notes) for v, notes in verdicts]) == code
+
+
+def test_campaign_enumeration_cap_takes_effect(tmp_path):
+    argv = ["--identities", "thm3_1_odd,thm3_1_even,lemma3_2", "--n", "2..7",
+            "--jobs", "1"]
+    _, default = run_campaign(tmp_path, "default.jsonl", *argv)
+    code, capped = run_campaign(
+        tmp_path, "capped.jsonl", *argv, "--enumeration-cap", "3"
+    )
+    assert code == 0
+    assert capped != default
+    lemma = {r["n"]: r["verdict"] for r in capped if r["identity_id"] == "lemma3_2"}
+    assert lemma == {2: "skipped", 3: "pass", 4: "skipped", 5: "skipped",
+                     6: "skipped", 7: "skipped"}
+    skips = [r["notes"] for r in capped
+             if r["identity_id"] == "lemma3_2" and r["n"] > 3]
+    assert skips == [f"l={n} exceeds enumeration cap 3" for n in range(4, 8)]
+
+
+def test_campaign_enumeration_cap_extends_thm3_1_past_permanent_cap(tmp_path):
+    # With a permanent cap of 2, only the enumeration route reaches l = 3;
+    # below it the one deletion left is k = 2, l = 1.
+    argv = ["--identities", "thm3_1_odd", "--n", "3", "--trials", "1",
+            "--permanent-cap", "2", "--jobs", "1"]
+    for cap, l in (("2", 1), ("3", 3)):
+        _, records = run_campaign(tmp_path, f"cap{cap}.jsonl", *argv,
+                                  "--enumeration-cap", cap)
+        assert [(r["verdict"], r["parameters"]["l"]) for r in records] == [("pass", l)]
 
 
 def test_campaign_jobs_env_override(tmp_path, monkeypatch):

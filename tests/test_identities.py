@@ -5,15 +5,21 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
+import cyclosum.spectral
 from cyclosum import (
     IDENTITY_IDS,
+    HermMatrix,
     VerificationReport,
+    build_cp_matrix,
     build_sun_matrix,
     cyc_context,
     delete_rows_cols,
     derangement_sums,
+    eei_residual,
+    embed_matrix,
     random_distinct_rationals,
     random_hermitian,
     verify_eei,
@@ -244,11 +250,59 @@ def test_minor_spectra_identity_needs_a_source():
 
 
 def test_minor_spectra_identity_degenerate_is_inconclusive():
-    import numpy as np
-    from cyclosum import HermMatrix
-
     report = verify_eei(3, matrix=HermMatrix.from_rows(np.eye(3)))
     assert report.verdict == "inconclusive"
+
+
+def _eei_matrices():
+    for dim in range(1, 8):
+        yield random_hermitian(dim, Random(700 + dim))
+    for n in range(2, 9):
+        yield embed_matrix(build_cp_matrix(cyc_context(n)))
+    yield HermMatrix.from_rows(np.eye(3))
+
+
+def test_minor_spectra_identity_equals_per_pair_oracle():
+    """verify_eei shares eigensolves across pairs; a loop over the per-pair
+    eei_residual, which solves both spectra afresh for each pair, must give
+    bit-identical numbers."""
+    tol = 1e-8
+    for matrix in _eei_matrices():
+        d = matrix.dim
+        worst, inconclusive = 0.0, 0
+        for i in range(1, d + 1):
+            for j in range(1, d + 1):
+                r = eei_residual(matrix, i, j)
+                if r.conclusive:
+                    worst = max(worst, r.residual)
+                else:
+                    inconclusive += 1
+        if inconclusive == d * d:
+            verdict = "inconclusive"
+        else:
+            verdict = "pass" if worst <= tol else "fail"
+        report = verify_eei(d, matrix=matrix, tol=tol)
+        assert report.lhs == worst
+        assert report.parameters["inconclusive_pairs"] == inconclusive
+        assert report.verdict == verdict
+
+
+def test_minor_spectra_identity_solves_each_spectrum_once(monkeypatch):
+    calls = []
+    solve = cyclosum.spectral.herm_eigen
+
+    def counting(m, *args, **kwargs):
+        calls.append(m.dim)
+        return solve(m, *args, **kwargs)
+
+    monkeypatch.setattr(cyclosum.spectral, "herm_eigen", counting)
+    for d in range(1, 7):
+        calls.clear()
+        verify_eei(d, rng=Random(d))
+        assert len(calls) == (d + 1 if d >= 2 else 1)
+        calls.clear()
+        eei_residual(random_hermitian(d, Random(d)), 1, d)
+        assert len(calls) == (2 if d >= 2 else 1)
 
 
 def test_product_spectrum_reports():
