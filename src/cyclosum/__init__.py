@@ -12,15 +12,16 @@ from .combinatorics import (
     perm_sign,
 )
 from .exact import (
-    ClosedForms,
     ContextMismatchError,
     CycElem,
     CyclotomicContext,
-    closed_forms,
     cp_minor_determinant,
     cyc_context,
     cyclotomic_polynomial,
     double_factorial,
+    full_permanent,
+    minor_determinant,
+    minor_permanent,
     parse_elem,
     random_element,
 )
@@ -67,82 +68,13 @@ from .spectral import (
     HermMatrix,
     LiuSpectrumResult,
     SpectralDecomposition,
-    build_sun_matrix_minor,
     charpoly_lagrange,
     cp_spectrum_closed_form,
     eei_residual,
     embed_matrix,
     herm_eigen,
     liu_spectrum_check,
-    minor_det_closed_form,
     random_hermitian,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CapExceededError",
-    "ClosedForms",
-    "ContextMismatchError",
-    "ConvergenceError",
-    "CycElem",
-    "CyclotomicContext",
-    "DerangementSums",
-    "EeiResult",
-    "ExactMatrix",
-    "HermMatrix",
-    "IDENTITY_IDS",
-    "LiuSpectrumResult",
-    "SetPartition",
-    "SignedPerm",
-    "SpectralDecomposition",
-    "VerificationReport",
-    "build_bs_diagonal",
-    "build_cp_matrix",
-    "build_sun_matrix",
-    "build_sun_matrix_minor",
-    "charpoly_exact",
-    "charpoly_lagrange",
-    "closed_forms",
-    "cp_minor_determinant",
-    "cp_spectrum_closed_form",
-    "cyc_context",
-    "cyclotomic_polynomial",
-    "delete_rows_cols",
-    "derangement_sums",
-    "derangements",
-    "det_exact",
-    "double_factorial",
-    "eei_residual",
-    "embed_matrix",
-    "full_cycles",
-    "herm_eigen",
-    "identity_matrix",
-    "liu_spectrum_check",
-    "load_matrix",
-    "make_matrix",
-    "matmul",
-    "matrix_from_json",
-    "matrix_to_json",
-    "minor_det_closed_form",
-    "parse_elem",
-    "partitions_min2",
-    "perm_sign",
-    "permanent_naive",
-    "permanent_ryser",
-    "random_distinct_rationals",
-    "random_element",
-    "random_hermitian",
-    "save_matrix",
-    "scalar_multiply",
-    "verify_eei",
-    "verify_eq1_1",
-    "verify_eq1_2",
-    "verify_eq1_3",
-    "verify_eq2_3_liu",
-    "verify_eq2_4",
-    "verify_eq3_1",
-    "verify_lemma3_2",
-    "verify_thm2_1",
-    "verify_thm3_1",
-]

@@ -32,11 +32,6 @@ class SignedPerm:
     sign: int
     is_derangement: bool
 
-    @classmethod
-    def from_mapping(cls, mapping: Sequence[int]) -> "SignedPerm":
-        m = tuple(mapping)
-        return cls(m, perm_sign(m), all(v != j for j, v in enumerate(m, start=1)))
-
     def __call__(self, j: int) -> int:
         return self.mapping[j - 1]
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -25,13 +24,14 @@ __all__ = [
     "Rational",
     "CycElem",
     "CyclotomicContext",
-    "ClosedForms",
     "ContextMismatchError",
     "cyc_context",
     "cyclotomic_polynomial",
-    "closed_forms",
     "cp_minor_determinant",
     "double_factorial",
+    "full_permanent",
+    "minor_determinant",
+    "minor_permanent",
     "parse_elem",
     "random_element",
 ]
@@ -472,55 +472,24 @@ def double_factorial(m: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class ClosedForms:
-    """Right-hand-side constants of the verified identities for one order n.
-
-    Even n exposes ``rhs_even``; odd n exposes ``rhs_perm`` and ``rhs_det``.
-    Accessing the wrong branch raises ValueError.
-    """
-
-    n: int
-    _even: Fraction | None
-    _perm: Fraction | None
-    _det: Fraction | None
-
-    @property
-    def rhs_even(self) -> Fraction:
-        if self._even is None:
-            raise ValueError(f"rhs_even is defined for even n only (n={self.n})")
-        return self._even
-
-    @property
-    def rhs_perm(self) -> Fraction:
-        if self._perm is None:
-            raise ValueError(f"rhs_perm is defined for odd n only (n={self.n})")
-        return self._perm
-
-    @property
-    def rhs_det(self) -> Fraction:
-        if self._det is None:
-            raise ValueError(f"rhs_det is defined for odd n only (n={self.n})")
-        return self._det
+def full_permanent(n: int) -> Fraction:
+    """Permanent of the n x n reciprocal matrix, even n: ((n-1)!!)^2 / 2^n."""
+    if n < 2 or n % 2:
+        raise ValueError("defined for even n >= 2")
+    return Fraction(double_factorial(n - 1) ** 2, 2**n)
 
 
-def closed_forms(n: int) -> ClosedForms:
-    """Exact right-hand sides: ((n-1)!!)^2 / 2^n for even n, and
-    (+/-1/n) * (((n-1)/2)!)^2 for odd n."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if n % 2 == 0:
-        rhs = Fraction(double_factorial(n - 1) ** 2, 2**n)
-        binom_form = Fraction(math.factorial(n), 4**n) * math.comb(n, n // 2)
-        if rhs != binom_form:
-            raise AssertionError(
-                f"double-factorial and binomial closed forms disagree at n={n}"
-            )
-        return ClosedForms(n, rhs, None, None)
-    half = math.factorial((n - 1) // 2) ** 2
-    perm = Fraction(half, n)
-    det = perm if (n - 1) // 2 % 2 == 0 else -perm
-    return ClosedForms(n, None, perm, det)
+def minor_permanent(n: int) -> Fraction:
+    """Permanent of its (n-1)-minor, odd n: (((n-1)/2)!)^2 / n."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError("defined for odd n >= 3")
+    return Fraction(math.factorial((n - 1) // 2) ** 2, n)
+
+
+def minor_determinant(n: int) -> Fraction:
+    """Determinant of that minor, odd n: (-1)^((n-1)/2) (((n-1)/2)!)^2 / n."""
+    value = minor_permanent(n)
+    return -value if (n - 1) // 2 % 2 else value
 
 
 def cp_minor_determinant(n: int) -> Fraction:

@@ -1,14 +1,13 @@
 """Floating-point spectral layer: a self-contained Hermitian eigensolver,
 the closed-form cotangent-matrix spectrum, residuals for the
 eigenvector-eigenvalue identity, exact Lagrange interpolation of the minor
-characteristic polynomial, and the spectrum check for the scaled minor.
+characteristic polynomial, and the exact spectrum check for the scaled minor.
 
-The eigensolver embeds a complex Hermitian d x d matrix as the real
-symmetric 2d x 2d block matrix [[Re, -Im], [Im, Re]] and runs cyclic Jacobi
-sweeps on that.  Every eigenvalue of the complex matrix shows up twice in
-the embedding (v and iv give independent real eigenvectors), so the doubled
-spectrum is clustered into pairs and one complex eigenvector per pair is
-recovered by re-orthogonalizing the complexified real vectors.
+The eigensolver runs cyclic complex Jacobi sweeps on the d x d Hermitian
+matrix itself, with no LAPACK call.  It is the one float kernel here: the
+eigenvector-eigenvalue identity is the only statement checked in floating
+point, while the scaled minor's spectrum is settled exactly through its
+characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from random import Random
 
 import numpy as np
 
-from .exact import cp_minor_determinant, cyc_context
+from .exact import cyc_context
 from .matrices import (
     ExactMatrix,
     build_bs_diagonal,
@@ -39,20 +38,21 @@ __all__ = [
     "LiuSpectrumResult",
     "RealPoly",
     "SpectralDecomposition",
-    "build_sun_matrix_minor",
     "charpoly_lagrange",
     "cp_spectrum_closed_form",
     "eei_residual",
     "embed_matrix",
     "herm_eigen",
     "liu_spectrum_check",
-    "minor_det_closed_form",
     "random_hermitian",
 ]
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative numerical routine hit its iteration cap."""
+    """The eigensolver hit its sweep cap."""
+
+
+MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,106 +114,45 @@ class RealPoly:
         return acc
 
 
-def _jacobi_symmetric(s: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi on a real symmetric matrix; returns (eigenvalues,
-    orthogonal eigenvector columns), unsorted."""
-    a = s.copy()
-    d = a.shape[0]
-    v = np.eye(d)
-    if d < 2:
-        return np.diag(a).copy(), v
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        return np.zeros(d), v
-    stop = 1e-14 * scale
-    for _ in range(max_sweeps):
-        off = np.max(np.abs(a - np.diag(np.diag(a))))
-        if off <= stop:
-            return np.diag(a).copy(), v
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= stop * 1e-2:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                sn = t * c
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - sn * colq
-                a[:, q] = sn * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - sn * rowq
-                a[q, :] = sn * rowp + c * rowq
-                colp = v[:, p].copy()
-                colq = v[:, q].copy()
-                v[:, p] = c * colp - sn * colq
-                v[:, q] = sn * colp + c * colq
-    raise ConvergenceError(f"Jacobi sweeps did not converge within {max_sweeps}")
+def herm_eigen(m: HermMatrix) -> SpectralDecomposition:
+    """Full eigen-decomposition of a Hermitian matrix by cyclic complex
+    Jacobi sweeps (Golub and Van Loan, Matrix Computations, section 8.5).
 
-
-def herm_eigen(m: HermMatrix, max_sweeps: int = 60) -> SpectralDecomposition:
-    """Full eigen-decomposition of a Hermitian matrix.
-
-    Deterministic for a fixed input: sweep order, pair clustering, and the
-    re-orthogonalization are all fixed-order procedures.
+    Each rotation first turns the phase of a_pq onto the real axis, then
+    zeroes it with the real rotation (c, s); deterministic for a fixed input.
     """
     d = m.dim
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    re, im = m.entries.real, m.entries.imag
-    s = np.block([[re, -im], [im, re]])
-    mu, w = _jacobi_symmetric(s, max_sweeps=max_sweeps)
-    order = np.argsort(mu, kind="stable")
-    mu = mu[order]
-    w = w[:, order]
-
-    scale = max(1.0, float(np.max(np.abs(mu))))
-    tol = 1e-8 * scale
-    # group the doubled spectrum into even-sized clusters
-    bounds = [0]
-    for k in range(1, 2 * d):
-        if mu[k] - mu[k - 1] > tol:
-            bounds.append(k)
-    bounds.append(2 * d)
-    clusters = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    merged: list[tuple[int, int]] = []
-    for lo, hi in clusters:
-        if merged and (hi - lo) % 2 and (merged[-1][1] - merged[-1][0]) % 2:
-            merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    if any((hi - lo) % 2 for lo, hi in merged):
-        raise ConvergenceError("doubled spectrum did not pair up")
-
-    values: list[float] = []
-    vectors: list[np.ndarray] = []
-    for lo, hi in merged:
-        need = (hi - lo) // 2
-        cands = [w[:d, k] + 1j * w[d:, k] for k in range(lo, hi)]
-        accepted: list[np.ndarray] = []
-        while len(accepted) < need:
-            best, best_norm = None, -1.0
-            for cand in cands:
-                r = cand.copy()
-                for u in accepted:
-                    r -= np.vdot(u, r) * u
-                nrm = float(np.linalg.norm(r))
-                if nrm > best_norm:
-                    best, best_norm = r, nrm
-            if best is None or best_norm < 1e-6:
-                raise ConvergenceError("failed to recover a full eigenvector basis")
-            accepted.append(best / best_norm)
-        for u in accepted:
-            values.append(float(np.real(np.vdot(u, m.entries @ u))))
-            vectors.append(u)
-
-    order2 = sorted(range(d), key=lambda i: values[i])
-    lam = np.array([values[i] for i in order2])
-    vecs = np.column_stack([vectors[i] for i in order2])
-    return SpectralDecomposition(lam, vecs)
+    a = m.entries.copy()
+    v = np.eye(d, dtype=np.complex128)
+    scale = np.max(np.abs(a))
+    stop = 1e-14 * scale
+    for _ in range(MAX_SWEEPS):
+        if np.max(np.abs(a - np.diag(np.diag(a)))) <= stop:
+            lam = a.diagonal().real
+            order = np.argsort(lam, kind="stable")
+            return SpectralDecomposition(lam[order], v[:, order])
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                r = abs(a[p, q])
+                if r <= stop * 1e-2:
+                    continue
+                phase = a[p, q] / r
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                sn = t * c
+                for x in (a, v):
+                    colp = x[:, p].copy()
+                    colq = x[:, q] * phase.conjugate()
+                    x[:, p] = c * colp - sn * colq
+                    x[:, q] = sn * colp + c * colq
+                rowp = a[p, :].copy()
+                rowq = a[q, :] * phase
+                a[p, :] = c * rowp - sn * rowq
+                a[q, :] = sn * rowp + c * rowq
+    raise ConvergenceError(f"Jacobi sweeps did not converge within {MAX_SWEEPS}")
 
 
 def random_hermitian(dim: int, rng: Random, magnitude: float = 1.0) -> HermMatrix:
@@ -232,12 +171,6 @@ def random_hermitian(dim: int, rng: Random, magnitude: float = 1.0) -> HermMatri
 
 
 # -- closed forms and identity checks ---------------------------------------
-
-
-def build_sun_matrix_minor(n: int) -> ExactMatrix:
-    """The (n-1)-dimensional principal minor (delete index n) of the
-    reciprocal root-difference matrix, used by several spectrum checks."""
-    return delete_rows_cols(build_sun_matrix(cyc_context(n)), {n})
 
 
 def cp_spectrum_closed_form(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -315,12 +248,6 @@ def eei_residual(
     return _eei_pair(dec, minor_lam, i, j, gap_threshold)
 
 
-def minor_det_closed_form(n: int) -> Fraction:
-    """Determinant of the cotangent matrix's principal (n-1)-minor for odd n,
-    exactly (-1)^((n-1)/2) ((n-1)!!)^2 / n."""
-    return cp_minor_determinant(n)
-
-
 def charpoly_lagrange(n: int) -> RealPoly:
     """Characteristic polynomial of the cotangent minor, reconstructed purely
     from closed forms: Lagrange interpolation through the n nodes n+1-2i with
@@ -359,51 +286,16 @@ def charpoly_lagrange(n: int) -> RealPoly:
 
 @dataclass(frozen=True)
 class LiuSpectrumResult:
-    """Spectrum and determinant facts for the column-scaled minor: computed
-    eigenvalues against the claimed integers, plus the exact determinant."""
+    """Spectrum and determinant facts for the column-scaled minor: whether
+    its characteristic polynomial is exactly prod_k (x^2 - k^2) over the
+    claimed integers, plus the exact determinant."""
 
     n: int
-    eigenvalues: tuple[complex, ...]
     expected: tuple[int, ...]
-    max_deviation: float
+    charpoly_matches: bool
     det_value: Fraction
     det_expected: Fraction
     det_matches: bool
-
-
-def _durand_kerner(coeffs: list[complex], max_iter: int = 500) -> list[complex]:
-    """All roots of a polynomial (ascending complex coefficients) by
-    Durand-Kerner simultaneous iteration; deterministic start values."""
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
-    deg = len(monic) - 1
-    if deg == 0:
-        return []
-    radius = 1.0 + max(abs(c) for c in monic[:-1])
-    seed = 0.4 + 0.9j
-    roots = [radius * seed**k for k in range(1, deg + 1)]
-
-    def horner(z: complex) -> complex:
-        acc = 0j
-        for c in reversed(monic):
-            acc = acc * z + c
-        return acc
-
-    for _ in range(max_iter):
-        shift = 0.0
-        nxt = []
-        for idx, z in enumerate(roots):
-            denom = 1 + 0j
-            for jdx, other in enumerate(roots):
-                if jdx != idx:
-                    denom *= z - other
-            delta = horner(z) / denom
-            nxt.append(z - delta)
-            shift = max(shift, abs(delta))
-        roots = nxt
-        if shift < 1e-13 * max(1.0, radius):
-            return roots
-    raise ConvergenceError(f"root iteration did not settle within {max_iter}")
 
 
 def liu_spectrum_check(n: int) -> LiuSpectrumResult:
@@ -411,13 +303,13 @@ def liu_spectrum_check(n: int) -> LiuSpectrumResult:
     times the diagonal matrix diag(1 - zeta^i) has the claimed spectrum
     {-(n-1)/2..-1, 1..(n-1)/2} and determinant (-1)^((n-1)/2) (((n-1)/2)!)^2.
 
-    The determinant is verified exactly; the spectrum comes from the exact
-    characteristic polynomial (the product matrix is not Hermitian), with
-    roots found numerically.
+    Both are verified exactly: the product matrix is not Hermitian, so its
+    spectrum is compared as the exact characteristic polynomial against
+    prod_{k=1}^{(n-1)/2} (x^2 - k^2), whose roots are the claimed integers.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("defined for odd n >= 3")
-    minor = build_sun_matrix_minor(n)
+    minor = delete_rows_cols(build_sun_matrix(cyc_context(n)), {n})
     prod = matmul(minor, build_bs_diagonal(minor.context, 1))
     half = (n - 1) // 2
     expected = tuple(range(-half, 0)) + tuple(range(1, half + 1))
@@ -425,18 +317,14 @@ def liu_spectrum_check(n: int) -> LiuSpectrumResult:
     if half % 2:
         det_expected = -det_expected
     det_value = det_exact(prod).as_rational()
-
-    coeffs = [c.to_complex() for c in charpoly_exact(prod)]
-    roots = sorted(_durand_kerner(coeffs), key=lambda z: (z.real, z.imag))
-    deviation = max(abs(r - e) for r, e in zip(roots, expected))
+    claimed = [1]  # ascending coefficients of prod_k (x^2 - k^2)
+    for k in range(1, half + 1):
+        claimed = [a - k * k * b for a, b in zip([0, 0] + claimed, claimed + [0, 0])]
     return LiuSpectrumResult(
         n,
-        tuple(roots),
         expected,
-        deviation,
+        charpoly_exact(prod) == claimed,
         det_value,
         det_expected,
         det_value == det_expected,
     )
-
-

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import cyclosum.cli
 from cyclosum import (
     CapExceededError,
+    ConvergenceError,
     VerificationReport,
     build_sun_matrix,
     cyc_context,
@@ -181,9 +183,13 @@ def test_pretty_table_with_timing_has_elapsed_column(capsys):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_campaign_item_error_becomes_record(tmp_path, capfd, jobs):
-    # eq2_3_liu's root finder raises ConvergenceError at n=21; the eq1_3
-    # pass at the same n must still be written.
+def test_campaign_item_error_becomes_record(tmp_path, monkeypatch, capfd, jobs):
+    # An eq2_3_liu item that raises must still leave the eq1_3 pass at the
+    # same n in the output; forked workers inherit the patched function.
+    def no_convergence(n, tol):
+        raise ConvergenceError(f"Jacobi sweeps did not converge within {n}")
+
+    monkeypatch.setattr(cyclosum.cli, "verify_eq2_3_liu", no_convergence)
     code, records = run_campaign(
         tmp_path, "errors.jsonl",
         "--identities", "eq1_3,eq2_3_liu", "--n", "21..21", "--jobs", jobs,
@@ -194,7 +200,7 @@ def test_campaign_item_error_becomes_record(tmp_path, capfd, jobs):
     ]
     error = records[1]
     assert error["lhs"] == "" and error["rhs"] == ""
-    assert error["notes"].startswith("ConvergenceError: ")
+    assert error["notes"] == "ConvergenceError: Jacobi sweeps did not converge within 21"
     assert "eq2_3_liu n=21" in capfd.readouterr().err
 
 
@@ -368,6 +374,19 @@ def test_spectrum_product_matrix(capsys):
     assert main(["spectrum", "liu", "--n", "7"]) == 0
     out = capsys.readouterr().out
     assert "-3 -2 -1 1 2 3" in out
+    assert "characteristic polynomial matches: True" in out
+    assert "determinant: -36 (expected -36)" in out
+
+
+def test_spectrum_product_matrix_exits_1_on_mismatch(monkeypatch, capsys):
+    real = cyclosum.cli.liu_spectrum_check
+    monkeypatch.setattr(
+        cyclosum.cli,
+        "liu_spectrum_check",
+        lambda n: dataclasses.replace(real(n), charpoly_matches=False),
+    )
+    assert main(["spectrum", "liu", "--n", "7"]) == 1
+    assert "characteristic polynomial matches: False" in capsys.readouterr().out
 
 
 def test_spectrum_minor(capsys):

@@ -9,13 +9,14 @@ from random import Random
 import pytest
 
 from cyclosum import (
-    ClosedForms,
     ContextMismatchError,
-    closed_forms,
     cp_minor_determinant,
     cyc_context,
     cyclotomic_polynomial,
     double_factorial,
+    full_permanent,
+    minor_determinant,
+    minor_permanent,
     parse_elem,
     random_element,
 )
@@ -298,27 +299,30 @@ def test_double_factorial_splits_factorial():
 
 
 def test_closed_form_even_order_values():
-    assert closed_forms(2).rhs_even == Fraction(1, 4)
-    forms4 = closed_forms(4)
-    assert forms4.rhs_even == Fraction(9, 16)
-    assert forms4.rhs_even == Fraction(math.factorial(4), 4**4) * math.comb(4, 2)
+    assert full_permanent(2) == Fraction(1, 4)
+    assert full_permanent(4) == Fraction(9, 16)
+    assert full_permanent(4) == Fraction(math.factorial(4), 4**4) * math.comb(4, 2)
+
+
+def test_closed_form_even_order_binomial_form():
+    # ((n-1)!!)^2 / 2^n = n! C(n, n/2) / 4^n: two derivations of eq1_1's rhs.
+    for n in range(2, 31, 2):
+        assert full_permanent(n) == Fraction(math.factorial(n), 4**n) * math.comb(n, n // 2)
 
 
 def test_closed_form_odd_order_values():
-    forms = closed_forms(3)
-    assert forms.rhs_perm == Fraction(1, 3)
-    assert forms.rhs_det == Fraction(-1, 3)
-    assert closed_forms(9).rhs_det == 64
+    assert minor_permanent(3) == Fraction(1, 3)
+    assert minor_determinant(3) == Fraction(-1, 3)
+    assert minor_determinant(9) == 64
 
 
 def test_closed_form_parity_guards():
     with pytest.raises(ValueError):
-        closed_forms(3).rhs_even
+        full_permanent(3)
     with pytest.raises(ValueError):
-        closed_forms(4).rhs_perm
+        minor_permanent(4)
     with pytest.raises(ValueError):
-        closed_forms(4).rhs_det
-    assert isinstance(closed_forms(6), ClosedForms)
+        minor_determinant(4)
 
 
 def test_minor_determinant_closed_form_values():

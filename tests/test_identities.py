@@ -98,10 +98,10 @@ def test_minor_determinant_scaling_consistency():
     for n in range(3, 14, 2):
         report = verify_eq1_3(n)
         minor = delete_rows_cols(build_sun_matrix(cyc_context(n)), {n})
-        from cyclosum import det_exact, minor_det_closed_form
+        from cyclosum import cp_minor_determinant, det_exact
 
         assert det_exact(minor).as_rational() == Fraction(
-            minor_det_closed_form(n)
+            cp_minor_determinant(n)
         ) * Fraction(2) ** (1 - n)
         assert report.verdict == "pass"
 
@@ -309,6 +309,31 @@ def test_product_spectrum_reports():
     report = verify_eq2_3_liu(9)
     assert report.verdict == "pass"
     assert report.lhs == "576" == report.rhs
+    assert report.parameters["max_spectrum_deviation"] == 0.0
+
+
+@pytest.mark.parametrize("n", [19, 21])
+def test_product_spectrum_passes_past_the_float_root_finder(n):
+    # Float roots of this characteristic polynomial lose about 1e-5 at n=19
+    # and do not converge at n=21; the exact comparison must still pass.
+    report = verify_eq2_3_liu(n)
+    assert report.verdict == "pass"
+    assert report.lhs == report.rhs
+    assert report.parameters["max_spectrum_deviation"] == 0.0
+
+
+def test_product_spectrum_mismatch_fails_with_null_deviation(monkeypatch):
+    exact_charpoly = cyclosum.spectral.charpoly_exact
+
+    def off_by_one(m):
+        coeffs = exact_charpoly(m)
+        return [coeffs[0] + 1] + coeffs[1:]
+
+    monkeypatch.setattr(cyclosum.spectral, "charpoly_exact", off_by_one)
+    report = verify_eq2_3_liu(7)
+    assert report.verdict == "fail"
+    assert report.lhs == report.rhs
+    assert report.parameters["max_spectrum_deviation"] is None
 
 
 def test_interpolation_report_records_factor_discrepancy():

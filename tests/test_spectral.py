@@ -14,9 +14,9 @@ from cyclosum import (
     HermMatrix,
     build_cp_matrix,
     build_sun_matrix,
-    build_sun_matrix_minor,
     charpoly_exact,
     charpoly_lagrange,
+    cp_minor_determinant,
     cp_spectrum_closed_form,
     cyc_context,
     delete_rows_cols,
@@ -25,8 +25,8 @@ from cyclosum import (
     embed_matrix,
     herm_eigen,
     liu_spectrum_check,
-    minor_det_closed_form,
     random_hermitian,
+    verify_eq2_3_liu,
 )
 
 
@@ -94,6 +94,33 @@ def test_eigensolver_handles_degenerate_spectra():
     dec = herm_eigen(h)
     assert np.allclose(dec.eigenvalues, [2.5] * 4, atol=1e-12)
     assert np.allclose(dec.eigenvectors.conj().T @ dec.eigenvectors, np.eye(4), atol=1e-9)
+
+
+def assert_matches_eigh(h: HermMatrix, atol: float) -> None:
+    """Eigenvalues against numpy's eigh; residual and orthonormality of the
+    returned basis (eigh's vectors are only unique up to a unitary inside
+    each eigenspace, so they are not compared directly)."""
+    dec = herm_eigen(h)
+    lam, vecs = dec.eigenvalues, dec.eigenvectors
+    assert np.allclose(lam, np.linalg.eigh(h.entries)[0], rtol=0, atol=atol)
+    assert np.allclose(h.entries @ vecs, vecs * lam, rtol=0, atol=atol)
+    assert np.allclose(vecs.conj().T @ vecs, np.eye(h.dim), rtol=0, atol=1e-12)
+
+
+def test_eigensolver_repeated_eigenvalue_off_diagonal():
+    u, _ = np.linalg.qr(np.array([[1, 2j, 0], [1j, 1, 3], [2, -1j, 1]]))
+    h = HermMatrix.from_rows(u @ np.diag([1.0, 1.0, 2.0]) @ u.conj().T)
+    assert np.max(np.abs(h.entries - np.diag(np.diag(h.entries)))) > 0.1
+    assert_matches_eigh(h, 1e-13)
+
+
+def test_eigensolver_zero_and_one_by_one():
+    assert_matches_eigh(HermMatrix.from_rows(np.zeros((4, 4))), 0.0)
+    assert_matches_eigh(HermMatrix.from_rows([[-2.5]]), 0.0)
+
+
+def test_eigensolver_cotangent_order_32():
+    assert_matches_eigh(embed_matrix(build_cp_matrix(cyc_context(32))), 1e-12)
 
 
 def test_random_hermitian_is_deterministic():
@@ -188,17 +215,12 @@ def test_identity_rejects_bad_indices():
 # --- minor determinant closed form ------------------------------------------------------
 
 
-def test_minor_determinant_values():
-    assert minor_det_closed_form(3) == Fraction(-4, 3)
-    assert minor_det_closed_form(5) == Fraction(64, 5)
-
-
 def test_minor_determinant_matches_eigenvalue_product():
     for n in (3, 5, 7, 9):
         minor = delete_rows_cols(build_cp_matrix(cyc_context(n)), {n})
         lam = herm_eigen(embed_matrix(minor)).eigenvalues
-        assert abs(float(np.prod(lam)) - float(minor_det_closed_form(n))) < 1e-8 * abs(
-            float(minor_det_closed_form(n))
+        assert abs(float(np.prod(lam)) - float(cp_minor_determinant(n))) < 1e-8 * abs(
+            float(cp_minor_determinant(n))
         )
 
 
@@ -206,7 +228,7 @@ def test_minor_determinant_consistent_with_exact_path():
     # The doubled matrix scales each of the n-1 rows by 2.
     for n in range(3, 14, 2):
         base = det_exact(delete_rows_cols(build_sun_matrix(cyc_context(n)), {n}))
-        assert minor_det_closed_form(n) == Fraction(2) ** (n - 1) * base.as_rational()
+        assert cp_minor_determinant(n) == Fraction(2) ** (n - 1) * base.as_rational()
         half = (n - 1) // 2
         sign = -1 if half % 2 else 1
         assert base.as_rational() == Fraction(sign * math.factorial(half) ** 2, n)
@@ -225,7 +247,7 @@ def test_interpolated_polynomial_order_three():
 def test_interpolated_polynomial_matches_determinant_at_zero():
     for n in (3, 5, 7):
         poly = charpoly_lagrange(n)
-        det = float(minor_det_closed_form(n))
+        det = float(cp_minor_determinant(n))
         expected = det if (n - 1) % 2 == 0 else -det
         assert abs(poly(0.0) - expected) < 1e-9 * max(1.0, abs(det))
 
@@ -253,30 +275,28 @@ def test_interpolated_polynomial_matches_exact_charpoly():
 
 def test_product_spectrum_order_three():
     res = liu_spectrum_check(3)
-    assert np.allclose([z.real for z in res.eigenvalues], [-1, 1], atol=1e-10)
+    assert res.expected == (-1, 1)
+    assert res.charpoly_matches
     assert res.det_value == -1
     assert res.det_matches
 
 
 def test_product_spectrum_order_five():
     res = liu_spectrum_check(5)
-    assert np.allclose([z.real for z in res.eigenvalues], [-2, -1, 1, 2], atol=1e-9)
+    assert res.charpoly_matches
     assert res.det_value == 4
     assert res.expected == (-2, -1, 1, 2)
 
 
 def test_product_spectrum_deviation_small_for_small_orders():
+    # The spectrum is judged exactly, so the recorded deviation is exactly 0.
     for n in (3, 5, 7, 9):
         res = liu_spectrum_check(n)
-        assert res.max_deviation <= 1e-9
+        assert res.charpoly_matches
         assert res.det_matches
+        assert verify_eq2_3_liu(n).parameters["max_spectrum_deviation"] == 0.0
 
 
 def test_product_spectrum_rejects_even_orders():
     with pytest.raises(ValueError):
         liu_spectrum_check(4)
-
-
-def test_minor_helper_matches_manual_deletion():
-    manual = delete_rows_cols(build_sun_matrix(cyc_context(7)), {7})
-    assert build_sun_matrix_minor(7).entries == manual.entries
