@@ -402,7 +402,12 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", required=True, metavar="LO..HI", help="inclusive n range")
     v.add_argument("--trials", type=int, default=5)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--tol", type=float, default=1e-8)
+    v.add_argument(
+        "--tol",
+        type=float,
+        default=1e-8,
+        help="float tolerance for eei and thm2_1 (eq2_3_liu and eq2_4 are judged exactly)",
+    )
     v.add_argument(
         "--permanent-cap",
         type=int,

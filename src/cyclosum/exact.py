@@ -88,6 +88,25 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def _norm_steps(n: int) -> tuple[tuple[int, int], ...]:
+    """Steps (g, p) of a subgroup chain of the unit group (Z/n)^*: H_i is
+    generated by H_(i-1) and g, and p = [H_i : H_(i-1)] is prime."""
+    units = [k for k in range(1, n) if math.gcd(k, n) == 1]
+    group = {1}
+    steps = []
+    while len(group) < len(units):
+        g = next(k for k in units if k not in group)
+        order, x = 1, g
+        while x not in group:
+            x = x * g % n
+            order += 1
+        p = next(q for q in range(2, order + 1) if order % q == 0)
+        g = pow(g, order // p, n)
+        steps.append((g, p))
+        group = {h * pow(g, e, n) % n for h in group for e in range(p)}
+    return tuple(steps)
+
+
 @functools.lru_cache(maxsize=None)
 def cyc_context(n: int) -> "CyclotomicContext":
     """Shared context for Q(zeta_n); rejects n < 2."""
@@ -96,10 +115,18 @@ def cyc_context(n: int) -> "CyclotomicContext":
 
 class CyclotomicContext:
     """Fixes the order n and the canonical basis 1, x, ..., x^(phi(n)-1)
-    of Q(zeta_n) = Q[x]/(Phi_n), plus the power-reduction table all element
-    arithmetic relies on."""
+    of Q(zeta_n) = Q[x]/(Phi_n), plus the sparse power-reduction table all
+    integer arithmetic relies on.
 
-    __slots__ = ("n", "basis_degree", "modulus", "_powers", "_root", "_zero", "_one")
+    ``_reduction[k]`` lists the nonzero (index, coefficient) pairs of
+    x^k mod Phi_n for 0 <= k < n; since x^n = 1 modulo Phi_n, any power
+    x^m reduces through ``_reduction[m % n]``.  The same table serves
+    multiplication, the Galois maps, and unpacking of Kronecker-packed
+    integers (see ``pack``)."""
+
+    __slots__ = (
+        "n", "basis_degree", "modulus", "_reduction", "_norm_steps", "_root", "_zero", "_one"
+    )
 
     def __init__(self, n: int):
         if n < 2:
@@ -108,21 +135,17 @@ class CyclotomicContext:
         self.modulus = cyclotomic_polynomial(n)
         deg = len(self.modulus) - 1
         self.basis_degree = deg
-        # x^k reduced mod Phi_n for every k we ever need: products of two
-        # basis elements reach degree 2*deg - 2, zeta_pow reaches n - 1.
-        top = max(2 * deg - 1, n)
-        powers: list[tuple[int, ...]] = []
-        for k in range(deg):
-            powers.append(tuple(1 if i == k else 0 for i in range(deg)))
-        for k in range(deg, top):
-            prev = powers[k - 1]
-            lead = prev[deg - 1]
-            shifted = [0] + list(prev[:-1])
+        self._norm_steps = _norm_steps(n)
+        rows = [((k, 1),) for k in range(deg)]
+        dense = [0] * (deg - 1) + [1]  # x^(deg-1)
+        for _ in range(deg, n):
+            lead = dense[-1]
+            dense = [0] + dense[:-1]
             if lead:
                 for i in range(deg):
-                    shifted[i] -= lead * self.modulus[i]
-            powers.append(tuple(shifted))
-        self._powers = tuple(powers)
+                    dense[i] -= lead * self.modulus[i]
+            rows.append(tuple((i, c) for i, c in enumerate(dense) if c))
+        self._reduction = tuple(rows)
         self._root = cmath.exp(2j * math.pi / n)
         self._zero = CycElem(self, (0,) * deg, 1, _normalized=True)
         self._one = CycElem(self, (1,) + (0,) * (deg - 1), 1, _normalized=True)
@@ -162,7 +185,88 @@ class CyclotomicContext:
 
     def zeta_pow(self, k: int) -> "CycElem":
         """Canonical representation of zeta^k; k may be any integer."""
-        return CycElem(self, self._powers[k % self.n], 1, _normalized=True)
+        nums = [0] * self.basis_degree
+        for i, c in self._reduction[k % self.n]:
+            nums[i] = c
+        return CycElem(self, nums, 1, _normalized=True)
+
+    # -- integer coefficient vectors -------------------------------------------
+    #
+    # The kernels below work on integer coefficient vectors (the numerators
+    # of elements over a common denominator).  A vector c is packed into the
+    # single integer sum_i c_i 2^(bits*i): Kronecker substitution x -> 2^bits,
+    # so adding or multiplying packed integers adds or multiplies the
+    # polynomials without reducing them.  Decoding is exact as long as every
+    # coefficient of the packed polynomial satisfies |c| < 2^(bits-1); the
+    # callers derive ``bits`` from a proven bound on the coefficients.
+
+    def pack(self, nums: Sequence[int], bits: int) -> int:
+        """Kronecker-pack an integer coefficient vector with digit width bits."""
+        value = 0
+        for c in reversed(nums):
+            value = (value << bits) + c
+        return value
+
+    def unpack(self, value: int, bits: int) -> list[int]:
+        """Inverse of ``pack`` for a polynomial of any degree: fold it modulo
+        x^n - 1, read the signed digits (each in [-2^(bits-1), 2^(bits-1)))
+        from the low end, and reduce x^k modulo Phi_n on the way.  The digit
+        width must bound the coefficients both before and after the fold;
+        it does for every caller here, whose bounds hold for products taken
+        modulo x^n - 1 as well."""
+        value = self.fold(value, bits)
+        out = [0] * self.basis_degree
+        reduction, n = self._reduction, self.n
+        mask = (1 << bits) - 1
+        half = 1 << (bits - 1)
+        k = 0
+        while value:
+            c = value & mask
+            value >>= bits
+            if c >= half:
+                c -= mask + 1
+                value += 1
+            if c:
+                for i, r in reduction[k % n]:
+                    out[i] += c * r
+            k += 1
+        return out
+
+    def fold(self, value: int, bits: int) -> int:
+        """Reduce a packed polynomial modulo x^n - 1 (x^n = 1 modulo Phi_n)
+        by adding its digits from position n up onto the low n.  Each
+        coefficient of the result is a sum of coefficients of the input, so
+        a digit width that bounds the input's l1 norm stays valid."""
+        width = bits * self.n
+        high = value >> width
+        if not high:
+            return value
+        low = value - (high << width)
+        if low >> (width - 1):  # the low n digits are negative
+            low -= 1 << width
+            high += 1
+        return low + high
+
+    def _mul_nums(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        """Product of two integer vectors modulo Phi_n, by one packed multiply.
+        Each coefficient of the product, unreduced or taken modulo x^n - 1,
+        is at most ||a||_1 * ||b||_inf in absolute value."""
+        bound = sum(map(abs, a)) * max(map(abs, b))
+        if not bound:
+            return [0] * self.basis_degree
+        bits = bound.bit_length() + 1
+        return self.unpack(self.pack(a, bits) * self.pack(b, bits), bits)
+
+    def _galois(self, nums: Sequence[int], k: int) -> list[int]:
+        """Image of an integer vector under the automorphism zeta -> zeta^k,
+        gcd(k, n) = 1."""
+        out = [0] * self.basis_degree
+        reduction, n = self._reduction, self.n
+        for j, c in enumerate(nums):
+            if c:
+                for i, r in reduction[j * k % n]:
+                    out[i] += c * r
+        return out
 
 
 class CycElem:
@@ -252,24 +356,9 @@ class CycElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        deg = self.context.basis_degree
-        conv = [0] * (2 * deg - 1)
-        for i, a in enumerate(self.nums):
-            if a:
-                onums = o.nums
-                for j in range(deg):
-                    b = onums[j]
-                    if b:
-                        conv[i + j] += a * b
-        powers = self.context._powers
-        for k in range(2 * deg - 2, deg - 1, -1):
-            c = conv[k]
-            if c:
-                row = powers[k]
-                for i in range(deg):
-                    if row[i]:
-                        conv[i] += c * row[i]
-        return CycElem(self.context, conv[:deg], self.den * o.den)
+        return CycElem(
+            self.context, self.context._mul_nums(self.nums, o.nums), self.den * o.den
+        )
 
     __rmul__ = __mul__
 
@@ -301,29 +390,35 @@ class CycElem:
         return result
 
     def inverse(self) -> "CycElem":
-        """Multiplicative inverse via the extended Euclidean algorithm on
-        polynomials over Q (Phi_n is irreducible, so any nonzero element is
-        invertible)."""
+        """Multiplicative inverse through the norm (Cohen, GTM 138, 4.2): for
+        the integer numerator P, the product Q of its conjugates sigma_k(P),
+        zeta -> zeta^k for every unit k mod n other than 1, satisfies
+        P * Q = N(P), a nonzero rational integer, so
+        1/(P/den) = den * Q / N(P).
+
+        The conjugates are multiplied up a chain of subgroups
+        {1} = H_0 < H_1 < ... < H_r = (Z/n)^*, each of prime index p over the
+        last: with A = N_{H_{i-1}}(P) and T the product of g^e(A) for
+        e = 1..p-1, A * T = N_{H_i}(P), and the T of all steps multiply to Q.
+        That takes sum(p) multiplications over the steps instead of the
+        phi(n) - 1 of a plain product, and they are more evenly sized."""
         if not self:
             raise ZeroDivisionError("cannot invert zero")
-        # self = P / den with P integer; inv(self) = den * inv(P).
-        modulus = [Fraction(c) for c in self.context.modulus]
-        r0, r1 = modulus, [Fraction(v) for v in self.nums]
-        s0: list[Fraction] = [Fraction(0)]
-        s1: list[Fraction] = [Fraction(1)]
-        while True:
-            d1 = _frac_degree(r1)
-            if d1 <= 0:
-                break
-            q, r = _frac_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _frac_sub(s0, _frac_mul(q, s1))
-        if _frac_degree(r1) < 0:
-            raise ZeroDivisionError("element is not invertible")
-        c = r1[0]
-        inv_coeffs = [s * self.den / c for s in s1]
-        inv_coeffs += [Fraction(0)] * (self.context.basis_degree - len(inv_coeffs))
-        return self.context.element(inv_coeffs[: self.context.basis_degree])
+        ctx = self.context
+        mul, galois = ctx._mul_nums, ctx._galois
+        norm = self.nums
+        conj = [1] + [0] * (ctx.basis_degree - 1)
+        for g, p in ctx._norm_steps:
+            image = galois(norm, g)
+            step = image
+            for _ in range(p - 2):
+                image = galois(image, g)
+                step = mul(step, image)
+            conj = mul(conj, step)
+            norm = mul(norm, step)
+        if any(norm[1:]):
+            raise ArithmeticError("norm of an element is not rational")
+        return CycElem(ctx, [c * self.den for c in conj], norm[0])
 
     # -- predicates & conversions -----------------------------------------
 
@@ -369,11 +464,7 @@ class CycElem:
     def conjugate(self) -> "CycElem":
         """Complex conjugate: the image under zeta -> zeta^(-1)."""
         ctx = self.context
-        out = ctx.zero
-        for k, q in enumerate(self.coeffs):
-            if q:
-                out = out + ctx.zeta_pow(-k) * q
-        return out
+        return CycElem(ctx, ctx._galois(self.nums, -1), self.den, _normalized=True)
 
     def serialize(self) -> str:
         """Text form ``n:[c0,c1,...]`` with each coefficient as ``p/q``."""
@@ -387,51 +478,6 @@ class CycElem:
         if self.is_rational():
             return str(self.as_rational())
         return self.serialize()
-
-
-def _frac_degree(p: Sequence[Fraction]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _frac_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _frac_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
-
-
-def _frac_divmod(
-    num: Sequence[Fraction], den: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    dn = _frac_degree(num)
-    dd = _frac_degree(den)
-    rem = list(num) + [Fraction(0)] * max(0, dd - len(num) + 1)
-    quot = [Fraction(0)] * max(1, dn - dd + 1)
-    lead = den[dd]
-    for k in range(dn, dd - 1, -1):
-        c = rem[k]
-        if c:
-            q = c / lead
-            quot[k - dd] = q
-            for i in range(dd + 1):
-                rem[k - dd + i] -= q * den[i]
-    return quot, rem
 
 
 def parse_elem(text: str, context: CyclotomicContext | None = None) -> CycElem:

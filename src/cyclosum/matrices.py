@@ -9,6 +9,7 @@ raises CapExceededError rather than hanging.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
@@ -206,23 +207,59 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         )
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch {a.dim} vs {b.dim}")
-    d = a.dim
-    bt = [[b.entries[r][c] for r in range(d)] for c in range(d)]
-    zero = a.context.zero
-    rows = []
-    for r in range(d):
-        arow = a.entries[r]
-        out = []
-        for c in range(d):
-            bcol = bt[c]
-            acc = zero
-            for k in range(d):
-                e = arow[k]
-                if e:
-                    acc = acc + e * bcol[k]
-            out.append(acc)
-        rows.append(tuple(out))
-    return ExactMatrix(a.context, d, tuple(rows))
+    ctx = a.context
+    da, ia = _cleared(a)
+    db, ib = _cleared(b)
+    den = da * db
+    rows = tuple(
+        tuple(CycElem(ctx, nums, den) for nums in row) for row in _matmul_ints(ctx, ia, ib)
+    )
+    return ExactMatrix(ctx, a.dim, rows)
+
+
+# -- integer kernels ----------------------------------------------------------
+#
+# permanent_ryser, matmul and charpoly_exact clear denominators once and run
+# on integer coefficient vectors over Z[zeta_n], Kronecker-packed into one
+# Python integer per entry (CyclotomicContext.pack); the digit width comes
+# from a proven bound on the coefficients of everything the kernel packs.
+
+
+def _l1(nums: Sequence[int]) -> int:
+    return sum(map(abs, nums))
+
+
+def _cleared(m: ExactMatrix) -> tuple[int, list[list[Sequence[int]]]]:
+    """The lcm D of the entry denominators and the integer coefficient
+    vectors of D * M, whose entries lie in Z[zeta_n]."""
+    den = math.lcm(*(e.den for row in m.entries for e in row))
+    rows = [
+        [e.nums if e.den == den else [v * (den // e.den) for v in e.nums] for e in row]
+        for row in m.entries
+    ]
+    return den, rows
+
+
+def _matmul_ints(ctx: CyclotomicContext, a: list, b: list) -> list[list[list[int]]]:
+    """Product of two square matrices of integer vectors, reduced mod Phi_n.
+    Entry (r, c) is sum_k a_rk b_kc, each of whose coefficients (unreduced
+    or modulo x^n - 1) is at most sum_k ||a_rk||_1 ||b_kc||_inf, so one digit
+    width from the largest row l1 norm of a times the largest entry of b
+    serves them all."""
+    d = len(a)
+    bound = max(sum(map(_l1, row)) for row in a) * max(
+        max(map(abs, nums)) for row in b for nums in row
+    )
+    if not bound:
+        return [[[0] * ctx.basis_degree for _ in range(d)] for _ in range(d)]
+    bits = bound.bit_length() + 1
+    pack, unpack = ctx.pack, ctx.unpack
+    cols = [[pack(b[k][c], bits) for k in range(d)] for c in range(d)]
+    out = []
+    for row in a:
+        terms = [(k, pack(nums, bits)) for k, nums in enumerate(row) if any(nums)]
+        out.append([unpack(sum(x * col[k] for k, x in terms), bits) for col in cols])
+    return out
 
 
 # -- exact kernels ----------------------------------------------------------
@@ -265,16 +302,28 @@ def permanent_ryser(m: ExactMatrix, cap: int = 16) -> CycElem:
     per(M) = (-1)^dim * sum_S (-1)^|S| prod_i (sum_{j in S} m_ij),
     walking subsets in Gray-code order so each step updates the running
     column sums by a single column add or subtract.
+
+    It runs on D * M packed into integers (per(M) = per(D M) / D^dim).  Each
+    of the fewer than 2^dim products has l1 norm at most
+    prod_i sum_j ||D m_ij||_1, which fixes the digit width; the running
+    product is folded modulo x^n - 1 after every factor, which keeps it at
+    n digits and leaves it within that norm.
     """
     d = m.dim
     if d > cap:
         raise CapExceededError(f"dimension {d} exceeds permanent cap {cap}")
     ctx = m.context
-    if d == 0:
-        return ctx.one
-    cols = [[m.entries[r][c] for r in range(d)] for c in range(d)]
-    sums = [ctx.zero] * d
-    total = ctx.zero
+    den, rows = _cleared(m)
+    bound = 1 << d
+    for row in rows:
+        bound *= sum(map(_l1, row))
+    if not bound:
+        return ctx.zero
+    bits = bound.bit_length() + 1
+    cols = [[ctx.pack(row[c], bits) for row in rows] for c in range(d)]
+    fold = ctx.fold
+    sums = [0] * d
+    total = 0
     prev = 0
     for g in range(1, 1 << d):
         gray = g ^ (g >> 1)
@@ -282,20 +331,23 @@ def permanent_ryser(m: ExactMatrix, cap: int = 16) -> CycElem:
         prev = gray
         col = cols[bit.bit_length() - 1]
         if gray & bit:
-            for r in range(d):
-                sums[r] = sums[r] + col[r]
+            sums = [s + x for s, x in zip(sums, col)]
         else:
-            for r in range(d):
-                sums[r] = sums[r] - col[r]
-        prod = ctx.one
+            sums = [s - x for s, x in zip(sums, col)]
+        prod = 1
         for s in sums:
             if not s:
                 break
-            prod = prod * s
+            prod = fold(prod * s, bits)
         else:
             # parity of |S| = popcount of the Gray word = parity of g
-            total = total - prod if g & 1 else total + prod
-    return -total if d & 1 else total
+            if g & 1:
+                total -= prod
+            else:
+                total += prod
+    if d & 1:
+        total = -total
+    return CycElem(ctx, ctx.unpack(total, bits), den**d)
 
 
 def permanent_naive(m: ExactMatrix, cap: int = 9) -> CycElem:
@@ -376,28 +428,37 @@ def derangement_sums(
 
 def charpoly_exact(m: ExactMatrix) -> list[CycElem]:
     """Monic characteristic polynomial det(xI - M) by the Faddeev-LeVerrier
-    trace recurrence (exact; the only divisions are by 1..dim).  Returns
-    ascending coefficients c with c[dim] = 1."""
+    trace recurrence, run on A = D * M over Z[zeta_n].  Returns ascending
+    coefficients c with c[dim] = 1.
+
+    The coefficients of A's characteristic polynomial are algebraic
+    integers, so each division of a trace by k is exact on every integer
+    coordinate; a nonzero remainder raises ArithmeticError.  Coefficient j
+    of M's polynomial is c_j(A) / D^(dim-j).
+    """
     d = m.dim
     ctx = m.context
-    coeffs = [ctx.zero] * d + [ctx.one]
-    b = identity_matrix(ctx, d)
+    den, a = _cleared(m)
+    one = (1,) + (0,) * (ctx.basis_degree - 1)
+    zero = (0,) * ctx.basis_degree
+    coeffs = [zero] * d + [one]
+    b = [[one if r == c else zero for c in range(d)] for r in range(d)]
     for k in range(1, d + 1):
         if k > 1:
-            shifted = tuple(
-                tuple(
-                    b.entries[r][c] + coeffs[d - k + 1] if r == c else b.entries[r][c]
-                    for c in range(d)
+            for r in range(d):
+                b[r][r] = [x + y for x, y in zip(b[r][r], coeffs[d - k + 1])]
+        b = _matmul_ints(ctx, a, b)
+        trace = [sum(col) for col in zip(*(b[r][r] for r in range(d)))]
+        quot = []
+        for t in trace:
+            q, rem = divmod(t, k)
+            if rem:
+                raise ArithmeticError(
+                    f"trace coefficient {t} is not divisible by {k}"
                 )
-                for r in range(d)
-            )
-            b = ExactMatrix(ctx, d, shifted)
-        b = matmul(m, b)
-        trace = ctx.zero
-        for r in range(d):
-            trace = trace + b.entries[r][r]
-        coeffs[d - k] = -(trace / k)
-    return coeffs
+            quot.append(-q)
+        coeffs[d - k] = quot
+    return [CycElem(ctx, nums, den ** (d - j)) for j, nums in enumerate(coeffs)]
 
 
 # -- file format ------------------------------------------------------------

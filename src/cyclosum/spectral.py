@@ -250,11 +250,15 @@ def eei_residual(
 
 def charpoly_lagrange(n: int) -> RealPoly:
     """Characteristic polynomial of the cotangent minor, reconstructed purely
-    from closed forms: Lagrange interpolation through the n nodes n+1-2i with
-    values (2^(n-1)/n) prod_{k!=i}(k-i), done in exact rational arithmetic
-    and converted to floats at the end.  Monic of degree n-1 by construction
-    (the node values are |v|^2-weighted spectral gap products, one degree
-    below the node count)."""
+    from closed forms (see _lagrange_coeffs), converted to floats."""
+    return RealPoly(tuple(float(c) for c in _lagrange_coeffs(n)))
+
+
+def _lagrange_coeffs(n: int) -> list[Fraction]:
+    """Exact ascending coefficients of the Lagrange interpolation through
+    the n nodes n+1-2i with values (2^(n-1)/n) prod_{k!=i}(k-i).  Monic of
+    degree n-1 by construction (the node values are |v|^2-weighted spectral
+    gap products, one degree below the node count)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     nodes = [Fraction(n + 1 - 2 * i) for i in range(1, n + 1)]
@@ -281,7 +285,7 @@ def charpoly_lagrange(n: int) -> RealPoly:
         w = yi / denom
         for p, cf in enumerate(basis):
             acc[p] += w * cf
-    return RealPoly(tuple(float(c) for c in acc))
+    return acc
 
 
 @dataclass(frozen=True)

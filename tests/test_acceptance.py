@@ -108,18 +108,20 @@ def test_c05_minor_spectra_identity():
 
 
 def test_c06_product_matrix_spectrum_and_determinant():
-    with criterion(6, "product-matrix determinant exact and spectrum, odd n 3..13, tol 1e-7", 120):
-        for n in range(3, 14, 2):
+    label = "product-matrix determinant and characteristic polynomial exact, odd n 3..25"
+    with criterion(6, label, 120):
+        for n in range(3, 26, 2):
             report = verify_eq2_3_liu(n, tol=1e-7)
             assert report.verdict == "pass", f"n={n}: {report.notes}"
             assert report.lhs == report.rhs
 
 
 def test_c07_interpolated_polynomial_resolution():
-    with criterion(7, "interpolated vs exact characteristic polynomial, odd n 3..13, tol 1e-6"):
-        for n in range(3, 14, 2):
+    with criterion(7, "interpolated vs exact characteristic polynomial, odd n 3..25, exact"):
+        for n in range(3, 26, 2):
             report = verify_eq2_4(n, tol=1e-6)
             assert report.verdict == "pass", f"n={n}: {report.notes}"
+            assert report.lhs == 0.0
             assert report.parameters["factor_ratio"] == str(2**n)
             assert report.parameters["printed_node_factor"] == "1/(2n)"
 

@@ -8,6 +8,7 @@ from random import Random
 import numpy as np
 import pytest
 
+import cyclosum.identities
 import cyclosum.spectral
 from cyclosum import (
     IDENTITY_IDS,
@@ -339,9 +340,27 @@ def test_product_spectrum_mismatch_fails_with_null_deviation(monkeypatch):
 def test_interpolation_report_records_factor_discrepancy():
     report = verify_eq2_4(7)
     assert report.verdict == "pass"
+    assert report.lhs == 0.0
     assert report.parameters["factor_ratio"] == str(2**7)
     assert report.parameters["printed_node_factor"] == "1/(2n)"
     assert report.parameters["derived_node_factor"] == "2^(n-1)/n"
+
+
+@pytest.mark.parametrize("offset", [Fraction(1), Fraction(1, 10**30)])
+def test_interpolation_mismatch_fails_exactly(monkeypatch, offset):
+    # One coefficient off by 1 fails with a float deviation of about 1; one
+    # off by 1e-30 is invisible in floats, where the deviation stays inside
+    # the tolerance the float comparison used, and must fail as well.
+    exact_charpoly = cyclosum.identities.charpoly_exact
+
+    def off(m):
+        coeffs = exact_charpoly(m)
+        return [coeffs[0] + offset] + coeffs[1:]
+
+    monkeypatch.setattr(cyclosum.identities, "charpoly_exact", off)
+    report = verify_eq2_4(7, tol=1e-6)
+    assert report.verdict == "fail"
+    assert abs(report.lhs - float(offset)) < 1e-6
 
 
 # --- report plumbing -------------------------------------------------------------------------
