@@ -23,6 +23,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -60,8 +61,6 @@ from .matrices import (
 )
 from .spectral import embed_matrix, herm_eigen, liu_spectrum_check
 
-__all__ = ["CampaignConfig", "cmd_compute", "cmd_spectrum", "cmd_verify", "main"]
-
 RANDOMIZED_IDS = frozenset({"lemma3_2", "eq3_1", "thm3_1_odd", "thm3_1_even", "eei"})
 
 
@@ -92,10 +91,28 @@ class CampaignConfig:
             raise ValueError("trials must be positive")
         if self.permanent_cap < 1 or self.enumeration_cap < 1:
             raise ValueError("caps must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        _check_tol(self.tol)
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError("jobs must be positive")
         if self.format not in ("jsonl", "csv", "pretty"):
             raise ValueError(f"unknown format {self.format!r}")
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
+def _worker_count(jobs: int | None) -> int:
+    """jobs if given, else CYCLOSUM_JOBS if set, else the CPU count."""
+    if jobs is not None:
+        return jobs
+    env = os.environ.get("CYCLOSUM_JOBS")
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"CYCLOSUM_JOBS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _child_rng(seed: int, identity: str, n: int, trial: int) -> Random:
@@ -249,6 +266,7 @@ def _render_pretty(records: list[dict], timing: bool) -> str:
 def cmd_verify(config: CampaignConfig) -> int:
     try:
         config.validate()
+        jobs = _worker_count(config.jobs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -270,10 +288,6 @@ def cmd_verify(config: CampaignConfig) -> int:
             for trial in range(trials):
                 work.append((identity, n, trial, config))
 
-    jobs = config.jobs
-    if jobs is None:
-        env = os.environ.get("CYCLOSUM_JOBS")
-        jobs = int(env) if env else (os.cpu_count() or 1)
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports.extend(pool.map(_run_item, work))
@@ -317,9 +331,13 @@ def cmd_compute(
     permanent_cap: int = 16,
     enumeration_cap: int = 11,
 ) -> int:
+    # A bad path or bad JSON, a field of the wrong type or shape, or a zero
+    # denominator in an entry.
     try:
         m = load_matrix(matrix_file)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (
+        OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError
+    ) as exc:
         print(f"error: cannot load matrix: {exc}", file=sys.stderr)
         return 2
     try:
@@ -345,6 +363,11 @@ def cmd_compute(
 
 
 def cmd_spectrum(target: str, n: int, tol: float = 1e-8) -> int:
+    try:
+        _check_tol(tol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if target in ("minor", "liu") and (n < 3 or n % 2 == 0):
         print(f"error: target {target!r} needs odd n >= 3", file=sys.stderr)
         return 2

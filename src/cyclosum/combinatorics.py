@@ -13,27 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-__all__ = [
-    "SignedPerm",
-    "SetPartition",
-    "derangements",
-    "full_cycles",
-    "partitions_min2",
-    "perm_sign",
-]
-
 
 @dataclass(frozen=True)
 class SignedPerm:
     """A permutation of {1..l} given by its image vector (1-based), with its
-    sign and fixed-point-free flag cached."""
+    sign cached."""
 
     mapping: tuple[int, ...]
     sign: int
-    is_derangement: bool
-
-    def __call__(self, j: int) -> int:
-        return self.mapping[j - 1]
 
 
 @dataclass(frozen=True)
@@ -42,10 +29,6 @@ class SetPartition:
     ordered by their smallest element."""
 
     blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
 
 
 def perm_sign(mapping: Sequence[int]) -> int:
@@ -65,33 +48,25 @@ def perm_sign(mapping: Sequence[int]) -> int:
     return 1 if (l - cycles) % 2 == 0 else -1
 
 
-def derangements(l: int, first_image: int | None = None) -> Iterator[SignedPerm]:
+def derangements(l: int) -> Iterator[SignedPerm]:
     """All fixed-point-free permutations of {1..l}.
 
-    l = 0 yields the empty permutation; l = 1 yields nothing.  Passing
-    first_image restricts the stream to mappings with that image at position
-    1, which splits the enumeration space for parallel reduction (the streams
-    over first_image = 2..l are disjoint and cover everything).
+    l = 0 yields the empty permutation; l = 1 yields nothing.
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
     if l == 0:
-        if first_image is None:
-            yield SignedPerm((), 1, True)
+        yield SignedPerm((), 1)
         return
-    if first_image is not None and not 1 <= first_image <= l:
-        raise ValueError(f"first_image {first_image} outside 1..{l}")
 
     mapping = [0] * (l + 1)
 
     def rec(pos: int, remaining: tuple[int, ...], parity: int) -> Iterator[SignedPerm]:
         if pos > l:
-            yield SignedPerm(tuple(mapping[1:]), 1 - 2 * parity, True)
+            yield SignedPerm(tuple(mapping[1:]), 1 - 2 * parity)
             return
         for idx, v in enumerate(remaining):
             if v == pos:
-                continue
-            if pos == 1 and first_image is not None and v != first_image:
                 continue
             mapping[pos] = v
             yield from rec(
@@ -120,7 +95,7 @@ def full_cycles(l: int) -> Iterator[SignedPerm]:
 
     def rec(pos: int, remaining: tuple[int, ...], parity: int) -> Iterator[SignedPerm]:
         if pos > l:
-            yield SignedPerm(tuple(mapping[1:]), 1 - 2 * parity, True)
+            yield SignedPerm(tuple(mapping[1:]), 1 - 2 * parity)
             return
         s1 = start_of[pos]
         for idx, v in enumerate(remaining):

@@ -18,24 +18,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
-__all__ = [
-    "Rational",
-    "CycElem",
-    "CyclotomicContext",
-    "ContextMismatchError",
-    "cyc_context",
-    "cyclotomic_polynomial",
-    "cp_minor_determinant",
-    "double_factorial",
-    "full_permanent",
-    "minor_determinant",
-    "minor_permanent",
-    "parse_elem",
-    "random_element",
-]
-
 
 class ContextMismatchError(ValueError):
     """Raised when elements of different cyclotomic orders are combined."""

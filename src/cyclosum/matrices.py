@@ -18,31 +18,6 @@ from typing import Iterable, Sequence
 from .combinatorics import derangements
 from .exact import ContextMismatchError, CycElem, CyclotomicContext, cyc_context, parse_elem
 
-__all__ = [
-    "CapExceededError",
-    "DerangementSums",
-    "ExactMatrix",
-    "build_bs_diagonal",
-    "build_cp_matrix",
-    "build_sun_matrix",
-    "charpoly_exact",
-    "delete_rows_cols",
-    "derangement_sums",
-    "det_exact",
-    "identity_matrix",
-    "make_matrix",
-    "matmul",
-    "load_matrix",
-    "matrix_from_json",
-    "matrix_to_json",
-    "permanent_naive",
-    "permanent_ryser",
-    "save_matrix",
-    "scalar_multiply",
-]
-
-PROVENANCE_TAGS = ("sun", "cp", "minor", "scaled", "custom")
-
 
 class CapExceededError(ValueError):
     """An exponential-time kernel was asked to exceed its dimension cap."""
@@ -50,17 +25,13 @@ class CapExceededError(ValueError):
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable dim x dim matrix of CycElem values sharing one context,
-    tagged with how it was built (sun | cp | minor | scaled | custom)."""
+    """Immutable dim x dim matrix of CycElem values sharing one context."""
 
     context: CyclotomicContext
     dim: int
     entries: tuple[tuple[CycElem, ...], ...]
-    provenance: str = "custom"
 
     def __post_init__(self) -> None:
-        if self.provenance not in PROVENANCE_TAGS:
-            raise ValueError(f"unknown provenance tag {self.provenance!r}")
         if self.dim < 1:
             raise ValueError("matrix dimension must be at least 1")
         if len(self.entries) != self.dim or any(
@@ -80,15 +51,6 @@ class ExactMatrix:
             raise IndexError(f"({j},{k}) outside 1..{self.dim}")
         return self.entries[j - 1][k - 1]
 
-    def transpose(self) -> "ExactMatrix":
-        return replace(
-            self,
-            entries=tuple(
-                tuple(self.entries[r][c] for r in range(self.dim))
-                for c in range(self.dim)
-            ),
-        )
-
     def zero_diagonal(self) -> "ExactMatrix":
         z = self.context.zero
         return replace(
@@ -103,14 +65,13 @@ class ExactMatrix:
 def make_matrix(
     context: CyclotomicContext,
     rows: Sequence[Sequence[CycElem | Fraction | int]],
-    provenance: str = "custom",
 ) -> ExactMatrix:
     """Build a matrix from rows, coercing rational entries into the context."""
     coerced = tuple(
         tuple(e if isinstance(e, CycElem) else context.from_rational(e) for e in row)
         for row in rows
     )
-    return ExactMatrix(context, len(coerced), coerced, provenance)
+    return ExactMatrix(context, len(coerced), coerced)
 
 
 def identity_matrix(context: CyclotomicContext, dim: int) -> ExactMatrix:
@@ -125,27 +86,20 @@ def identity_matrix(context: CyclotomicContext, dim: int) -> ExactMatrix:
 # -- structured builders ----------------------------------------------------
 
 
-def build_sun_matrix(ctx: CyclotomicContext, transpose: bool = False) -> ExactMatrix:
+def build_sun_matrix(ctx: CyclotomicContext) -> ExactMatrix:
     """The n x n zero-diagonal matrix with entry (j,k) = 1/(1 - zeta^(j-k)).
 
-    With transpose=True the exponent flips to k-j, the form the sign-class
-    statements are written in; determinants, permanents, and derangement
-    sums do not distinguish the two.
+    The sign-class statements are written for its transpose (exponent k-j);
+    determinants, permanents, and derangement sums do not distinguish the
+    two.
     """
     n = ctx.n
     inv = {d: (ctx.one - ctx.zeta_pow(d)).inverse() for d in range(1, n)}
     zero = ctx.zero
-    rows = []
-    for j in range(1, n + 1):
-        row = []
-        for k in range(1, n + 1):
-            if j == k:
-                row.append(zero)
-            else:
-                d = (k - j) % n if transpose else (j - k) % n
-                row.append(inv[d])
-        rows.append(tuple(row))
-    return ExactMatrix(ctx, n, tuple(rows), "sun")
+    rows = tuple(
+        tuple(zero if j == k else inv[(j - k) % n] for k in range(n)) for j in range(n)
+    )
+    return ExactMatrix(ctx, n, rows)
 
 
 def build_cp_matrix(ctx: CyclotomicContext) -> ExactMatrix:
@@ -156,7 +110,6 @@ def build_cp_matrix(ctx: CyclotomicContext) -> ExactMatrix:
         ctx,
         sun.dim,
         tuple(tuple(e + e for e in row) for row in sun.entries),
-        "cp",
     )
 
 
@@ -169,7 +122,7 @@ def delete_rows_cols(m: ExactMatrix, deleted: Iterable[int]) -> ExactMatrix:
         raise ValueError("cannot delete every index")
     keep = [i - 1 for i in range(1, m.dim + 1) if i not in s]
     rows = tuple(tuple(m.entries[r][c] for c in keep) for r in keep)
-    return ExactMatrix(m.context, len(keep), rows, "minor")
+    return ExactMatrix(m.context, len(keep), rows)
 
 
 def build_bs_diagonal(ctx: CyclotomicContext, s: int) -> ExactMatrix:
@@ -188,16 +141,6 @@ def build_bs_diagonal(ctx: CyclotomicContext, s: int) -> ExactMatrix:
         for i in range(1, n)
     )
     return ExactMatrix(ctx, n - 1, rows)
-
-
-def scalar_multiply(m: ExactMatrix, c: CycElem | Fraction | int) -> ExactMatrix:
-    scale = c if isinstance(c, CycElem) else m.context.from_rational(c)
-    return ExactMatrix(
-        m.context,
-        m.dim,
-        tuple(tuple(e * scale for e in row) for row in m.entries),
-        "scaled",
-    )
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -271,8 +214,6 @@ def det_exact(m: ExactMatrix) -> CycElem:
     pivot on, and exact arithmetic needs no numerical care)."""
     d = m.dim
     ctx = m.context
-    if d == 0:
-        return ctx.one
     a = [list(row) for row in m.entries]
     det = ctx.one
     negate = False
@@ -474,12 +415,8 @@ def matrix_to_json(m: ExactMatrix) -> dict:
 
 def matrix_from_json(obj: dict) -> ExactMatrix:
     ctx = cyc_context(int(obj["n"]))
-    dim = int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != dim or any(len(row) != dim for row in entries):
-        raise ValueError("entries are not a dim x dim grid")
-    rows = tuple(tuple(parse_elem(e, ctx) for e in row) for row in entries)
-    return ExactMatrix(ctx, dim, rows)
+    rows = tuple(tuple(parse_elem(e, ctx) for e in row) for row in obj["entries"])
+    return ExactMatrix(ctx, int(obj["dim"]), rows)
 
 
 def save_matrix(m: ExactMatrix, path: str) -> None:

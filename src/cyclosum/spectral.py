@@ -31,22 +31,6 @@ from .matrices import (
     matmul,
 )
 
-__all__ = [
-    "ConvergenceError",
-    "EeiResult",
-    "HermMatrix",
-    "LiuSpectrumResult",
-    "RealPoly",
-    "SpectralDecomposition",
-    "charpoly_lagrange",
-    "cp_spectrum_closed_form",
-    "eei_residual",
-    "embed_matrix",
-    "herm_eigen",
-    "liu_spectrum_check",
-    "random_hermitian",
-]
-
 
 class ConvergenceError(RuntimeError):
     """The eigensolver hit its sweep cap."""
@@ -262,13 +246,10 @@ def _lagrange_coeffs(n: int) -> list[Fraction]:
     if n < 2:
         raise ValueError("n must be >= 2")
     nodes = [Fraction(n + 1 - 2 * i) for i in range(1, n + 1)]
-    values = []
-    for i in range(1, n + 1):
-        prod = Fraction(2) ** (n - 1) / n
-        for k in range(1, n + 1):
-            if k != i:
-                prod *= k - i
-        values.append(prod)
+    values = [
+        Fraction(2) ** (n - 1) / n * math.prod(k - i for k in range(1, n + 1) if k != i)
+        for i in range(1, n + 1)
+    ]
     acc = [Fraction(0)] * n
     for xi, yi in zip(nodes, values):
         basis = [Fraction(1)]

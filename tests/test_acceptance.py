@@ -14,15 +14,10 @@ from random import Random
 
 import numpy as np
 
-from cyclosum import (
-    build_cp_matrix,
-    cyc_context,
-    derangement_sums,
-    embed_matrix,
-    make_matrix,
-    permanent_naive,
-    permanent_ryser,
-    random_element,
+from cyclosum.cli import CampaignConfig, cmd_verify
+from cyclosum.exact import cyc_context, random_element
+from cyclosum.identities import (
+    random_distinct_rationals,
     verify_eei,
     verify_eq1_1,
     verify_eq1_2,
@@ -33,10 +28,15 @@ from cyclosum import (
     verify_lemma3_2,
     verify_thm2_1,
     verify_thm3_1,
-    random_distinct_rationals,
 )
-from cyclosum.cli import CampaignConfig, cmd_verify
-from cyclosum.spectral import HermMatrix
+from cyclosum.matrices import (
+    build_cp_matrix,
+    derangement_sums,
+    make_matrix,
+    permanent_naive,
+    permanent_ryser,
+)
+from cyclosum.spectral import HermMatrix, embed_matrix
 
 
 @contextmanager

@@ -8,16 +8,16 @@ import json
 import pytest
 
 import cyclosum.cli
-from cyclosum import (
+from cyclosum.cli import CampaignConfig, _exit_code, cmd_verify, main
+from cyclosum.exact import cyc_context
+from cyclosum.identities import VerificationReport
+from cyclosum.matrices import (
     CapExceededError,
-    ConvergenceError,
-    VerificationReport,
     build_sun_matrix,
-    cyc_context,
     identity_matrix,
     save_matrix,
 )
-from cyclosum.cli import CampaignConfig, _exit_code, cmd_verify, main
+from cyclosum.spectral import ConvergenceError
 
 
 def run_campaign(tmp_path, name, *argv):
@@ -283,6 +283,32 @@ def test_campaign_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_meaningless_tolerance_is_a_usage_error(tol, capsys):
+    assert main(["verify", "--identities", "eei", "--n", "3", "--tol", tol]) == 2
+    assert main(["spectrum", "cp", "--n", "4", "--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("tol must be finite and positive") == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_campaign_rejects_nonpositive_jobs(jobs, capsys):
+    assert main(["verify", "--identities", "eq1_3", "--n", "3", "--jobs", jobs]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "jobs must be positive" in err
+
+
+@pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5"])
+def test_campaign_rejects_bad_jobs_env(env, monkeypatch, capsys):
+    monkeypatch.setenv("CYCLOSUM_JOBS", env)
+    assert main(["verify", "--identities", "eq1_3", "--n", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "CYCLOSUM_JOBS must be a positive integer" in err
+
+
 def test_campaign_unwritable_output(tmp_path):
     code = main([
         "verify", "--identities", "eq1_2", "--n", "3",
@@ -358,6 +384,25 @@ def test_compute_bad_inputs(tmp_path, capsys):
     bad.write_text("{\"n\": 3}")
     assert main(["compute", "det", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": null, "dim": 1, "entries": [["3:[1/1,0/1]"]]}',
+        '{"n": 3, "dim": 1, "entries": 5}',
+        '[{"n": 3, "dim": 1, "entries": [["3:[1/1,0/1]"]]}]',
+        '{"n": 3, "dim": 1, "entries": [["3:[1/0,0/1]"]]}',
+        '{"n": 3, "dim": 1, "entries": [[5]]}',
+    ],
+    ids=["null-order", "scalar-entries", "top-level-list", "zero-denominator",
+         "non-string-entry"],
+)
+def test_compute_malformed_matrix(tmp_path, capsys, text):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    assert main(["compute", "det", str(path)]) == 2
+    assert "error: cannot load matrix" in capsys.readouterr().err
 
 
 # --- spectrum -----------------------------------------------------------------

@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from cyclosum import (
+from cyclosum.combinatorics import (
     SignedPerm,
     derangements,
     full_cycles,
@@ -81,7 +81,7 @@ def test_sign_multiplicativity():
 
 
 def test_derangements_order_two():
-    assert list(derangements(2)) == [SignedPerm((2, 1), -1, True)]
+    assert list(derangements(2)) == [SignedPerm((2, 1), -1)]
 
 
 def test_derangements_order_three_are_positive_cycles():
@@ -109,33 +109,13 @@ def test_derangements_have_no_fixed_points_and_true_signs():
         seen = set()
         previous = None
         for d in derangements(l):
-            assert all(d(j) != j for j in range(1, l + 1))
+            assert all(d.mapping[j - 1] != j for j in range(1, l + 1))
             assert d.sign == perm_sign(d.mapping)
-            assert d.is_derangement
             assert d.mapping not in seen
             seen.add(d.mapping)
             if previous is not None:
                 assert previous < d.mapping
             previous = d.mapping
-
-
-def test_derangements_first_image_filter():
-    for l in (3, 4, 5):
-        for image in range(2, l + 1):
-            expected = [d for d in derangements(l) if d(1) == image]
-            assert list(derangements(l, first_image=image)) == expected
-    # 1 -> 1 is a fixed point, so that slice of the enumeration is empty.
-    assert list(derangements(4, first_image=1)) == []
-
-
-def test_first_image_slices_cover_everything():
-    for l in (4, 5, 6):
-        merged = [
-            d for image in range(2, l + 1) for d in derangements(l, first_image=image)
-        ]
-        assert sorted(d.mapping for d in merged) == [
-            d.mapping for d in derangements(l)
-        ]
 
 
 def test_signed_derangement_sum():
@@ -166,7 +146,7 @@ def test_full_cycles_are_single_cycles_in_lex_order():
         for c in full_cycles(l):
             assert cycle_lengths(c.mapping) == [l]
             assert c.sign == perm_sign(c.mapping)
-            assert c.is_derangement
+            assert all(v != j for j, v in enumerate(c.mapping, start=1))
 
 
 def test_full_cycles_subset_of_derangements():

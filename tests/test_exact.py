@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from cyclosum import (
+from cyclosum.exact import (
     ContextMismatchError,
     cp_minor_determinant,
     cyc_context,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from random import Random
 
@@ -10,19 +11,11 @@ import pytest
 
 import cyclosum.identities
 import cyclosum.spectral
-from cyclosum import (
+from cyclosum.exact import cp_minor_determinant, cyc_context
+from cyclosum.identities import (
     IDENTITY_IDS,
-    HermMatrix,
     VerificationReport,
-    build_cp_matrix,
-    build_sun_matrix,
-    cyc_context,
-    delete_rows_cols,
-    derangement_sums,
-    eei_residual,
-    embed_matrix,
     random_distinct_rationals,
-    random_hermitian,
     verify_eei,
     verify_eq1_1,
     verify_eq1_2,
@@ -34,6 +27,15 @@ from cyclosum import (
     verify_thm2_1,
     verify_thm3_1,
 )
+from cyclosum.matrices import (
+    build_cp_matrix,
+    build_sun_matrix,
+    delete_rows_cols,
+    derangement_sums,
+    det_exact,
+    make_matrix,
+)
+from cyclosum.spectral import HermMatrix, eei_residual, embed_matrix, random_hermitian
 
 
 # --- permanent of the full matrix ----------------------------------------------
@@ -99,12 +101,57 @@ def test_minor_determinant_scaling_consistency():
     for n in range(3, 14, 2):
         report = verify_eq1_3(n)
         minor = delete_rows_cols(build_sun_matrix(cyc_context(n)), {n})
-        from cyclosum import cp_minor_determinant, det_exact
-
         assert det_exact(minor).as_rational() == Fraction(
             cp_minor_determinant(n)
         ) * Fraction(2) ** (1 - n)
         assert report.verdict == "pass"
+
+
+def _recording(monkeypatch, name):
+    """Replace identities.<name> by a wrapper that records the matrix of
+    each call; returns the list it records into."""
+    seen = []
+    real = getattr(cyclosum.identities, name)
+
+    def recorded(m, *args, **kwargs):
+        seen.append(m)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(cyclosum.identities, name, recorded)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "verify,kernel,calls",
+    [(verify_eq1_2, "permanent_ryser", 1), (verify_eq1_3, "det_exact", 2)],
+)
+def test_minor_deletions_compared_by_value(monkeypatch, verify, kernel, calls):
+    # The circulant matrix's two minors are equal entry for entry, so the
+    # kernel runs once on them (eq1_3 also takes the cotangent minor's
+    # determinant).  Off the circulant both minors are computed, and
+    # deletions_agree follows their values.
+    seen = _recording(monkeypatch, kernel)
+    assert verify(7).parameters["deletions_agree"] is True
+    assert len(seen) == calls
+
+    def scaled_sun(scale):
+        def build(ctx):
+            rows = enumerate(build_sun_matrix(ctx).entries, 1)
+            scaled = [[e * scale(j, k) for k, e in enumerate(row, 1)] for j, row in rows]
+            return make_matrix(ctx, scaled)
+
+        return build
+
+    # Conjugating by diag(1..n) changes the entries but no principal minor's
+    # value; doubling row 1 doubles the index-n minor's value only.
+    similar, row_doubled = (lambda j, k: Fraction(j, k)), (lambda j, k: 1 + (j == 1))
+    for scale, agree in ((similar, True), (row_doubled, False)):
+        monkeypatch.setattr(cyclosum.identities, "build_sun_matrix", scaled_sun(scale))
+        seen.clear()
+        report = verify(7)
+        assert len(seen) == calls + 1
+        assert report.parameters["deletions_agree"] is agree
+        assert report.verdict == ("pass" if agree else "fail")
 
 
 # --- full-cycle sums ------------------------------------------------------------------
@@ -173,6 +220,35 @@ def test_partition_decomposition_five_and_seven_points():
         assert report.lhs == "0" == report.rhs
 
 
+def test_partition_decomposition_lhs_is_the_even_derangement_class(monkeypatch):
+    # The lhs is derangement_sums on W_jk = 1/(x_k - x_j); it must equal the
+    # even class of that matrix by plain enumeration.
+    seen = _recording(monkeypatch, "derangement_sums")
+    rng = Random(23)
+    for l in (3, 5, 7):
+        xs = random_distinct_rationals(l, rng)
+        seen.clear()
+        report = verify_eq3_1(l, xs)
+        (w,) = seen
+        for j in range(1, l + 1):
+            for k in range(1, l + 1):
+                assert w.entry(j, k) == (0 if j == k else 1 / (xs[k - 1] - xs[j - 1]))
+        assert report.lhs == str(derangement_sums(w, method="enumerate").even_class)
+
+
+def test_partition_decomposition_fails_on_a_wrong_lhs(monkeypatch):
+    real = cyclosum.identities.derangement_sums
+
+    def off_by_one(m, *args, **kwargs):
+        sums = real(m, *args, **kwargs)
+        return dataclasses.replace(sums, even_class=sums.even_class + 1)
+
+    monkeypatch.setattr(cyclosum.identities, "derangement_sums", off_by_one)
+    report = verify_eq3_1(5, random_distinct_rationals(5, Random(3)))
+    assert report.verdict == "fail"
+    assert (report.lhs, report.rhs) == ("1", "0")
+
+
 def test_partition_decomposition_rejects_even_orders():
     with pytest.raises(ValueError):
         verify_eq3_1(4, (Fraction(0), Fraction(1), Fraction(2), Fraction(3)))
@@ -217,7 +293,8 @@ def test_sign_classes_transpose_invariant():
     for n in range(4, 9):
         deleted = sorted(rng.sample(range(1, n + 1), rng.choice([0, 2])))
         minor = delete_rows_cols(build_sun_matrix(cyc_context(n)), set(deleted))
-        assert derangement_sums(minor) == derangement_sums(minor.transpose())
+        transpose = make_matrix(minor.context, list(zip(*minor.entries)))
+        assert derangement_sums(minor) == derangement_sums(transpose)
 
 
 def test_vanishing_class_alternates_with_half_dimension():

@@ -15,16 +15,16 @@ from random import Random
 import pytest
 
 import cyclosum.matrices
-from cyclosum import (
+from cyclosum.exact import cyc_context
+from cyclosum.matrices import (
+    ExactMatrix,
     charpoly_exact,
-    cyc_context,
     identity_matrix,
     make_matrix,
     matmul,
     permanent_naive,
     permanent_ryser,
 )
-from cyclosum.matrices import ExactMatrix
 
 ORDERS = (2, 3, 4, 6, 8, 9, 12, 15, 16, 21, 25, 30, 32)
 

@@ -10,23 +10,24 @@ from random import Random
 import numpy as np
 import pytest
 
-from cyclosum import (
-    HermMatrix,
+from cyclosum.exact import cp_minor_determinant, cyc_context
+from cyclosum.identities import verify_eq2_3_liu
+from cyclosum.matrices import (
     build_cp_matrix,
     build_sun_matrix,
     charpoly_exact,
-    charpoly_lagrange,
-    cp_minor_determinant,
-    cp_spectrum_closed_form,
-    cyc_context,
     delete_rows_cols,
     det_exact,
+)
+from cyclosum.spectral import (
+    HermMatrix,
+    charpoly_lagrange,
+    cp_spectrum_closed_form,
     eei_residual,
     embed_matrix,
     herm_eigen,
     liu_spectrum_check,
     random_hermitian,
-    verify_eq2_3_liu,
 )
 
 
