@@ -441,7 +441,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--enumeration-cap",
         type=int,
         default=11,
-        help="largest l enumerated (lemma3_2, eq3_1; thm3_1 beyond the permanent cap)",
+        help="largest l for the subset DPs of lemma3_2 and eq3_1, and for "
+        "thm3_1's enumeration beyond the permanent cap",
     )
     v.add_argument("--format", choices=("jsonl", "csv", "pretty"), default="jsonl")
     v.add_argument("--output", default=None, help="output path (default: stdout)")

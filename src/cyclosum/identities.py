@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import full_cycles, partitions_min2
 from .exact import (
     cp_minor_determinant,
     cyc_context,
@@ -112,14 +111,6 @@ def random_distinct_rationals(l: int, rng: Random) -> tuple[Fraction, ...]:
         if q not in xs:
             xs.append(q)
     return tuple(xs)
-
-
-def _cycle_term(xs: Sequence, mapping: Sequence[int]):
-    """prod_j 1/(x_{tau(j)} - x_j) in whatever exact field xs lives in."""
-    prod = Fraction(1)
-    for j, v in enumerate(mapping, start=1):
-        prod = prod / (xs[v - 1] - xs[j - 1])
-    return prod
 
 
 def _check_distinct(xs: Sequence) -> None:
@@ -231,30 +222,76 @@ def verify_eq1_3(n: int) -> VerificationReport:
 # -- cycle-sum and partition identities ---------------------------------------
 
 
-def _cycle_class_key(mapping: Sequence[int]) -> tuple[int, ...]:
-    """Canonical label of a full cycle's class: the cyclic order induced on
-    {2..l} once symbol 1 is skipped over.  Each class collects the l-1
-    cycles that insert 1 into one cyclic order, so there are (l-2)! classes
-    of l-1 members each."""
-    l = len(mapping)
-    after_one = mapping[0]
-    succ = {}
-    for x in range(2, l + 1):
-        y = mapping[x - 1]
-        succ[x] = y if y != 1 else after_one
-    key = [2]
-    cur = 2
-    for _ in range(l - 3):
-        cur = succ[cur]
-        key.append(cur)
-    return tuple(key)
+def _block_cycle_sums(xs: Sequence) -> dict[int, object]:
+    """f(Y) for every subset Y of the labels with |Y| >= 2, keyed by bitmask
+    (bit i stands for xs[i]): the sum over the full cycles tau of Y of
+    prod_{j in Y} 1/(x_{tau(j)} - x_j).
+
+    One Held-Karp pass (Held and Karp, 1962): each full cycle of Y is read
+    once, as a path from r = min(Y) through Y closed by the edge back to r.
+    For each root r, dp[m][last] sums the path products from r through the
+    labels of m, all above r, ending at last.  That is O(2^l l^2) work for
+    all subsets together, where the cycles themselves number (|Y|-1)!."""
+    l = len(xs)
+    w = [[Fraction(1) / (xb - xa) if a != b else None for b, xb in enumerate(xs)]
+         for a, xa in enumerate(xs)]
+    f: dict[int, object] = {}
+    for r in range(l):
+        step = 1 << (r + 1)
+        dp: dict[int, dict[int, object]] = {}
+        for m in range(step, 1 << l, step):
+            ends = {}
+            for last in range(r + 1, l):
+                if m >> last & 1:
+                    rest = m ^ (1 << last)
+                    ends[last] = (
+                        sum((p * w[prev][last] for prev, p in dp[rest].items()), Fraction(0))
+                        if rest
+                        else w[r][last]
+                    )
+            dp[m] = ends
+            f[m | 1 << r] = sum((p * w[last][r] for last, p in ends.items()), Fraction(0))
+    return f
+
+
+def _insertion_table(xs: Sequence) -> dict[tuple[int, int], object]:
+    """G[a][b] = (x_b - x_a) / ((x_1 - x_a)(x_b - x_1)) for labels a != b in
+    {2..l}: the factor by which inserting label 1 between consecutive a -> b
+    of a cyclic order on {2..l} scales that order's cycle product."""
+    x1 = xs[0]
+    return {
+        (a, b): (xs[b - 1] - xs[a - 1]) / ((x1 - xs[a - 1]) * (xs[b - 1] - x1))
+        for a in range(2, len(xs) + 1)
+        for b in range(2, len(xs) + 1)
+        if a != b
+    }
+
+
+def _insertion_classes_vanish(xs: Sequence) -> bool:
+    """Whether every insertion class of full cycles on l >= 3 labels sums to
+    zero, from one O(l^2) certificate instead of (l-2)! class sums.
+
+    A class collects the l-1 cycles that insert label 1 into one cyclic
+    order c on {2..l}, so it sums to W(c) * sum_{(a,b) in c} G[a][b], with
+    W(c) = prod_{(a,b) in c} 1/(x_b - x_a) nonzero.  If G[a][b] = u(a) + v(b)
+    with u(a) = 1/(x_1 - x_a) and v(b) = 1/(x_b - x_1), each label of c
+    leaves once and enters once, so every such sum is sum_a (u(a) + v(a)),
+    which must then be zero."""
+    x1 = xs[0]
+    u = {a: Fraction(1) / (x1 - xs[a - 1]) for a in range(2, len(xs) + 1)}
+    v = {b: Fraction(1) / (xs[b - 1] - x1) for b in range(2, len(xs) + 1)}
+    table = _insertion_table(xs)
+    splits = all(g == u[a] + v[b] for (a, b), g in table.items())
+    return splits and not sum((u[a] + v[a] for a in u), Fraction(0))
 
 
 def verify_lemma3_2(l: int, xs: Sequence) -> VerificationReport:
     """Sum of prod 1/(x_{tau(j)} - x_j) over all full cycles is exactly zero
     for l > 2, and already vanishes inside each insertion class.
 
-    l = 2 is accepted but reported as the counterexample it is: the sum is
+    The sum is the full set's entry of _block_cycle_sums; the (l-2)!
+    classes are covered at once by _insertion_classes_vanish.  l = 2 is
+    accepted but reported as the counterexample it is: the sum is
     -1/(x_1-x_2)^2 != 0, so the verdict says fail with a note, showing why
     the statement needs l > 2.
     """
@@ -264,23 +301,18 @@ def verify_lemma3_2(l: int, xs: Sequence) -> VerificationReport:
     if len(xs) != l:
         raise ValueError(f"expected {l} scalars, got {len(xs)}")
     t0 = time.perf_counter()
-    class_sums: dict[tuple[int, ...], object] = {}
-    total = Fraction(0)
-    for tau in full_cycles(l):
-        term = _cycle_term(xs, tau.mapping)
-        key = _cycle_class_key(tau.mapping)
-        class_sums[key] = class_sums.get(key, Fraction(0)) + term
-        total = total + term
-    classes_zero = all(not s for s in class_sums.values())
-    params = {"xs": [str(x) for x in xs], "classes": len(class_sums)}
+    total = _block_cycle_sums(xs)[(1 << l) - 1]
+    classes = math.factorial(l - 2)
+    params = {"xs": [str(x) for x in xs], "classes": classes}
     if l == 2:
         verdict = "fail"
         notes = "l=2 lies outside the statement (it needs l > 2); sum is nonzero"
     else:
+        classes_zero = _insertion_classes_vanish(xs)
         params["class_sums_vanish"] = classes_zero
         verdict = "pass" if not total and classes_zero else "fail"
         notes = (
-            f"all {len(class_sums)} insertion-class partial sums vanish"
+            f"all {classes} insertion-class partial sums vanish"
             if classes_zero
             else "some insertion-class partial sum is nonzero"
         )
@@ -290,12 +322,33 @@ def verify_lemma3_2(l: int, xs: Sequence) -> VerificationReport:
     )
 
 
-def _block_cycle_sum(xs: Sequence, block: Sequence[int]):
-    """f(Y): the full-cycle sum restricted to the labels in one block."""
-    if len(block) < 2:
-        return Fraction(0)
-    ys = [xs[i - 1] for i in block]
-    return sum((_cycle_term(ys, c.mapping) for c in full_cycles(len(ys))), Fraction(0))
+def _odd_partition_sum(f: dict[int, object], l: int) -> tuple[object, int]:
+    """Sum over the partitions of {1..l} into an odd number of blocks, each
+    of size >= 2, of prod_B f(B) (f keyed by bitmask as _block_cycle_sums
+    returns it), with the number of those partitions.
+
+    g[p][S] sums over the partitions of S with block-count parity p; the
+    block B holding min(S) is chosen first, so each partition is built once
+    and g[p][S] = sum_B f(B) g[1-p][S - B].  That is O(3^l) steps."""
+    size = 1 << l
+    g = ([Fraction(0)] * size, [Fraction(0)] * size)
+    count = ([0] * size, [0] * size)
+    g[0][0] = Fraction(1)
+    count[0][0] = 1
+    for s in range(1, size):
+        low = s & -s
+        rest = s ^ low
+        sub = rest
+        while sub:
+            left = rest ^ sub
+            fb = f[sub | low]
+            for p in (0, 1):
+                if count[1 - p][left]:
+                    count[p][s] += count[1 - p][left]
+                    if fb and g[1 - p][left]:
+                        g[p][s] = g[p][s] + fb * g[1 - p][left]
+            sub = (sub - 1) & rest
+    return g[1][size - 1], count[1][size - 1]
 
 
 def verify_eq3_1(l: int, xs: Sequence) -> VerificationReport:
@@ -306,8 +359,8 @@ def verify_eq3_1(l: int, xs: Sequence) -> VerificationReport:
 
     The lhs is the even class of derangement_sums on W_jk = 1/(x_k - x_j),
     a rational matrix (Q(zeta_2) = Q), so it comes from the
-    permanent/determinant route; the rhs enumerates partitions and full
-    cycles."""
+    permanent/determinant route; the rhs is a subset DP over the block cycle
+    sums."""
     if l < 3 or l % 2 == 0:
         raise ValueError("defined for odd l >= 3")
     _check_distinct(xs)
@@ -319,16 +372,7 @@ def verify_eq3_1(l: int, xs: Sequence) -> VerificationReport:
         [[Fraction(1) / (xk - xj) if xk != xj else 0 for xk in xs] for xj in xs],
     )
     lhs = derangement_sums(w).even_class
-    rhs = Fraction(0)
-    count = 0
-    for part in partitions_min2(l, "odd"):
-        count += 1
-        prod = Fraction(1)
-        for block in part.blocks:
-            prod = prod * _block_cycle_sum(xs, block)
-            if not prod:
-                break
-        rhs = rhs + prod
+    rhs, count = _odd_partition_sum(_block_cycle_sums(xs), l)
     ok = lhs == rhs and not lhs
     return VerificationReport(
         "eq3_1",

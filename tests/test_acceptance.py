@@ -127,9 +127,10 @@ def test_c07_interpolated_polynomial_resolution():
 
 
 def test_c08_full_cycle_sums_vanish():
-    with criterion(8, "full-cycle sums, 20 tuples per l 3..8, exact zero", 120):
-        for l in range(3, 9):
-            for trial in range(20):
+    label = "full-cycle sums, 20 tuples per l 3..11 and one at l=13, exact zero"
+    with criterion(8, label, 120):
+        for l, trials in [(l, 20) for l in range(3, 12)] + [(13, 1)]:
+            for trial in range(trials):
                 xs = random_distinct_rationals(l, Random(2_000_000 + l * 100 + trial))
                 report = verify_lemma3_2(l, xs)
                 assert report.verdict == "pass", f"l={l} trial={trial}"
@@ -138,9 +139,10 @@ def test_c08_full_cycle_sums_vanish():
 
 
 def test_c09_partition_decomposition():
-    with criterion(9, "even-sign sum equals partition sum, l in {3,5,7}, 10 trials, exact", 180):
-        for l in (3, 5, 7):
-            for trial in range(10):
+    label = "even-sign sum equals partition sum, l in {3,5,7,9,11}, 10 trials, and l=13, exact"
+    with criterion(9, label, 180):
+        for l, trials in [(3, 10), (5, 10), (7, 10), (9, 10), (11, 10), (13, 1)]:
+            for trial in range(trials):
                 xs = random_distinct_rationals(l, Random(3_000_000 + l * 100 + trial))
                 report = verify_eq3_1(l, xs)
                 assert report.verdict == "pass", f"l={l} trial={trial}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from random import Random
 
@@ -11,10 +12,14 @@ import pytest
 
 import cyclosum.identities
 import cyclosum.spectral
+from cyclosum.combinatorics import full_cycles, partitions_min2
 from cyclosum.exact import cp_minor_determinant, cyc_context
 from cyclosum.identities import (
     IDENTITY_IDS,
     VerificationReport,
+    _block_cycle_sums,
+    _insertion_table,
+    _odd_partition_sum,
     random_distinct_rationals,
     verify_eei,
     verify_eq1_1,
@@ -194,6 +199,81 @@ def test_cycle_sum_works_over_roots_of_unity():
     assert report.verdict == "pass"
 
 
+def _cycle_term(xs, mapping):
+    """prod_j 1/(x_{tau(j)} - x_j), the enumeration oracle's summand."""
+    prod = Fraction(1)
+    for j, v in enumerate(mapping, start=1):
+        prod = prod / (xs[v - 1] - xs[j - 1])
+    return prod
+
+
+def _full_cycle_sum(ys):
+    return sum((_cycle_term(ys, c.mapping) for c in full_cycles(len(ys))), Fraction(0))
+
+
+def _cyclic_order_after_one(mapping):
+    """The cyclic order on {2..l} a full cycle leaves once label 1 is
+    skipped, read from 2."""
+    order = [2]
+    cur = mapping[1]
+    while cur != 2:
+        if cur != 1:
+            order.append(cur)
+        cur = mapping[cur - 1]
+    return tuple(order)
+
+
+def test_block_cycle_sums_equal_full_cycle_enumeration():
+    rng = Random(31)
+    cases = [(Fraction(0), Fraction(1))]
+    cases += [random_distinct_rationals(l, rng) for l in range(2, 9)]
+    for xs in cases:
+        l = len(xs)
+        sums = _block_cycle_sums(xs)
+        assert sorted(sums) == [m for m in range(1 << l) if m.bit_count() >= 2]
+        for mask, value in sums.items():
+            ys = [x for i, x in enumerate(xs) if mask >> i & 1]
+            assert value == _full_cycle_sum(ys), (xs, mask)
+    assert _block_cycle_sums(cases[0]) == {0b11: Fraction(-1)}
+
+
+def test_insertion_class_sums_equal_scaled_table_sums():
+    # Each class sum, by enumeration, is W(c) times the table's sum over
+    # the edges of its cyclic order c.
+    rng = Random(32)
+    for l in range(3, 9):
+        xs = random_distinct_rationals(l, rng)
+        classes = {}
+        for tau in full_cycles(l):
+            key = _cyclic_order_after_one(tau.mapping)
+            classes[key] = classes.get(key, Fraction(0)) + _cycle_term(xs, tau.mapping)
+        assert len(classes) == math.factorial(l - 2)
+        table = _insertion_table(xs)
+        for order, class_sum in classes.items():
+            edges = list(zip(order, order[1:] + order[:1]))
+            weight = math.prod(Fraction(1) / (xs[b - 1] - xs[a - 1]) for a, b in edges)
+            assert weight
+            assert class_sum == weight * sum(table[edge] for edge in edges)
+        report = verify_lemma3_2(l, xs)
+        assert report.parameters["classes"] == len(classes)
+        assert report.parameters["class_sums_vanish"] is True
+
+
+def test_cycle_sum_fails_on_one_wrong_table_entry(monkeypatch):
+    real = cyclosum.identities._insertion_table
+
+    def one_wrong(xs):
+        table = real(xs)
+        table[3, 2] += 1
+        return table
+
+    monkeypatch.setattr(cyclosum.identities, "_insertion_table", one_wrong)
+    report = verify_lemma3_2(5, random_distinct_rationals(5, Random(33)))
+    assert report.verdict == "fail"
+    assert report.parameters["class_sums_vanish"] is False
+    assert report.lhs == "0"
+
+
 def test_cycle_sum_input_validation():
     with pytest.raises(ValueError):
         verify_lemma3_2(3, (Fraction(1), Fraction(1), Fraction(2)))
@@ -247,6 +327,38 @@ def test_partition_decomposition_fails_on_a_wrong_lhs(monkeypatch):
     report = verify_eq3_1(5, random_distinct_rationals(5, Random(3)))
     assert report.verdict == "fail"
     assert (report.lhs, report.rhs) == ("1", "0")
+
+
+def test_odd_partition_sum_equals_partition_enumeration():
+    # Arbitrary nonzero block values, so that a dropped or doubled block
+    # shows in the sum and not only in the count.
+    rng = Random(34)
+    for l in range(0, 9):
+        f = {
+            m: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+            for m in range(1 << l)
+            if m.bit_count() >= 2
+        }
+        total, count = Fraction(0), 0
+        for part in partitions_min2(l, "odd"):
+            count += 1
+            total += math.prod(f[sum(1 << (j - 1) for j in b)] for b in part.blocks)
+        assert _odd_partition_sum(f, l) == (total, count), l
+
+
+def test_partition_decomposition_rhs_equals_partition_enumeration():
+    rng = Random(35)
+    for l in (3, 5, 7):
+        xs = random_distinct_rationals(l, rng)
+        rhs, count = Fraction(0), 0
+        for part in partitions_min2(l, "odd"):
+            count += 1
+            rhs += math.prod(
+                _full_cycle_sum([xs[j - 1] for j in block]) for block in part.blocks
+            )
+        report = verify_eq3_1(l, xs)
+        assert report.rhs == str(rhs)
+        assert report.parameters["partitions"] == count
 
 
 def test_partition_decomposition_rejects_even_orders():
