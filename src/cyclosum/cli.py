@@ -32,8 +32,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from random import Random
 
-import numpy as np
-
 from .exact import cp_minor_determinant, cyc_context
 from .identities import (
     IDENTITY_IDS,
@@ -59,7 +57,7 @@ from .matrices import (
     load_matrix,
     permanent_ryser,
 )
-from .spectral import embed_matrix, herm_eigen, liu_spectrum_check
+from .spectral import cp_eigenpair_failures, cp_eigenvalues, liu_spectrum_check
 
 RANDOMIZED_IDS = frozenset({"lemma3_2", "eq3_1", "thm3_1_odd", "thm3_1_even", "eei"})
 
@@ -121,11 +119,9 @@ def _child_rng(seed: int, identity: str, n: int, trial: int) -> Random:
 
 
 def _thm3_1_valid_ks(n: int, want_odd_l: bool, cfg: CampaignConfig) -> list[int]:
-    # derangement_sums takes the permanent route up to its cap and
-    # enumerates beyond it up to the enumeration cap.
-    cap = max(cfg.permanent_cap, cfg.enumeration_cap)
+    cap, parity = cfg.permanent_cap, 1 if want_odd_l else 0
     ks = [0] + list(range(2, n))
-    return [k for k in ks if (n - k) % 2 == (1 if want_odd_l else 0) and n - k <= cap]
+    return [k for k in ks if (n - k) % 2 == parity and n - k <= cap]
 
 
 def _skip_reason(identity: str, n: int, cfg: CampaignConfig) -> str | None:
@@ -216,12 +212,7 @@ def _verify_item(
         ks = _thm3_1_valid_ks(n, identity == "thm3_1_odd", cfg)
         k = 0 if trial == 0 and 0 in ks else ks[rng.randrange(len(ks))]
         deleted = sorted(rng.sample(range(1, n + 1), k))
-        report = verify_thm3_1(
-            n,
-            deleted,
-            permanent_cap=permanent_cap,
-            enumeration_cap=cfg.enumeration_cap,
-        )
+        report = verify_thm3_1(n, deleted, permanent_cap=permanent_cap)
     else:
         raise ValueError(f"unknown identity {identity!r}")
     return replace(report, parameters={"trial": trial, **report.parameters})
@@ -325,12 +316,7 @@ def _exit_code(reports: list[VerificationReport]) -> int:
     return code
 
 
-def cmd_compute(
-    kind: str,
-    matrix_file: str,
-    permanent_cap: int = 16,
-    enumeration_cap: int = 11,
-) -> int:
+def cmd_compute(kind: str, matrix_file: str, permanent_cap: int = 16) -> int:
     # A bad path or bad JSON, a field of the wrong type or shape, or a zero
     # denominator in an entry.
     try:
@@ -346,9 +332,7 @@ def cmd_compute(
         elif kind == "per":
             print(permanent_ryser(m, cap=permanent_cap))
         elif kind == "derangement-sums":
-            sums = derangement_sums(
-                m, enumeration_cap=enumeration_cap, permanent_cap=permanent_cap
-            )
+            sums = derangement_sums(m, permanent_cap=permanent_cap)
             print(f"total={sums.total}")
             print(f"even_class={sums.even_class}")
             print(f"odd_class={sums.odd_class}")
@@ -362,12 +346,9 @@ def cmd_compute(
     return 0
 
 
-def cmd_spectrum(target: str, n: int, tol: float = 1e-8) -> int:
-    try:
-        _check_tol(tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_spectrum(target: str, n: int) -> int:
+    """Exact spectrum checks: cp the eigenpairs of the cotangent matrix, minor
+    the determinant of its (n-1)-minor, liu the twisted product's spectrum."""
     if target in ("minor", "liu") and (n < 3 or n % 2 == 0):
         print(f"error: target {target!r} needs odd n >= 3", file=sys.stderr)
         return 2
@@ -375,30 +356,22 @@ def cmd_spectrum(target: str, n: int, tol: float = 1e-8) -> int:
         print("error: n must be >= 2", file=sys.stderr)
         return 2
     if target == "cp":
-        dec = herm_eigen(embed_matrix(build_cp_matrix(cyc_context(n))))
-        expected = [2 * i - n - 1 for i in range(1, n + 1)]
-        deviation = float(
-            max(abs(dec.eigenvalues[i] - expected[i]) for i in range(n))
-        )
-        print("computed:", " ".join(f"{x:.12g}" for x in dec.eigenvalues))
-        print("expected:", " ".join(str(x) for x in expected))
-    elif target == "minor":
-        minor = delete_rows_cols(build_cp_matrix(cyc_context(n)), {n})
-        dec = herm_eigen(embed_matrix(minor))
-        product = float(np.prod(dec.eigenvalues))
-        expected_det = float(cp_minor_determinant(n))
-        deviation = abs(product - expected_det) / abs(expected_det)
-        print("computed:", " ".join(f"{x:.12g}" for x in dec.eigenvalues))
-        print(f"eigenvalue product: {product:.12g}")
-        print(f"expected determinant: {expected_det:.12g}")
-    else:
-        res = liu_spectrum_check(n)
-        print("expected:", " ".join(str(x) for x in res.expected))
-        print(f"characteristic polynomial matches: {res.charpoly_matches}")
-        print(f"determinant: {res.det_value} (expected {res.det_expected})")
-        return 0 if res.charpoly_matches and res.det_matches else 1
-    print(f"max deviation: {deviation:.3e}")
-    return 0 if deviation <= tol else 1
+        failing = cp_eigenpair_failures(n)
+        print("expected:", " ".join(str(x) for x in cp_eigenvalues(n)))
+        print(f"eigenpairs hold exactly: {not failing}")
+        if failing:
+            print("failing columns:", " ".join(str(i) for i in failing))
+        return 1 if failing else 0
+    if target == "minor":
+        det = det_exact(delete_rows_cols(build_cp_matrix(cyc_context(n)), {n}))
+        expected = cp_minor_determinant(n)
+        print(f"determinant: {det} (expected {expected})")
+        return 0 if det == expected else 1
+    res = liu_spectrum_check(n)
+    print("expected:", " ".join(str(x) for x in res.expected))
+    print(f"characteristic polynomial matches: {res.charpoly_matches}")
+    print(f"determinant: {res.det_value} (expected {res.det_expected})")
+    return 0 if res.charpoly_matches and res.det_matches else 1
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -429,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=1e-8,
-        help="float tolerance for eei and thm2_1 (eq2_3_liu and eq2_4 are judged exactly)",
+        help="float tolerance for eei, the one identity judged in floating point",
     )
     v.add_argument(
         "--permanent-cap",
@@ -441,8 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--enumeration-cap",
         type=int,
         default=11,
-        help="largest l for the subset DPs of lemma3_2 and eq3_1, and for "
-        "thm3_1's enumeration beyond the permanent cap",
+        help="largest l for the subset DPs of lemma3_2 and eq3_1",
     )
     v.add_argument("--format", choices=("jsonl", "csv", "pretty"), default="jsonl")
     v.add_argument("--output", default=None, help="output path (default: stdout)")
@@ -458,17 +430,10 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("kind", choices=("det", "per", "derangement-sums"))
     c.add_argument("matrix_file")
     c.add_argument("--permanent-cap", type=int, default=16)
-    c.add_argument("--enumeration-cap", type=int, default=11)
 
-    s = sub.add_parser("spectrum", help="spectrum checks against closed forms")
+    s = sub.add_parser("spectrum", help="exact spectrum checks against closed forms")
     s.add_argument("target", choices=("cp", "minor", "liu"))
     s.add_argument("--n", type=int, required=True)
-    s.add_argument(
-        "--tol",
-        type=float,
-        default=1e-8,
-        help="float tolerance for cp and minor (liu is judged exactly)",
-    )
     return parser
 
 
@@ -501,13 +466,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         return cmd_verify(config)
     if args.command == "compute":
-        return cmd_compute(
-            args.kind,
-            args.matrix_file,
-            permanent_cap=args.permanent_cap,
-            enumeration_cap=args.enumeration_cap,
-        )
-    return cmd_spectrum(args.target, args.n, args.tol)
+        return cmd_compute(args.kind, args.matrix_file, permanent_cap=args.permanent_cap)
+    return cmd_spectrum(args.target, args.n)
 
 
 if __name__ == "__main__":

@@ -322,21 +322,19 @@ class DerangementSums:
 
 def derangement_sums(
     m: ExactMatrix,
-    method: str = "auto",
+    method: str = "perdet",
     enumeration_cap: int = 11,
     permanent_cap: int = 16,
 ) -> DerangementSums:
-    """Derangement sums by direct enumeration or by the permanent/determinant
-    combination on the diagonal-zeroed matrix (derangements never read the
-    diagonal, per picks up the total, det the signed total, and the classes
-    are (per +/- det)/2).  The two routes must agree exactly; "auto" takes
-    the permanent route whenever its cap allows, since enumeration is the
-    slower path at every dimension the caps admit.
+    """Derangement sums by the permanent/determinant combination on the
+    diagonal-zeroed matrix (derangements never read the diagonal, per picks
+    up the total, det the signed total, and the classes are (per +/- det)/2),
+    or by direct enumeration.  The two routes must agree exactly; the
+    permanent route is the default, since enumeration is the slower path at
+    every dimension, and enumeration stays as its independent oracle.
     """
     d = m.dim
     ctx = m.context
-    if method == "auto":
-        method = "perdet" if d <= permanent_cap else "enumerate"
     if method == "enumerate":
         if d > enumeration_cap:
             raise CapExceededError(

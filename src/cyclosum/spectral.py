@@ -1,18 +1,18 @@
-"""Floating-point spectral layer: a self-contained Hermitian eigensolver,
-the closed-form cotangent-matrix spectrum, residuals for the
-eigenvector-eigenvalue identity, exact Lagrange interpolation of the minor
-characteristic polynomial, and the exact spectrum check for the scaled minor.
+"""Spectral layer: a self-contained Hermitian eigensolver, residuals for
+the eigenvector-eigenvalue identity, the exact eigenpair check of the
+cotangent matrix, exact Lagrange interpolation of the minor characteristic
+polynomial, and the exact spectrum check for the scaled minor.
 
 The eigensolver runs cyclic complex Jacobi sweeps on the d x d Hermitian
 matrix itself, with no LAPACK call.  It is the one float kernel here: the
 eigenvector-eigenvalue identity is the only statement checked in floating
-point, while the scaled minor's spectrum is settled exactly through its
+point.  The cotangent matrix's eigenpairs are checked exactly in
+Q(zeta_n), and the scaled minor's spectrum is settled exactly through its
 characteristic polynomial.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,10 +20,11 @@ from random import Random
 
 import numpy as np
 
-from .exact import cyc_context
+from .exact import CyclotomicContext, cyc_context
 from .matrices import (
     ExactMatrix,
     build_bs_diagonal,
+    build_cp_matrix,
     build_sun_matrix,
     charpoly_exact,
     delete_rows_cols,
@@ -157,22 +158,46 @@ def random_hermitian(dim: int, rng: Random, magnitude: float = 1.0) -> HermMatri
 # -- closed forms and identity checks ---------------------------------------
 
 
-def cp_spectrum_closed_form(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form spectrum of the n x n cotangent matrix: eigenvalue
-    2i - n - 1 with unit eigenvector components exp(-2*pi*1j*i*j/n)/sqrt(n),
-    for i = 1..n (columns) and j = 1..n (rows)."""
+def cp_eigenvalues(n: int) -> list[int]:
+    """Closed-form spectrum of the n x n cotangent matrix: 2i - n - 1 for
+    i = 1..n."""
+    return [2 * i - n - 1 for i in range(1, n + 1)]
+
+
+def cp_eigenvectors(ctx: CyclotomicContext) -> ExactMatrix:
+    """The closed-form eigenvectors as the columns of V, V_ji = zeta^(-ij)
+    for rows j and columns i in 1..n; column i pairs with eigenvalue
+    2i - n - 1."""
+    n = ctx.n
+    return ExactMatrix(
+        ctx,
+        n,
+        tuple(
+            tuple(ctx.zeta_pow(-i * j) for i in range(1, n + 1))
+            for j in range(1, n + 1)
+        ),
+    )
+
+
+def cp_eigenpair_failures(n: int) -> list[int]:
+    """The columns i (1-based) where (C V)[:, i] != (2i - n - 1) V[:, i]
+    in Q(zeta_n), for the cotangent matrix C and V from cp_eigenvectors.
+
+    V is the Vandermonde matrix on the n distinct roots zeta^(-i), so it is
+    invertible, and an empty result means C = V diag(2i - n - 1) V^-1
+    exactly: it proves the whole spectrum, with multiplicities, and every
+    eigenvector, with no eigensolve and no tolerance."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    lam = np.array([2 * i - n - 1 for i in range(1, n + 1)], dtype=np.float64)
-    root = 1.0 / math.sqrt(n)
-    vecs = np.array(
-        [
-            [root * cmath.exp(-2j * math.pi * i * j / n) for i in range(1, n + 1)]
-            for j in range(1, n + 1)
-        ],
-        dtype=np.complex128,
-    )
-    return lam, vecs
+    ctx = cyc_context(n)
+    v = cp_eigenvectors(ctx)
+    cv = matmul(build_cp_matrix(ctx), v)
+    lam = cp_eigenvalues(n)
+    return [
+        i + 1
+        for i in range(n)
+        if any(row[i] != lam[i] * vrow[i] for row, vrow in zip(cv.entries, v.entries))
+    ]
 
 
 @dataclass(frozen=True)

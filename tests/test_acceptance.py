@@ -81,12 +81,12 @@ def test_c03_minor_determinant_closed_form_odd_orders():
 
 
 def test_c04_integer_spectrum_and_eigenvectors():
-    with criterion(4, "integer spectrum and eigenvectors, n 2..15, tol 1e-8", 60):
-        for n in range(2, 16):
-            report = verify_thm2_1(n, tol=1e-8)
+    with criterion(4, "integer spectrum and eigenvectors, n 2..32, exact", 60):
+        for n in range(2, 33):
+            report = verify_thm2_1(n)
             assert report.verdict == "pass", f"n={n}: {report.notes}"
-            assert float(report.lhs) <= 1e-8
-            assert report.parameters["eigenvector_residual"] <= 1e-8
+            assert report.lhs == 0.0
+            assert report.parameters["eigenvector_residual"] == 0.0
 
 
 def test_c05_minor_spectra_identity():

@@ -8,6 +8,7 @@ import json
 import pytest
 
 import cyclosum.cli
+import cyclosum.spectral
 from cyclosum.cli import CampaignConfig, _exit_code, cmd_verify, main
 from cyclosum.exact import cyc_context
 from cyclosum.identities import VerificationReport
@@ -254,14 +255,14 @@ def test_campaign_enumeration_cap_takes_effect(tmp_path):
     assert skips == [f"l={n} exceeds enumeration cap 3" for n in range(4, 8)]
 
 
-def test_campaign_enumeration_cap_extends_thm3_1_past_permanent_cap(tmp_path):
-    # With a permanent cap of 2, only the enumeration route reaches l = 3;
-    # below it the one deletion left is k = 2, l = 1.
-    argv = ["--identities", "thm3_1_odd", "--n", "3", "--trials", "1",
-            "--permanent-cap", "2", "--jobs", "1"]
+def test_campaign_permanent_cap_alone_bounds_thm3_1(tmp_path):
+    # thm3_1 takes the permanent route only, so the enumeration cap (11 by
+    # default) does not extend it: with a permanent cap of 2 the one
+    # deletion left at n = 3 is k = 2, l = 1.
+    argv = ["--identities", "thm3_1_odd", "--n", "3", "--trials", "1", "--jobs", "1"]
     for cap, l in (("2", 1), ("3", 3)):
         _, records = run_campaign(tmp_path, f"cap{cap}.jsonl", *argv,
-                                  "--enumeration-cap", cap)
+                                  "--permanent-cap", cap)
         assert [(r["verdict"], r["parameters"]["l"]) for r in records] == [("pass", l)]
 
 
@@ -286,10 +287,9 @@ def test_campaign_usage_errors(capsys):
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 def test_meaningless_tolerance_is_a_usage_error(tol, capsys):
     assert main(["verify", "--identities", "eei", "--n", "3", "--tol", tol]) == 2
-    assert main(["spectrum", "cp", "--n", "4", "--tol", tol]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.count("tol must be finite and positive") == 2
+    assert err.count("tol must be finite and positive") == 1
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -411,8 +411,23 @@ def test_compute_malformed_matrix(tmp_path, capsys, text):
 def test_spectrum_full_matrix(capsys):
     assert main(["spectrum", "cp", "--n", "6"]) == 0
     out = capsys.readouterr().out
-    assert "-5 -3 -1 1 3 5" in out
-    assert "max deviation" in out
+    assert "expected: -5 -3 -1 1 3 5" in out
+    assert "eigenpairs hold exactly: True" in out
+
+
+def test_spectrum_full_matrix_exits_1_on_mismatch(monkeypatch, capsys):
+    real = cyclosum.spectral.cp_eigenvalues
+
+    def off_by_one(n):
+        lam = real(n)
+        lam[2] += 1
+        return lam
+
+    monkeypatch.setattr(cyclosum.spectral, "cp_eigenvalues", off_by_one)
+    assert main(["spectrum", "cp", "--n", "6"]) == 1
+    out = capsys.readouterr().out
+    assert "eigenpairs hold exactly: False" in out
+    assert "failing columns: 3" in out
 
 
 def test_spectrum_product_matrix(capsys):
@@ -436,6 +451,31 @@ def test_spectrum_product_matrix_exits_1_on_mismatch(monkeypatch, capsys):
 
 def test_spectrum_minor(capsys):
     assert main(["spectrum", "minor", "--n", "9"]) == 0
+    assert "determinant: 16384 (expected 16384)" in capsys.readouterr().out
+
+
+def test_spectrum_minor_exits_1_on_mismatch(monkeypatch, capsys):
+    real = cyclosum.cli.cp_minor_determinant
+    monkeypatch.setattr(cyclosum.cli, "cp_minor_determinant", lambda n: real(n) + 1)
+    assert main(["spectrum", "minor", "--n", "9"]) == 1
+    assert "determinant: 16384 (expected 16385)" in capsys.readouterr().out
+
+
+def test_spectrum_cp_and_minor_make_no_eigensolve(monkeypatch, capsys):
+    # Wherever a module holds the eigensolver, calls through it are counted.
+    calls = []
+    solve = cyclosum.spectral.herm_eigen
+
+    def counting(m, *args, **kwargs):
+        calls.append(m.dim)
+        return solve(m, *args, **kwargs)
+
+    for mod in (cyclosum.spectral, cyclosum.cli):
+        if getattr(mod, "herm_eigen", None) is solve:
+            monkeypatch.setattr(mod, "herm_eigen", counting)
+    assert main(["spectrum", "cp", "--n", "6"]) == 0
+    assert main(["spectrum", "minor", "--n", "9"]) == 0
+    assert calls == []
     capsys.readouterr()
 
 
@@ -443,11 +483,6 @@ def test_spectrum_parity_violations(capsys):
     assert main(["spectrum", "liu", "--n", "6"]) == 2
     assert main(["spectrum", "minor", "--n", "8"]) == 2
     assert main(["spectrum", "cp", "--n", "1"]) == 2
-    capsys.readouterr()
-
-
-def test_spectrum_tolerance_failure(capsys):
-    assert main(["spectrum", "cp", "--n", "5", "--tol", "1e-30"]) == 1
     capsys.readouterr()
 
 

@@ -423,7 +423,70 @@ def test_integer_spectrum_reports():
     for n in (2, 5, 10):
         report = verify_thm2_1(n)
         assert report.verdict == "pass"
-        assert float(report.lhs) <= 1e-8
+        assert report.lhs == 0.0
+        assert report.parameters["eigenvector_residual"] == 0.0
+
+
+def test_integer_spectrum_fails_on_an_eigenvalue_off_by_one(monkeypatch):
+    real = cyclosum.spectral.cp_eigenvalues
+
+    def off_by_one(n):
+        lam = real(n)
+        lam[2] += 1
+        return lam
+
+    monkeypatch.setattr(cyclosum.spectral, "cp_eigenvalues", off_by_one)
+    report = verify_thm2_1(6)
+    assert report.verdict == "fail"
+    assert report.lhs == 1
+    assert report.parameters["eigenvector_residual"] is None
+    assert "failing columns [3]" in report.notes
+
+
+def test_integer_spectrum_fails_on_a_wrong_eigenvector(monkeypatch):
+    real = cyclosum.spectral.cp_eigenvectors
+
+    def check(change, failing):
+        def wrong(ctx):
+            v = real(ctx)
+            rows = [list(row) for row in v.entries]
+            change(rows)
+            return dataclasses.replace(v, entries=tuple(map(tuple, rows)))
+
+        monkeypatch.setattr(cyclosum.spectral, "cp_eigenvectors", wrong)
+        report = verify_thm2_1(5)
+        assert report.verdict == "fail"
+        assert report.lhs == len(failing)
+        assert report.parameters["eigenvector_residual"] is None
+        assert f"failing columns {failing}" in report.notes
+
+    def swap(rows):
+        # Columns 1 and 2 then meet each other's eigenvalue.
+        for row in rows:
+            row[0], row[1] = row[1], row[0]
+
+    def one_component(rows):
+        # Column 3 spans the kernel; doubling its second component leaves
+        # row 2 of C v equal to 0 (C has a zero diagonal), so only the
+        # other rows show the error.
+        rows[1][2] = rows[1][2] + rows[1][2]
+
+    check(swap, [1, 2])
+    check(one_component, [3])
+
+
+def test_integer_spectrum_makes_no_eigensolve(monkeypatch):
+    calls = []
+    solve = cyclosum.spectral.herm_eigen
+
+    def counting(m, *args, **kwargs):
+        calls.append(m.dim)
+        return solve(m, *args, **kwargs)
+
+    monkeypatch.setattr(cyclosum.spectral, "herm_eigen", counting)
+    for n in (2, 5, 10):
+        assert verify_thm2_1(n).verdict == "pass"
+    assert calls == []
 
 
 def test_minor_spectra_identity_random_and_structured():

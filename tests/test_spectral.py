@@ -1,5 +1,6 @@
-"""Tests for the floating-point spectral layer: embedding, the Jacobi
-eigensolver, closed-form spectra, and the interpolated polynomial."""
+"""Tests for the spectral layer: embedding, the Jacobi eigensolver, the
+exact eigenpair check of the cotangent matrix, and the interpolated
+polynomial."""
 
 from __future__ import annotations
 
@@ -18,11 +19,14 @@ from cyclosum.matrices import (
     charpoly_exact,
     delete_rows_cols,
     det_exact,
+    matmul,
 )
 from cyclosum.spectral import (
     HermMatrix,
     charpoly_lagrange,
-    cp_spectrum_closed_form,
+    cp_eigenpair_failures,
+    cp_eigenvalues,
+    cp_eigenvectors,
     eei_residual,
     embed_matrix,
     herm_eigen,
@@ -135,30 +139,40 @@ def test_random_hermitian_is_deterministic():
 
 
 def test_closed_form_spectrum_order_four():
-    lam, _ = cp_spectrum_closed_form(4)
-    assert np.allclose(lam, [-3, -1, 1, 3])
+    assert cp_eigenvalues(4) == [-3, -1, 1, 3]
+    assert cp_eigenpair_failures(4) == []
 
 
 def test_closed_form_middle_eigenvalue_vanishes_for_odd_orders():
+    # Column (n+1)/2 spans the kernel: C times it is exactly the zero vector.
     for n in (3, 5, 9, 11):
-        lam, _ = cp_spectrum_closed_form(n)
-        assert lam[(n + 1) // 2 - 1] == 0
+        ctx = cyc_context(n)
+        mid = (n + 1) // 2
+        assert cp_eigenvalues(n)[mid - 1] == 0
+        cv = matmul(build_cp_matrix(ctx), cp_eigenvectors(ctx))
+        assert all(not row[mid - 1] for row in cv.entries)
 
 
 def test_closed_form_vector_component_magnitude():
+    # Every component is a root of unity, so each unit eigenvector has
+    # |v_ji|^2 = 1/n; the last row, the one the EEI reads, is all ones.
     for n in (3, 6, 10):
-        _, vecs = cp_spectrum_closed_form(n)
-        for i in range(n):
-            assert abs(abs(vecs[n - 1, i]) ** 2 - 1 / n) < 1e-12
+        v = cp_eigenvectors(cyc_context(n))
+        assert all(e * e.conjugate() == 1 for row in v.entries for e in row)
+        assert all(e == 1 for e in v.entries[n - 1])
 
 
 def test_closed_form_vectors_diagonalize_the_matrix():
+    # The exact check against the float embedding, and V is invertible.
     for n in (4, 7, 12):
-        lam, vecs = cp_spectrum_closed_form(n)
-        a = embed_matrix(build_cp_matrix(cyc_context(n))).entries
-        for i in range(n):
-            residual = a @ vecs[:, i] - lam[i] * vecs[:, i]
-            assert np.linalg.norm(residual) < 1e-8
+        ctx = cyc_context(n)
+        assert cp_eigenpair_failures(n) == []
+        v = cp_eigenvectors(ctx)
+        assert det_exact(v)
+        a = embed_matrix(build_cp_matrix(ctx)).entries
+        vecs = np.array([[e.to_complex() for e in row] for row in v.entries])
+        lam = np.array(cp_eigenvalues(n), dtype=np.float64)
+        assert np.allclose(a @ vecs, vecs * lam, rtol=0, atol=1e-9)
 
 
 # --- eigenvector-eigenvalue identity --------------------------------------------------
