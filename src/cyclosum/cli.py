@@ -154,12 +154,12 @@ def _skip_reason(identity: str, n: int, cfg: CampaignConfig) -> str | None:
             return "needs odd l >= 3"
         if n > cfg.enumeration_cap:
             return f"l={n} exceeds enumeration cap {cfg.enumeration_cap}"
-    elif identity == "thm3_1_odd":
-        if not _thm3_1_valid_ks(n, True, cfg):
-            return "no deletion size gives odd l within the cap"
-    elif identity == "thm3_1_even":
-        if not _thm3_1_valid_ks(n, False, cfg):
-            return "no deletion size gives even l within the cap"
+    elif identity in ("thm3_1_odd", "thm3_1_even"):
+        if n < 2:
+            return "needs n >= 2"
+        odd = identity == "thm3_1_odd"
+        if not _thm3_1_valid_ks(n, odd, cfg):
+            return f"no deletion size gives {'odd' if odd else 'even'} l within the cap"
     return None
 
 
@@ -188,7 +188,7 @@ def _run_item(args: tuple) -> VerificationReport:
 def _verify_item(
     identity: str, n: int, trial: int, cfg: CampaignConfig
 ) -> VerificationReport:
-    permanent_cap, tol = cfg.permanent_cap, cfg.tol
+    permanent_cap = cfg.permanent_cap
     rng = _child_rng(cfg.seed, identity, n, trial)
     if identity == "eq1_1":
         return verify_eq1_1(n, permanent_cap=permanent_cap)
@@ -197,13 +197,13 @@ def _verify_item(
     if identity == "eq1_3":
         return verify_eq1_3(n)
     if identity == "eq2_3_liu":
-        return verify_eq2_3_liu(n, tol=tol)
+        return verify_eq2_3_liu(n)
     if identity == "eq2_4":
-        return verify_eq2_4(n, tol=tol)
+        return verify_eq2_4(n)
     if identity == "thm2_1":
-        return verify_thm2_1(n, tol=tol)
+        return verify_thm2_1(n)
     if identity == "eei":
-        report = verify_eei(n, rng=rng, tol=tol)
+        report = verify_eei(n, rng=rng, tol=cfg.tol)
     elif identity == "lemma3_2":
         report = verify_lemma3_2(n, random_distinct_rationals(n, rng))
     elif identity == "eq3_1":

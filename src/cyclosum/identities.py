@@ -45,7 +45,7 @@ from . import spectral
 from .spectral import (
     HermMatrix,
     _eei_pair,
-    _lagrange_coeffs,
+    charpoly_lagrange,
     cp_eigenpair_failures,
     liu_spectrum_check,
     random_hermitian,
@@ -417,14 +417,14 @@ def verify_thm3_1(
 # -- spectral identities ------------------------------------------------------
 
 
-def verify_thm2_1(n: int, tol: float = 1e-8) -> VerificationReport:
+def verify_thm2_1(n: int) -> VerificationReport:
     """The cotangent matrix's eigenpairs (2i - n - 1, zeta^(-ij)), checked
     exactly in Q(zeta_n) by cp_eigenpair_failures, which settles the whole
     integer spectrum and every eigenvector.
 
     lhs counts the failing eigenpairs, so it is 0.0 on a pass;
-    eigenvector_residual is 0.0 on a pass and None on a fail.  tol is
-    recorded but decides nothing."""
+    eigenvector_residual is 0.0 on a pass and None on a fail.  The check
+    is exact, so the recorded tol is 0.0."""
     if n < 2:
         raise ValueError("n must be >= 2")
     t0 = time.perf_counter()
@@ -435,7 +435,7 @@ def verify_thm2_1(n: int, tol: float = 1e-8) -> VerificationReport:
     return VerificationReport(
         "thm2_1",
         n,
-        {"eigenvector_residual": None if failing else 0.0, "tol": tol},
+        {"eigenvector_residual": None if failing else 0.0, "tol": 0.0},
         float(len(failing)),
         0.0,
         "fail" if failing else "pass",
@@ -449,12 +449,12 @@ def verify_eei(
     rng: Random | None = None,
     matrix: HermMatrix | None = None,
     tol: float = 1e-8,
-    gap_threshold: float = 1e-8,
 ) -> VerificationReport:
     """Eigenvector-eigenvalue identity over every index pair (i, j) of one
     Hermitian matrix: random (seeded) when no matrix is supplied.  Pairs
-    whose eigenvalue gap is below the threshold are inconclusive and do not
-    count either way; a matrix with no conclusive pair is inconclusive."""
+    whose eigenvalue gap is below spectral.GAP_THRESHOLD are inconclusive
+    and do not count either way; a matrix with no conclusive pair is
+    inconclusive."""
     if matrix is None:
         if rng is None:
             raise ValueError("need either a matrix or a seeded generator")
@@ -472,7 +472,7 @@ def verify_eei(
             spectral.herm_eigen(matrix.minor(j)).eigenvalues if n > 1 else np.empty(0)
         )
         for i in range(1, n + 1):
-            r = _eei_pair(dec, minor_lam, i, j, gap_threshold)
+            r = _eei_pair(dec, minor_lam, i, j)
             if not r.conclusive:
                 inconclusive += 1
             else:
@@ -500,12 +500,12 @@ def verify_eei(
     )
 
 
-def verify_eq2_3_liu(n: int, tol: float = 1e-7) -> VerificationReport:
+def verify_eq2_3_liu(n: int) -> VerificationReport:
     """Exact determinant of the column-scaled minor against
     (-1)^((n-1)/2) (((n-1)/2)!)^2, and its spectrum against the claimed
     integers, odd n.  The spectrum is judged exactly through the
     characteristic polynomial, so max_spectrum_deviation is 0.0 when it
-    matches and None when it does not; tol is recorded but never needed."""
+    matches and None when it does not; the recorded tol is 0.0."""
     if n % 2 == 0 or n < 3:
         raise ValueError("defined for odd n >= 3")
     t0 = time.perf_counter()
@@ -517,7 +517,7 @@ def verify_eq2_3_liu(n: int, tol: float = 1e-7) -> VerificationReport:
         {
             "max_spectrum_deviation": 0.0 if res.charpoly_matches else None,
             "expected_spectrum": list(res.expected),
-            "tol": tol,
+            "tol": 0.0,
         },
         str(res.det_value),
         str(res.det_expected),
@@ -529,15 +529,14 @@ def verify_eq2_3_liu(n: int, tol: float = 1e-7) -> VerificationReport:
     )
 
 
-def verify_eq2_4(n: int, tol: float = 1e-6) -> VerificationReport:
+def verify_eq2_4(n: int) -> VerificationReport:
     """Lagrange interpolation through the closed-form node values against
     the exact characteristic polynomial of the cotangent minor.
 
     Both sides are compared exactly: the verdict is pass only when every
-    exact coefficient is rational and equals its interpolated Fraction, and
-    lhs is then 0.0.  Otherwise lhs is the float deviation (the largest
-    coefficient difference or imaginary part under the embedding), kept as
-    a diagnostic; tol is recorded but decides nothing.
+    exact coefficient is rational and equals its interpolated Fraction.
+    lhs counts the coefficients that differ, so it is 0.0 on a pass, and
+    the recorded tol is 0.0.
 
     The printed source values carry a 1/(2n) factor where the derivation
     gives 2^(n-1)/n; the ratio 2^n is recorded so the discrepancy stays
@@ -546,17 +545,12 @@ def verify_eq2_4(n: int, tol: float = 1e-6) -> VerificationReport:
     if n < 2:
         raise ValueError("n must be >= 2")
     t0 = time.perf_counter()
-    interp = _lagrange_coeffs(n)
+    interp = charpoly_lagrange(n)
     minor = delete_rows_cols(build_cp_matrix(cyc_context(n)), {n})
     exact = charpoly_exact(minor)
-    ok = all(c.is_rational() and c.as_rational() == q for c, q in zip(exact, interp))
-    dev = 0.0
-    if not ok:
-        coeffs = [c.to_complex() for c in exact]
-        dev = max(
-            max(abs(c.imag) for c in coeffs),
-            max(abs(float(q) - c.real) for q, c in zip(interp, coeffs)),
-        )
+    mismatches = sum(
+        not (c.is_rational() and c.as_rational() == q) for c, q in zip(exact, interp)
+    )
     return VerificationReport(
         "eq2_4",
         n,
@@ -564,13 +558,14 @@ def verify_eq2_4(n: int, tol: float = 1e-6) -> VerificationReport:
             "printed_node_factor": "1/(2n)",
             "derived_node_factor": "2^(n-1)/n",
             "factor_ratio": str(2**n),
-            "tol": tol,
+            "tol": 0.0,
         },
-        dev,
+        float(mismatches),
         0.0,
-        "pass" if ok else "fail",
+        "fail" if mismatches else "pass",
         (time.perf_counter() - t0) * 1e3,
-        "lhs is the max coefficient deviation between interpolation and "
-        "characteristic polynomial; node values use the derived factor, "
-        "2^n times the printed one",
+        ("lhs counts the coefficients where interpolation and characteristic "
+         "polynomial differ" if mismatches else "lhs is the max coefficient "
+         "deviation between interpolation and characteristic polynomial")
+        + "; node values use the derived factor, 2^n times the printed one",
     )

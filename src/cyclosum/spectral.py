@@ -39,6 +39,10 @@ class ConvergenceError(RuntimeError):
 
 MAX_SWEEPS = 60
 
+# An eigenvalue closer than this to another one has no basis-independent
+# eigenvector components, so its EEI pairs are inconclusive.
+GAP_THRESHOLD = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class HermMatrix:
@@ -82,23 +86,6 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-@dataclass(frozen=True)
-class RealPoly:
-    """Univariate polynomial with real coefficients, ascending order."""
-
-    coeffs: tuple[float, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
 def herm_eigen(m: HermMatrix) -> SpectralDecomposition:
     """Full eigen-decomposition of a Hermitian matrix by cyclic complex
     Jacobi sweeps (Golub and Van Loan, Matrix Computations, section 8.5).
@@ -140,16 +127,14 @@ def herm_eigen(m: HermMatrix) -> SpectralDecomposition:
     raise ConvergenceError(f"Jacobi sweeps did not converge within {MAX_SWEEPS}")
 
 
-def random_hermitian(dim: int, rng: Random, magnitude: float = 1.0) -> HermMatrix:
+def random_hermitian(dim: int, rng: Random) -> HermMatrix:
     """Seeded random Hermitian matrix (real diagonal, complex off-diagonal);
     draws are made in a fixed element order so a seed pins the matrix."""
     a = np.zeros((dim, dim), dtype=np.complex128)
     for j in range(dim):
-        a[j, j] = rng.uniform(-2 * magnitude, 2 * magnitude)
+        a[j, j] = rng.uniform(-2.0, 2.0)
         for k in range(j + 1, dim):
-            z = complex(
-                rng.uniform(-magnitude, magnitude), rng.uniform(-magnitude, magnitude)
-            )
+            z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
             a[j, k] = z
             a[k, j] = z.conjugate()
     return HermMatrix.from_rows(a)
@@ -213,11 +198,7 @@ class EeiResult:
 
 
 def _eei_pair(
-    dec: SpectralDecomposition,
-    minor_lam: np.ndarray,
-    i: int,
-    j: int,
-    gap_threshold: float,
+    dec: SpectralDecomposition, minor_lam: np.ndarray, i: int, j: int
 ) -> EeiResult:
     """The identity for one pair (i, j), given the decomposition of the full
     matrix and the eigenvalues of its minor j (empty at dimension 1).
@@ -236,38 +217,33 @@ def _eei_pair(
     for mk in minor_lam:
         rhs *= li - mk
     residual = abs(lhs - rhs) / (1.0 + abs(lhs))
-    return EeiResult(lhs, rhs, residual, gap, gap > gap_threshold)
+    return EeiResult(lhs, rhs, residual, gap, gap > GAP_THRESHOLD)
 
 
-def eei_residual(
-    m: HermMatrix, i: int, j: int, gap_threshold: float = 1e-8
-) -> EeiResult:
+def eei_residual(m: HermMatrix, i: int, j: int) -> EeiResult:
     """Compare |v_ij|^2 prod_{k!=i}(lam_i - lam_k) with
     prod_k(lam_i - lam_k(minor_j)); residual is |lhs-rhs|/(1+|lhs|).
 
-    When lam_i is within gap_threshold of another eigenvalue the component
+    When lam_i is within GAP_THRESHOLD of another eigenvalue the component
     |v_ij|^2 depends on the basis chosen inside the eigenspace, so the check
-    is flagged inconclusive rather than pass/fail.
+    is flagged inconclusive rather than pass/fail.  One pair from two
+    eigensolves; verify_eei judges all d^2 pairs from d + 1.
     """
     d = m.dim
     if not (1 <= i <= d and 1 <= j <= d):
         raise IndexError(f"indices ({i},{j}) outside 1..{d}")
     dec = herm_eigen(m)
     minor_lam = herm_eigen(m.minor(j)).eigenvalues if d > 1 else np.empty(0)
-    return _eei_pair(dec, minor_lam, i, j, gap_threshold)
+    return _eei_pair(dec, minor_lam, i, j)
 
 
-def charpoly_lagrange(n: int) -> RealPoly:
-    """Characteristic polynomial of the cotangent minor, reconstructed purely
-    from closed forms (see _lagrange_coeffs), converted to floats."""
-    return RealPoly(tuple(float(c) for c in _lagrange_coeffs(n)))
-
-
-def _lagrange_coeffs(n: int) -> list[Fraction]:
-    """Exact ascending coefficients of the Lagrange interpolation through
-    the n nodes n+1-2i with values (2^(n-1)/n) prod_{k!=i}(k-i).  Monic of
-    degree n-1 by construction (the node values are |v|^2-weighted spectral
-    gap products, one degree below the node count)."""
+def charpoly_lagrange(n: int) -> list[Fraction]:
+    """The cotangent minor's characteristic polynomial, reconstructed from
+    closed forms alone: the exact ascending coefficients of the Lagrange
+    interpolation through the n nodes n+1-2i with values
+    (2^(n-1)/n) prod_{k!=i}(k-i).  Monic of degree n-1 by construction (the
+    node values are |v|^2-weighted spectral gap products, one degree below
+    the node count)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     nodes = [Fraction(n + 1 - 2 * i) for i in range(1, n + 1)]

@@ -111,7 +111,7 @@ def test_c06_product_matrix_spectrum_and_determinant():
     label = "product-matrix determinant and characteristic polynomial exact, odd n 3..25"
     with criterion(6, label, 120):
         for n in range(3, 26, 2):
-            report = verify_eq2_3_liu(n, tol=1e-7)
+            report = verify_eq2_3_liu(n)
             assert report.verdict == "pass", f"n={n}: {report.notes}"
             assert report.lhs == report.rhs
 
@@ -119,7 +119,7 @@ def test_c06_product_matrix_spectrum_and_determinant():
 def test_c07_interpolated_polynomial_resolution():
     with criterion(7, "interpolated vs exact characteristic polynomial, odd n 3..25, exact"):
         for n in range(3, 26, 2):
-            report = verify_eq2_4(n, tol=1e-6)
+            report = verify_eq2_4(n)
             assert report.verdict == "pass", f"n={n}: {report.notes}"
             assert report.lhs == 0.0
             assert report.parameters["factor_ratio"] == str(2**n)

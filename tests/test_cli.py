@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -102,6 +103,49 @@ def test_campaign_byte_determinism(tmp_path):
     assert a == (tmp_path / "c.jsonl").read_bytes()
 
 
+def test_fixed_campaign_exact_records_are_pinned(capsys):
+    # The exact records are platform-independent, so their bytes are pinned;
+    # eei's float residuals are not, so only its verdicts are.
+    argv = ["verify", "--n", "2..9", "--trials", "2", "--seed", "0", "--jobs", "1"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    assert len(records) == 121
+    assert [r["verdict"] for r in records if r["identity_id"] == "eei"] == ["pass"] * 16
+    exact = "".join(line for line, r in zip(lines, records) if r["identity_id"] != "eei")
+    assert hashlib.sha256(exact.encode()).hexdigest() == (
+        "99bfa234938752be92a3506fdb825434f39e6b26a2e0f9d378b040c6754b55ed"
+    )
+
+
+def test_campaign_tol_reaches_only_eei(tmp_path):
+    argv = ["--identities", "thm2_1,eq2_4,eq2_3_liu,eei", "--n", "2..5",
+            "--trials", "1", "--jobs", "1"]
+    _, default = run_campaign(tmp_path, "default.jsonl", *argv)
+    _, loose = run_campaign(tmp_path, "loose.jsonl", *argv, "--tol", "1e-3")
+    pairs = list(zip(default, loose))
+    assert len(pairs) == 16
+    for a, b in pairs:
+        if a["identity_id"] == "eei":
+            assert (a["parameters"]["tol"], b["parameters"]["tol"]) == (1e-8, 1e-3)
+        else:
+            assert a == b
+            assert a["verdict"] == "skipped" or a["parameters"]["tol"] == 0.0
+
+
+def test_thm3_1_skips_orders_below_two(tmp_path):
+    code, records = run_campaign(
+        tmp_path, "small.jsonl",
+        "--identities", "thm3_1_odd,thm3_1_even", "--n", "0..2", "--jobs", "1",
+    )
+    assert code == 0
+    small = [(r["identity_id"], r["n"], r["verdict"], r["notes"])
+             for r in records if r["n"] < 2]
+    assert small == [(ident, n, "skipped", "needs n >= 2")
+                     for ident in ("thm3_1_even", "thm3_1_odd") for n in (0, 1)]
+    assert {r["verdict"] for r in records} <= {"pass", "skipped"}
+
+
 def test_campaign_different_seeds_differ(tmp_path):
     _, first = run_campaign(
         tmp_path, "s1.jsonl",
@@ -187,7 +231,7 @@ def test_pretty_table_with_timing_has_elapsed_column(capsys):
 def test_campaign_item_error_becomes_record(tmp_path, monkeypatch, capfd, jobs):
     # An eq2_3_liu item that raises must still leave the eq1_3 pass at the
     # same n in the output; forked workers inherit the patched function.
-    def no_convergence(n, tol):
+    def no_convergence(n):
         raise ConvergenceError(f"Jacobi sweeps did not converge within {n}")
 
     monkeypatch.setattr(cyclosum.cli, "verify_eq2_3_liu", no_convergence)

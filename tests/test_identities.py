@@ -600,9 +600,8 @@ def test_interpolation_report_records_factor_discrepancy():
 
 @pytest.mark.parametrize("offset", [Fraction(1), Fraction(1, 10**30)])
 def test_interpolation_mismatch_fails_exactly(monkeypatch, offset):
-    # One coefficient off by 1 fails with a float deviation of about 1; one
-    # off by 1e-30 is invisible in floats, where the deviation stays inside
-    # the tolerance the float comparison used, and must fail as well.
+    # One coefficient off by 1 and one off by 1e-30, which is invisible in
+    # floats, both fail, and lhs counts the one mismatching coefficient.
     exact_charpoly = cyclosum.identities.charpoly_exact
 
     def off(m):
@@ -610,9 +609,10 @@ def test_interpolation_mismatch_fails_exactly(monkeypatch, offset):
         return [coeffs[0] + offset] + coeffs[1:]
 
     monkeypatch.setattr(cyclosum.identities, "charpoly_exact", off)
-    report = verify_eq2_4(7, tol=1e-6)
+    report = verify_eq2_4(7)
     assert report.verdict == "fail"
-    assert abs(report.lhs - float(offset)) < 1e-6
+    assert report.lhs == 1.0
+    assert report.notes.startswith("lhs counts the coefficients")
 
 
 # --- report plumbing -------------------------------------------------------------------------
