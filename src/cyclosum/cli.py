@@ -35,6 +35,7 @@ from random import Random
 from .exact import cp_minor_determinant, cyc_context
 from .identities import (
     IDENTITY_IDS,
+    STATEMENTS,
     VerificationReport,
     random_distinct_rationals,
     verify_eei,
@@ -58,8 +59,6 @@ from .matrices import (
     permanent_ryser,
 )
 from .spectral import cp_eigenpair_failures, cp_eigenvalues, liu_spectrum_check
-
-RANDOMIZED_IDS = frozenset({"lemma3_2", "eq3_1", "thm3_1_odd", "thm3_1_even", "eei"})
 
 
 @dataclass(frozen=True)
@@ -125,64 +124,38 @@ def _thm3_1_valid_ks(n: int, want_odd_l: bool, cfg: CampaignConfig) -> list[int]
 
 
 def _skip_reason(identity: str, n: int, cfg: CampaignConfig) -> str | None:
-    if identity == "eq1_1":
-        if n < 2 or n % 2:
-            return "needs even n >= 2"
-        if n > cfg.permanent_cap:
-            return f"dimension {n} exceeds permanent cap {cfg.permanent_cap}"
-    elif identity == "eq1_2":
-        if n < 3 or n % 2 == 0:
-            return "needs odd n >= 3"
-        if n - 1 > cfg.permanent_cap:
-            return f"dimension {n - 1} exceeds permanent cap {cfg.permanent_cap}"
-    elif identity in ("eq1_3", "eq2_3_liu"):
-        if n < 3 or n % 2 == 0:
-            return "needs odd n >= 3"
-    elif identity in ("eq2_4", "thm2_1"):
-        if n < 2:
-            return "needs n >= 2"
-    elif identity == "eei":
-        if n < 1:
-            return "needs n >= 1"
-    elif identity == "lemma3_2":
-        if n < 3:
-            return "statement needs l > 2"
-        if n > cfg.enumeration_cap:
-            return f"l={n} exceeds enumeration cap {cfg.enumeration_cap}"
-    elif identity == "eq3_1":
-        if n < 3 or n % 2 == 0:
-            return "needs odd l >= 3"
-        if n > cfg.enumeration_cap:
-            return f"l={n} exceeds enumeration cap {cfg.enumeration_cap}"
-    elif identity in ("thm3_1_odd", "thm3_1_even"):
-        if n < 2:
-            return "needs n >= 2"
+    """Why the campaign skips (identity, n): outside the statement, or past a
+    cap; None when it runs."""
+    statement = STATEMENTS[identity]
+    if not statement.covers(n):
+        return statement.note
+    dim = {"eq1_1": n, "eq1_2": n - 1}.get(identity)
+    if dim is not None and dim > cfg.permanent_cap:
+        return f"dimension {dim} exceeds permanent cap {cfg.permanent_cap}"
+    if identity in ("lemma3_2", "eq3_1") and n > cfg.enumeration_cap:
+        return f"l={n} exceeds enumeration cap {cfg.enumeration_cap}"
+    if identity in ("thm3_1_odd", "thm3_1_even"):
         odd = identity == "thm3_1_odd"
         if not _thm3_1_valid_ks(n, odd, cfg):
             return f"no deletion size gives {'odd' if odd else 'even'} l within the cap"
     return None
 
 
-def _run_item(args: tuple) -> VerificationReport:
-    """One work item's report; an exception becomes an "error" record."""
+def _run_item(args: tuple) -> tuple[VerificationReport, float]:
+    """One work item's report and its wall time in milliseconds, the input
+    draw included; an exception becomes an "error" record."""
     identity, n, trial, cfg = args
     t0 = time.perf_counter()
     try:
-        return _verify_item(identity, n, trial, cfg)
+        report = _verify_item(identity, n, trial, cfg)
     except Exception as exc:
         sys.stderr.write(
             f"error: {identity} n={n} trial {trial}\n{traceback.format_exc()}"
         )
-        return VerificationReport(
-            identity,
-            n,
-            {"trial": trial},
-            "",
-            "",
-            "error",
-            (time.perf_counter() - t0) * 1e3,
-            f"{type(exc).__name__}: {exc}",
+        report = VerificationReport(
+            identity, n, {"trial": trial}, "", "", "error", f"{type(exc).__name__}: {exc}"
         )
+    return report, (time.perf_counter() - t0) * 1e3
 
 
 def _verify_item(
@@ -263,30 +236,35 @@ def cmd_verify(config: CampaignConfig) -> int:
         return 2
 
     lo, hi = config.n_range
-    reports: list[VerificationReport] = []
+    # (report, elapsed ms) pairs; a skipped order takes no time.
+    timed: list[tuple[VerificationReport, float]] = []
     work: list[tuple] = []
     for identity in config.identities:
         for n in range(lo, hi + 1):
             reason = _skip_reason(identity, n, config)
             if reason is not None:
-                reports.append(
-                    VerificationReport(
-                        identity, n, {"trial": 0}, "", "", "skipped", 0.0, reason
-                    )
+                skipped = VerificationReport(
+                    identity, n, {"trial": 0}, "", "", "skipped", reason
                 )
+                timed.append((skipped, 0.0))
                 continue
-            trials = config.trials if identity in RANDOMIZED_IDS else 1
+            trials = config.trials if STATEMENTS[identity].randomized else 1
             for trial in range(trials):
                 work.append((identity, n, trial, config))
 
     if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports.extend(pool.map(_run_item, work))
+        # The pool forks all its workers up front: no more than there are items.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
+            timed.extend(pool.map(_run_item, work))
     else:
-        reports.extend(_run_item(w) for w in work)
+        timed.extend(map(_run_item, work))
 
-    reports.sort(key=lambda r: (r.identity_id, r.n, r.parameters.get("trial", 0)))
-    records = [r.to_json_dict(include_elapsed=config.timing) for r in reports]
+    timed.sort(key=lambda t: (t[0].identity_id, t[0].n, t[0].parameters.get("trial", 0)))
+    reports = [report for report, _ in timed]
+    records = [report.to_json_dict() for report in reports]
+    if config.timing:
+        for record, (_, ms) in zip(records, timed):
+            record["elapsed"] = ms
     if config.format == "pretty":
         text = _render_pretty(records, config.timing)
     else:
@@ -317,6 +295,9 @@ def _exit_code(reports: list[VerificationReport]) -> int:
 
 
 def cmd_compute(kind: str, matrix_file: str, permanent_cap: int = 16) -> int:
+    if permanent_cap < 1:
+        print("error: caps must be positive", file=sys.stderr)
+        return 2
     # A bad path or bad JSON, a field of the wrong type or shape, or a zero
     # denominator in an entry.
     try:
@@ -349,11 +330,10 @@ def cmd_compute(kind: str, matrix_file: str, permanent_cap: int = 16) -> int:
 def cmd_spectrum(target: str, n: int) -> int:
     """Exact spectrum checks: cp the eigenpairs of the cotangent matrix, minor
     the determinant of its (n-1)-minor, liu the twisted product's spectrum."""
-    if target in ("minor", "liu") and (n < 3 or n % 2 == 0):
-        print(f"error: target {target!r} needs odd n >= 3", file=sys.stderr)
-        return 2
-    if n < 2:
-        print("error: n must be >= 2", file=sys.stderr)
+    # Each target checks part of one statement and shares its orders.
+    statement = STATEMENTS[{"cp": "thm2_1", "minor": "eq1_3", "liu": "eq2_3_liu"}[target]]
+    if not statement.covers(n):
+        print(f"error: target {target!r} {statement.note}", file=sys.stderr)
         return 2
     if target == "cp":
         failing = cp_eigenpair_failures(n)
@@ -422,14 +402,19 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--timing",
         action="store_true",
-        help="include elapsed milliseconds, also as an elapsed_ms column in "
-        "--format pretty (breaks byte reproducibility)",
+        help="include each work item's elapsed milliseconds, also as an "
+        "elapsed_ms column in --format pretty (breaks byte reproducibility)",
     )
 
     c = sub.add_parser("compute", help="exact computation on a matrix file")
     c.add_argument("kind", choices=("det", "per", "derangement-sums"))
     c.add_argument("matrix_file")
-    c.add_argument("--permanent-cap", type=int, default=16)
+    c.add_argument(
+        "--permanent-cap",
+        type=int,
+        default=16,
+        help="largest permanent dimension (per, derangement-sums); must be positive",
+    )
 
     s = sub.add_parser("spectrum", help="exact spectrum checks against closed forms")
     s.add_argument("target", choices=("cp", "minor", "liu"))

@@ -13,7 +13,6 @@ range) comes back "inconclusive" or "fail" with an explanatory note, not
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from random import Random
@@ -51,19 +50,41 @@ from .spectral import (
     random_hermitian,
 )
 
-IDENTITY_IDS = (
-    "eq1_1",
-    "eq1_2",
-    "eq1_3",
-    "lemma3_2",
-    "eq3_1",
-    "thm3_1_odd",
-    "thm3_1_even",
-    "eq2_3_liu",
-    "eq2_4",
-    "thm2_1",
-    "eei",
-)
+
+@dataclass(frozen=True)
+class Statement:
+    """The orders a statement covers: n >= least, of the given parity when
+    parity is not None.  note says why an order outside is skipped;
+    randomized statements draw a fresh input for each campaign trial."""
+
+    least: int
+    parity: int | None
+    note: str
+    randomized: bool = False
+
+    def covers(self, n: int) -> bool:
+        return n >= self.least and (self.parity is None or n % 2 == self.parity)
+
+
+STATEMENTS = {
+    "eq1_1": Statement(2, 0, "needs even n >= 2"),
+    "eq1_2": Statement(3, 1, "needs odd n >= 3"),
+    "eq1_3": Statement(3, 1, "needs odd n >= 3"),
+    "lemma3_2": Statement(3, None, "statement needs l > 2", randomized=True),
+    "eq3_1": Statement(3, 1, "needs odd l >= 3", randomized=True),
+    "thm3_1_odd": Statement(2, None, "needs n >= 2", randomized=True),
+    "thm3_1_even": Statement(2, None, "needs n >= 2", randomized=True),
+    "eq2_3_liu": Statement(3, 1, "needs odd n >= 3"),
+    "eq2_4": Statement(2, None, "needs n >= 2"),
+    "thm2_1": Statement(2, None, "needs n >= 2"),
+    "eei": Statement(1, None, "needs n >= 1", randomized=True),
+}
+IDENTITY_IDS = tuple(STATEMENTS)
+
+
+def _require(identity: str, n: int) -> None:
+    if not STATEMENTS[identity].covers(n):
+        raise ValueError(f"{identity} {STATEMENTS[identity].note}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -74,17 +95,10 @@ class VerificationReport:
     lhs: str | float
     rhs: str | float
     verdict: str
-    elapsed: float
     notes: str = ""
 
-    def to_json_dict(self, include_elapsed: bool = False) -> dict:
-        """The fields in declaration order, with elapsed moved last and kept
-        only on request."""
-        out = asdict(self)
-        elapsed = out.pop("elapsed")
-        if include_elapsed:
-            out["elapsed"] = elapsed
-        return out
+    def to_json_dict(self) -> dict:
+        return asdict(self)
 
 
 def random_distinct_rationals(l: int, rng: Random) -> tuple[Fraction, ...]:
@@ -110,9 +124,7 @@ def verify_eq1_1(n: int, permanent_cap: int = 16) -> VerificationReport:
     """Permanent of the n x n reciprocal matrix against ((n-1)!!)^2 / 2^n,
     even n; also cross-checks the sign-twisted determinant form
     per = (-1)^(n/2) det on the same matrix."""
-    if n % 2 or n < 2:
-        raise ValueError("defined for even n >= 2")
-    t0 = time.perf_counter()
+    _require("eq1_1", n)
     m = build_sun_matrix(cyc_context(n))
     per = permanent_ryser(m, cap=permanent_cap)
     rhs = full_permanent(n)
@@ -127,7 +139,6 @@ def verify_eq1_1(n: int, permanent_cap: int = 16) -> VerificationReport:
         str(per),
         str(rhs),
         "pass" if ok else "fail",
-        (time.perf_counter() - t0) * 1e3,
         notes,
     )
 
@@ -140,9 +151,7 @@ def verify_eq1_2(n: int, permanent_cap: int = 16) -> VerificationReport:
     do entry for entry, since the matrix is circulant, and then the
     permanent is computed once; otherwise both permanents are computed.
     """
-    if n % 2 == 0 or n < 3:
-        raise ValueError("defined for odd n >= 3")
-    t0 = time.perf_counter()
+    _require("eq1_2", n)
     m = build_sun_matrix(cyc_context(n))
     last = delete_rows_cols(m, {n})
     first = delete_rows_cols(m, {1})
@@ -160,7 +169,6 @@ def verify_eq1_2(n: int, permanent_cap: int = 16) -> VerificationReport:
         str(per),
         str(rhs),
         "pass" if ok else "fail",
-        (time.perf_counter() - t0) * 1e3,
         "minors from deleting index n and index 1 agree"
         if agree
         else "deleting index n and index 1 gave different permanents",
@@ -174,9 +182,7 @@ def verify_eq1_3(n: int) -> VerificationReport:
     determinant, which is computed and must equal its own closed form, and
     (n-1)!! = 2^((n-1)/2) ((n-1)/2)!.  The minors deleting index n and
     index 1 are compared as in verify_eq1_2."""
-    if n % 2 == 0 or n < 3:
-        raise ValueError("defined for odd n >= 3")
-    t0 = time.perf_counter()
+    _require("eq1_3", n)
     ctx = cyc_context(n)
     m = build_sun_matrix(ctx)
     last = delete_rows_cols(m, {n})
@@ -200,7 +206,6 @@ def verify_eq1_3(n: int) -> VerificationReport:
         str(det),
         str(rhs),
         "pass" if ok else "fail",
-        (time.perf_counter() - t0) * 1e3,
     )
 
 
@@ -285,7 +290,6 @@ def verify_lemma3_2(l: int, xs: Sequence) -> VerificationReport:
     _check_distinct(xs)
     if len(xs) != l:
         raise ValueError(f"expected {l} scalars, got {len(xs)}")
-    t0 = time.perf_counter()
     total = _block_cycle_sums(xs)[(1 << l) - 1]
     classes = math.factorial(l - 2)
     params = {"xs": [str(x) for x in xs], "classes": classes}
@@ -302,8 +306,7 @@ def verify_lemma3_2(l: int, xs: Sequence) -> VerificationReport:
             else "some insertion-class partial sum is nonzero"
         )
     return VerificationReport(
-        "lemma3_2", l, params, str(total), "0", verdict,
-        (time.perf_counter() - t0) * 1e3, notes,
+        "lemma3_2", l, params, str(total), "0", verdict, notes,
     )
 
 
@@ -346,12 +349,10 @@ def verify_eq3_1(l: int, xs: Sequence) -> VerificationReport:
     a rational matrix (Q(zeta_2) = Q), so it comes from the
     permanent/determinant route; the rhs is a subset DP over the block cycle
     sums."""
-    if l < 3 or l % 2 == 0:
-        raise ValueError("defined for odd l >= 3")
+    _require("eq3_1", l)
     _check_distinct(xs)
     if len(xs) != l:
         raise ValueError(f"expected {l} scalars, got {len(xs)}")
-    t0 = time.perf_counter()
     w = make_matrix(
         cyc_context(2),
         [[Fraction(1) / (xk - xj) if xk != xj else 0 for xk in xs] for xj in xs],
@@ -366,7 +367,6 @@ def verify_eq3_1(l: int, xs: Sequence) -> VerificationReport:
         str(lhs),
         str(rhs),
         "pass" if ok else "fail",
-        (time.perf_counter() - t0) * 1e3,
         "both sides vanish" if ok else "sides differ or are nonzero",
     )
 
@@ -380,13 +380,14 @@ def verify_thm3_1(
     and is reported inconclusive with the observed sums."""
     s = sorted(set(deleted))
     k = len(s)
+    l = n - k
+    identity = "thm3_1_odd" if l % 2 else "thm3_1_even"
+    _require(identity, n)
     if k >= n:
         raise ValueError("cannot delete every index")
-    t0 = time.perf_counter()
     m = build_sun_matrix(cyc_context(n))
     sub = delete_rows_cols(m, s) if s else m
     sums = derangement_sums(sub, permanent_cap=permanent_cap)
-    l = n - k
     params = {
         "deleted": s,
         "k": k,
@@ -394,8 +395,6 @@ def verify_thm3_1(
         "even_class": str(sums.even_class),
         "odd_class": str(sums.odd_class),
     }
-    elapsed = (time.perf_counter() - t0) * 1e3
-    identity = "thm3_1_odd" if l % 2 else "thm3_1_even"
     lhs, rhs = sums.even_class, sums.odd_class
     if k == 1:
         verdict = "inconclusive"
@@ -410,7 +409,7 @@ def verify_thm3_1(
         verdict = "pass" if not lhs else "fail"
         notes = f"class with sign (-1)^(l/2+1) is the {params['vanishing_class']} class"
     return VerificationReport(
-        identity, n, params, str(lhs), str(rhs), verdict, elapsed, notes
+        identity, n, params, str(lhs), str(rhs), verdict, notes
     )
 
 
@@ -425,9 +424,7 @@ def verify_thm2_1(n: int) -> VerificationReport:
     lhs counts the failing eigenpairs, so it is 0.0 on a pass;
     eigenvector_residual is 0.0 on a pass and None on a fail.  The check
     is exact, so the recorded tol is 0.0."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    t0 = time.perf_counter()
+    _require("thm2_1", n)
     failing = cp_eigenpair_failures(n)
     notes = "lhs counts the eigenpairs (2i-n-1, zeta^(-ij)) that fail exactly"
     if failing:
@@ -439,7 +436,6 @@ def verify_thm2_1(n: int) -> VerificationReport:
         float(len(failing)),
         0.0,
         "fail" if failing else "pass",
-        (time.perf_counter() - t0) * 1e3,
         notes,
     )
 
@@ -455,13 +451,13 @@ def verify_eei(
     whose eigenvalue gap is below spectral.GAP_THRESHOLD are inconclusive
     and do not count either way; a matrix with no conclusive pair is
     inconclusive."""
+    _require("eei", n)
     if matrix is None:
         if rng is None:
             raise ValueError("need either a matrix or a seeded generator")
         matrix = random_hermitian(n, rng)
     if matrix.dim != n:
         raise ValueError(f"matrix dimension {matrix.dim} != n {n}")
-    t0 = time.perf_counter()
     worst = 0.0
     inconclusive = 0
     # d + 1 eigensolves: the full matrix once, then each minor once for the
@@ -495,7 +491,6 @@ def verify_eei(
         worst,
         0.0,
         verdict,
-        (time.perf_counter() - t0) * 1e3,
         "lhs is the worst conclusive residual over all index pairs",
     )
 
@@ -506,9 +501,7 @@ def verify_eq2_3_liu(n: int) -> VerificationReport:
     integers, odd n.  The spectrum is judged exactly through the
     characteristic polynomial, so max_spectrum_deviation is 0.0 when it
     matches and None when it does not; the recorded tol is 0.0."""
-    if n % 2 == 0 or n < 3:
-        raise ValueError("defined for odd n >= 3")
-    t0 = time.perf_counter()
+    _require("eq2_3_liu", n)
     res = liu_spectrum_check(n)
     ok = res.det_matches and res.charpoly_matches
     return VerificationReport(
@@ -522,7 +515,6 @@ def verify_eq2_3_liu(n: int) -> VerificationReport:
         str(res.det_value),
         str(res.det_expected),
         "pass" if ok else "fail",
-        (time.perf_counter() - t0) * 1e3,
         "determinant and characteristic polynomial compared exactly"
         if ok
         else "determinant or spectrum check failed",
@@ -542,9 +534,7 @@ def verify_eq2_4(n: int) -> VerificationReport:
     gives 2^(n-1)/n; the ratio 2^n is recorded so the discrepancy stays
     visible in every report.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    t0 = time.perf_counter()
+    _require("eq2_4", n)
     interp = charpoly_lagrange(n)
     minor = delete_rows_cols(build_cp_matrix(cyc_context(n)), {n})
     exact = charpoly_exact(minor)
@@ -563,7 +553,6 @@ def verify_eq2_4(n: int) -> VerificationReport:
         float(mismatches),
         0.0,
         "fail" if mismatches else "pass",
-        (time.perf_counter() - t0) * 1e3,
         ("lhs counts the coefficients where interpolation and characteristic "
          "polynomial differ" if mismatches else "lhs is the max coefficient "
          "deviation between interpolation and characteristic polynomial")

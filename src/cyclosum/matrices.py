@@ -320,49 +320,38 @@ class DerangementSums:
     signed: CycElem
 
 
-def derangement_sums(
-    m: ExactMatrix,
-    method: str = "perdet",
-    enumeration_cap: int = 11,
-    permanent_cap: int = 16,
-) -> DerangementSums:
+def derangement_sums(m: ExactMatrix, permanent_cap: int = 16) -> DerangementSums:
     """Derangement sums by the permanent/determinant combination on the
-    diagonal-zeroed matrix (derangements never read the diagonal, per picks
-    up the total, det the signed total, and the classes are (per +/- det)/2),
-    or by direct enumeration.  The two routes must agree exactly; the
-    permanent route is the default, since enumeration is the slower path at
-    every dimension, and enumeration stays as its independent oracle.
-    """
+    diagonal-zeroed matrix: derangements never read the diagonal, per picks
+    up the total, det the signed total, and the classes are (per +/- det)/2.
+    derangement_sums_enumerated is its independent oracle."""
+    z = m.zero_diagonal()
+    per = permanent_ryser(z, cap=permanent_cap)
+    det = det_exact(z)
+    half = Fraction(1, 2)
+    return DerangementSums(per, (per + det) * half, (per - det) * half, det)
+
+
+def derangement_sums_enumerated(m: ExactMatrix) -> DerangementSums:
+    """Derangement sums as plain sums over the enumerated derangements;
+    oracle for derangement_sums, so it deliberately shares no code with it.
+    Refuses dimensions above 11."""
     d = m.dim
+    if d > 11:
+        raise CapExceededError(f"dimension {d} exceeds enumeration cap 11")
     ctx = m.context
-    if method == "enumerate":
-        if d > enumeration_cap:
-            raise CapExceededError(
-                f"dimension {d} exceeds enumeration cap {enumeration_cap}"
-            )
-        even = ctx.zero
-        odd = ctx.zero
-        entries = m.entries
-        for tau in derangements(d):
-            prod = ctx.one
-            for j, v in enumerate(tau.mapping):
-                prod = prod * entries[j][v - 1]
-                if not prod:
-                    break
-            if tau.sign > 0:
-                even = even + prod
-            else:
-                odd = odd + prod
-        return DerangementSums(even + odd, even, odd, even - odd)
-    if method == "perdet":
-        if d > permanent_cap:
-            raise CapExceededError(f"dimension {d} exceeds permanent cap {permanent_cap}")
-        z = m.zero_diagonal()
-        per = permanent_ryser(z, cap=permanent_cap)
-        det = det_exact(z)
-        half = Fraction(1, 2)
-        return DerangementSums(per, (per + det) * half, (per - det) * half, det)
-    raise ValueError(f"unknown method {method!r}")
+    even = odd = ctx.zero
+    for tau in derangements(d):
+        prod = ctx.one
+        for j, v in enumerate(tau.mapping):
+            prod = prod * m.entries[j][v - 1]
+            if not prod:
+                break
+        if tau.sign > 0:
+            even = even + prod
+        else:
+            odd = odd + prod
+    return DerangementSums(even + odd, even, odd, even - odd)
 
 
 def charpoly_exact(m: ExactMatrix) -> list[CycElem]:

@@ -5,14 +5,30 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
+from random import Random
 
 import pytest
 
 import cyclosum.cli
 import cyclosum.spectral
-from cyclosum.cli import CampaignConfig, _exit_code, cmd_verify, main
+from cyclosum.cli import CampaignConfig, _exit_code, _skip_reason, cmd_verify, main
 from cyclosum.exact import cyc_context
-from cyclosum.identities import VerificationReport
+from cyclosum.identities import (
+    STATEMENTS,
+    VerificationReport,
+    random_distinct_rationals,
+    verify_eei,
+    verify_eq1_1,
+    verify_eq1_2,
+    verify_eq1_3,
+    verify_eq2_3_liu,
+    verify_eq2_4,
+    verify_eq3_1,
+    verify_lemma3_2,
+    verify_thm2_1,
+    verify_thm3_1,
+)
 from cyclosum.matrices import (
     CapExceededError,
     build_sun_matrix,
@@ -264,8 +280,101 @@ def test_campaign_cap_error_exits_3(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_campaign_timing_ends_every_record_with_elapsed(tmp_path, monkeypatch, capfd):
+    # The campaign times each item, so an error record from a worker carries
+    # elapsed as well as the passes and the skips do.
+    def broken(n):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(cyclosum.cli, "verify_eq2_3_liu", broken)
+    code, records = run_campaign(
+        tmp_path, "timed.jsonl",
+        "--identities", "eq1_3,eq2_3_liu", "--n", "3..4", "--timing", "--jobs", "2",
+    )
+    assert code == 4
+    assert [(r["identity_id"], r["verdict"]) for r in records] == [
+        ("eq1_3", "pass"), ("eq1_3", "skipped"),
+        ("eq2_3_liu", "error"), ("eq2_3_liu", "skipped"),
+    ]
+    fields = ["identity_id", "n", "parameters", "lhs", "rhs", "verdict", "notes"]
+    for r in records:
+        assert list(r) == fields + ["elapsed"]
+        assert isinstance(r["elapsed"], float) and r["elapsed"] >= 0.0
+    assert records[1]["elapsed"] == records[3]["elapsed"] == 0.0
+    capfd.readouterr()
+
+
+@pytest.mark.parametrize(
+    "jobs,identities,workers", [("8", "eq1_3,eq1_2", 2), ("2", "eq1_3,eq1_2,eq2_4", 2)]
+)
+def test_campaign_pool_is_no_larger_than_the_work(
+    tmp_path, monkeypatch, jobs, identities, workers
+):
+    # Under fork the pool starts every worker up front, so it must be sized
+    # to the work items; a serial stand-in records the size asked for.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    argv = ["--identities", identities, "--n", "3..3"]
+    _, serial = run_campaign(tmp_path, "serial.jsonl", *argv, "--jobs", "1")
+    monkeypatch.setattr(cyclosum.cli, "ProcessPoolExecutor", SerialPool)
+    code, pooled = run_campaign(tmp_path, "pooled.jsonl", *argv, "--jobs", jobs)
+    assert code == 0
+    assert sizes == [workers]
+    assert pooled == serial
+
+
+def _verify_outside(identity, n):
+    rng = Random(n)
+    xs = random_distinct_rationals(n, rng)
+    return {
+        "eq1_1": lambda: verify_eq1_1(n),
+        "eq1_2": lambda: verify_eq1_2(n),
+        "eq1_3": lambda: verify_eq1_3(n),
+        "lemma3_2": lambda: verify_lemma3_2(n, xs),
+        "eq3_1": lambda: verify_eq3_1(n, xs),
+        "thm3_1_odd": lambda: verify_thm3_1(n, []),
+        "thm3_1_even": lambda: verify_thm3_1(n, []),
+        "eq2_3_liu": lambda: verify_eq2_3_liu(n),
+        "eq2_4": lambda: verify_eq2_4(n),
+        "thm2_1": lambda: verify_thm2_1(n),
+        "eei": lambda: verify_eei(n, rng=rng),
+    }[identity]()
+
+
+@pytest.mark.parametrize("identity", list(STATEMENTS))
+def test_library_and_campaign_agree_on_each_domain(identity):
+    # Outside a statement the library raises with the statement's note and the
+    # campaign skips with it; lemma3_2 keeps its own l >= 2 check and still
+    # reports l = 2, as the counterexample.
+    statement = STATEMENTS[identity]
+    cfg = CampaignConfig((identity,), (-1, statement.least + 1))
+    outside = [n for n in range(-1, statement.least + 2) if not statement.covers(n)]
+    assert outside
+    for n in outside:
+        assert _skip_reason(identity, n, cfg) == statement.note
+        if (identity, n) == ("lemma3_2", 2):
+            assert _verify_outside(identity, n).verdict == "fail"
+        else:
+            note = "need l >= 2" if identity == "lemma3_2" else statement.note
+            with pytest.raises(ValueError, match=re.escape(note)):
+                _verify_outside(identity, n)
+
+
 def _report(verdict, notes=""):
-    return VerificationReport("eq1_3", 3, {}, "", "", verdict, 0.0, notes)
+    return VerificationReport("eq1_3", 3, {}, "", "", verdict, notes)
 
 
 @pytest.mark.parametrize(
@@ -422,6 +531,17 @@ def test_compute_cap_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_compute_rejects_nonpositive_permanent_cap(tmp_path, capsys, cap):
+    path = tmp_path / "sun2.json"
+    save_matrix(build_sun_matrix(cyc_context(2)), path)
+    for kind in ("per", "derangement-sums"):
+        assert main(["compute", kind, str(path), "--permanent-cap", cap]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "caps must be positive" in err
+
+
 def test_compute_bad_inputs(tmp_path, capsys):
     assert main(["compute", "det", str(tmp_path / "absent.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -527,7 +647,11 @@ def test_spectrum_parity_violations(capsys):
     assert main(["spectrum", "liu", "--n", "6"]) == 2
     assert main(["spectrum", "minor", "--n", "8"]) == 2
     assert main(["spectrum", "cp", "--n", "1"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: target 'liu' needs odd n >= 3",
+        "error: target 'minor' needs odd n >= 3",
+        "error: target 'cp' needs n >= 2",
+    ]
 
 
 # --- argument plumbing -----------------------------------------------------------

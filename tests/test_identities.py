@@ -37,6 +37,7 @@ from cyclosum.matrices import (
     build_sun_matrix,
     delete_rows_cols,
     derangement_sums,
+    derangement_sums_enumerated,
     det_exact,
     make_matrix,
 )
@@ -313,7 +314,7 @@ def test_partition_decomposition_lhs_is_the_even_derangement_class(monkeypatch):
         for j in range(1, l + 1):
             for k in range(1, l + 1):
                 assert w.entry(j, k) == (0 if j == k else 1 / (xs[k - 1] - xs[j - 1]))
-        assert report.lhs == str(derangement_sums(w, method="enumerate").even_class)
+        assert report.lhs == str(derangement_sums_enumerated(w).even_class)
 
 
 def test_partition_decomposition_fails_on_a_wrong_lhs(monkeypatch):
@@ -637,9 +638,6 @@ def test_report_serialization_field_order():
         "verdict",
         "notes",
     ]
-    timed = report.to_json_dict(include_elapsed=True)
-    assert list(timed.keys())[-1] == "elapsed"
-    assert isinstance(timed["elapsed"], float)
 
 
 def test_report_is_immutable():

@@ -21,6 +21,7 @@ from cyclosum.matrices import (
     charpoly_exact,
     delete_rows_cols,
     derangement_sums,
+    derangement_sums_enumerated,
     det_exact,
     identity_matrix,
     load_matrix,
@@ -356,22 +357,16 @@ def test_derangement_sum_routes_agree():
     rng = Random(61)
     for dim in range(2, 10):
         m = random_matrix(2, dim, rng, max_numerator=2)
-        by_enum = derangement_sums(m, method="enumerate", enumeration_cap=10)
-        by_perdet = derangement_sums(m, method="perdet")
-        assert by_enum == by_perdet
+        assert derangement_sums_enumerated(m) == derangement_sums(m)
 
 
 def test_derangement_sums_respect_caps():
     m = identity_matrix(cyc_context(2), 12)
     with pytest.raises(CapExceededError):
-        derangement_sums(m, method="enumerate")
+        derangement_sums_enumerated(m)
     big = identity_matrix(cyc_context(2), 17)
     with pytest.raises(CapExceededError):
-        derangement_sums(big, method="perdet")
-    with pytest.raises(CapExceededError):
         derangement_sums(big)
-    with pytest.raises(ValueError):
-        derangement_sums(m, method="bogus")
 
 
 def test_derangement_sums_ignore_diagonal():
