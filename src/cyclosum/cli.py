@@ -125,15 +125,16 @@ def _thm3_1_valid_ks(n: int, want_odd_l: bool, cfg: CampaignConfig) -> list[int]
 
 def _skip_reason(identity: str, n: int, cfg: CampaignConfig) -> str | None:
     """Why the campaign skips (identity, n): outside the statement, or past a
-    cap; None when it runs."""
+    cap; None when it runs.  The verify functions take no cap, so this and
+    _thm3_1_valid_ks are what bound every permanent a campaign runs."""
     statement = STATEMENTS[identity]
     if not statement.covers(n):
         return statement.note
-    dim = {"eq1_1": n, "eq1_2": n - 1}.get(identity)
-    if dim is not None and dim > cfg.permanent_cap:
-        return f"dimension {dim} exceeds permanent cap {cfg.permanent_cap}"
     if identity in ("lemma3_2", "eq3_1") and n > cfg.enumeration_cap:
         return f"l={n} exceeds enumeration cap {cfg.enumeration_cap}"
+    dim = {"eq1_1": n, "eq1_2": n - 1, "eq3_1": n}.get(identity)
+    if dim is not None and dim > cfg.permanent_cap:
+        return f"dimension {dim} exceeds permanent cap {cfg.permanent_cap}"
     if identity in ("thm3_1_odd", "thm3_1_even"):
         odd = identity == "thm3_1_odd"
         if not _thm3_1_valid_ks(n, odd, cfg):
@@ -161,12 +162,11 @@ def _run_item(args: tuple) -> tuple[VerificationReport, float]:
 def _verify_item(
     identity: str, n: int, trial: int, cfg: CampaignConfig
 ) -> VerificationReport:
-    permanent_cap = cfg.permanent_cap
     rng = _child_rng(cfg.seed, identity, n, trial)
     if identity == "eq1_1":
-        return verify_eq1_1(n, permanent_cap=permanent_cap)
+        return verify_eq1_1(n)
     if identity == "eq1_2":
-        return verify_eq1_2(n, permanent_cap=permanent_cap)
+        return verify_eq1_2(n)
     if identity == "eq1_3":
         return verify_eq1_3(n)
     if identity == "eq2_3_liu":
@@ -185,7 +185,7 @@ def _verify_item(
         ks = _thm3_1_valid_ks(n, identity == "thm3_1_odd", cfg)
         k = 0 if trial == 0 and 0 in ks else ks[rng.randrange(len(ks))]
         deleted = sorted(rng.sample(range(1, n + 1), k))
-        report = verify_thm3_1(n, deleted, permanent_cap=permanent_cap)
+        report = verify_thm3_1(n, deleted)
     else:
         raise ValueError(f"unknown identity {identity!r}")
     return replace(report, parameters={"trial": trial, **report.parameters})
@@ -388,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--permanent-cap",
         type=int,
         default=16,
-        help="largest permanent dimension (eq1_1, eq1_2, thm3_1)",
+        help="largest permanent dimension (eq1_1, eq1_2, eq3_1, thm3_1)",
     )
     v.add_argument(
         "--enumeration-cap",

@@ -23,51 +23,30 @@ class ContextMismatchError(ValueError):
     """Raised when elements of different cyclotomic orders are combined."""
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _poly_div_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    """Divide integer polynomials (ascending coefficients), requiring an
-    exact monic division with zero remainder."""
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(num)
-    dd = len(den) - 1
-    quot = [0] * (len(rem) - dd)
-    for k in range(len(rem) - 1, dd - 1, -1):
-        c = rem[k]
-        if c == 0:
-            continue
-        quot[k - dd] = c
-        for i, dc in enumerate(den):
-            rem[k - dd + i] -= c * dc
-    if any(rem):
-        raise ValueError("division is not exact")
-    return quot
-
-
-@functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients (ascending) of Phi_n, computed recursively as
-    (x^n - 1) divided by the product of all lower-order Phi_d with d | n."""
+    """Integer coefficients (ascending) of Phi_n.  For n > 1 it is the
+    Moebius product over the divisors d of rad(n) of (1 - x^(n/d))^mu(d),
+    mu(d) = (-1)^(number of primes in d); each factor is applied to a power
+    series truncated at degree phi(n), which holds Phi_n exactly."""
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
         return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n):
-        if d < n:
-            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    primes = [p for p in range(2, n + 1)
+              if n % p == 0 and all(p % q for q in range(2, p))]
+    deg = n
+    for p in primes:
+        deg = deg // p * (p - 1)
+    series = [1] + [0] * deg
+    for mask in range(1 << len(primes)):
+        step = n // math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
+        if mask.bit_count() % 2:  # divide by 1 - x^step
+            for i in range(step, deg + 1):
+                series[i] += series[i - step]
+        else:  # multiply by 1 - x^step
+            for i in range(deg, step - 1, -1):
+                series[i] -= series[i - step]
+    return tuple(series)
 
 
 def _norm_steps(n: int) -> tuple[tuple[int, int], ...]:

@@ -120,13 +120,13 @@ def _check_distinct(xs: Sequence) -> None:
 # -- permanent / determinant identities --------------------------------------
 
 
-def verify_eq1_1(n: int, permanent_cap: int = 16) -> VerificationReport:
+def verify_eq1_1(n: int) -> VerificationReport:
     """Permanent of the n x n reciprocal matrix against ((n-1)!!)^2 / 2^n,
     even n; also cross-checks the sign-twisted determinant form
     per = (-1)^(n/2) det on the same matrix."""
     _require("eq1_1", n)
     m = build_sun_matrix(cyc_context(n))
-    per = permanent_ryser(m, cap=permanent_cap)
+    per = permanent_ryser(m, cap=m.dim)
     rhs = full_permanent(n)
     det = det_exact(m)
     twisted = -det if (n // 2) % 2 else det
@@ -143,7 +143,7 @@ def verify_eq1_1(n: int, permanent_cap: int = 16) -> VerificationReport:
     )
 
 
-def verify_eq1_2(n: int, permanent_cap: int = 16) -> VerificationReport:
+def verify_eq1_2(n: int) -> VerificationReport:
     """Permanent of the (n-1)-minor against (1/n) (((n-1)/2)!)^2, odd n.
 
     The source statements delete index n in one place and index 1 in
@@ -155,10 +155,10 @@ def verify_eq1_2(n: int, permanent_cap: int = 16) -> VerificationReport:
     m = build_sun_matrix(cyc_context(n))
     last = delete_rows_cols(m, {n})
     first = delete_rows_cols(m, {1})
-    per = permanent_ryser(last, cap=permanent_cap)
+    per = permanent_ryser(last, cap=last.dim)
     agree = (
         first.entries == last.entries
-        or permanent_ryser(first, cap=permanent_cap) == per
+        or permanent_ryser(first, cap=first.dim) == per
     )
     rhs = minor_permanent(n)
     ok = per == rhs and agree
@@ -357,7 +357,7 @@ def verify_eq3_1(l: int, xs: Sequence) -> VerificationReport:
         cyc_context(2),
         [[Fraction(1) / (xk - xj) if xk != xj else 0 for xk in xs] for xj in xs],
     )
-    lhs = derangement_sums(w).even_class
+    lhs = derangement_sums(w, permanent_cap=w.dim).even_class
     rhs, count = _odd_partition_sum(_block_cycle_sums(xs), l)
     ok = lhs == rhs and not lhs
     return VerificationReport(
@@ -371,9 +371,7 @@ def verify_eq3_1(l: int, xs: Sequence) -> VerificationReport:
     )
 
 
-def verify_thm3_1(
-    n: int, deleted: Sequence[int], permanent_cap: int = 16
-) -> VerificationReport:
+def verify_thm3_1(n: int, deleted: Sequence[int]) -> VerificationReport:
     """Sign-class derangement sums of the sub-matrix after deleting the
     index set: for l = n - k odd both classes vanish; for l even the class
     with sign (-1)^(l/2 + 1) vanishes.  k = 1 sits outside the statement
@@ -387,7 +385,7 @@ def verify_thm3_1(
         raise ValueError("cannot delete every index")
     m = build_sun_matrix(cyc_context(n))
     sub = delete_rows_cols(m, s) if s else m
-    sums = derangement_sums(sub, permanent_cap=permanent_cap)
+    sums = derangement_sums(sub, permanent_cap=sub.dim)
     params = {
         "deleted": s,
         "k": k,
@@ -448,9 +446,9 @@ def verify_eei(
 ) -> VerificationReport:
     """Eigenvector-eigenvalue identity over every index pair (i, j) of one
     Hermitian matrix: random (seeded) when no matrix is supplied.  Pairs
-    whose eigenvalue gap is below spectral.GAP_THRESHOLD are inconclusive
-    and do not count either way; a matrix with no conclusive pair is
-    inconclusive."""
+    whose eigenvalue gap is below spectral.GAP_THRESHOLD, or whose residual
+    is not finite, are inconclusive and do not count either way; a matrix
+    with no conclusive pair is inconclusive."""
     _require("eei", n)
     if matrix is None:
         if rng is None:

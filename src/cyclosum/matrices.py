@@ -125,24 +125,6 @@ def delete_rows_cols(m: ExactMatrix, deleted: Iterable[int]) -> ExactMatrix:
     return ExactMatrix(m.context, len(keep), rows)
 
 
-def build_bs_diagonal(ctx: CyclotomicContext, s: int) -> ExactMatrix:
-    """Diagonal (n-1) x (n-1) matrix with entries 1 - zeta^(i*s), odd n only."""
-    n = ctx.n
-    if n % 2 == 0:
-        raise ValueError("diagonal scaling matrix is defined for odd n")
-    if s == 0 or not -(n - 1) // 2 <= s <= (n - 1) // 2:
-        raise ValueError(f"s must be nonzero with |s| <= {(n - 1) // 2}, got {s}")
-    zero = ctx.zero
-    rows = tuple(
-        tuple(
-            (ctx.one - ctx.zeta_pow(i * s)) if i == k else zero
-            for k in range(1, n)
-        )
-        for i in range(1, n)
-    )
-    return ExactMatrix(ctx, n - 1, rows)
-
-
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.context.n != b.context.n:
         raise ContextMismatchError(

@@ -20,15 +20,13 @@ from random import Random
 
 import numpy as np
 
-from .exact import CyclotomicContext, cyc_context
+from .exact import CyclotomicContext, cyc_context, minor_determinant
 from .matrices import (
     ExactMatrix,
-    build_bs_diagonal,
     build_cp_matrix,
     build_sun_matrix,
     charpoly_exact,
     delete_rows_cols,
-    det_exact,
     matmul,
 )
 
@@ -202,7 +200,10 @@ def _eei_pair(
 ) -> EeiResult:
     """The identity for one pair (i, j), given the decomposition of the full
     matrix and the eigenvalues of its minor j (empty at dimension 1).
-    Both verify_eei and eei_residual judge every pair through here."""
+    Both verify_eei and eei_residual judge every pair through here.  The
+    pair is conclusive only when its gap clears GAP_THRESHOLD and its
+    residual is finite: products that overflow give inf or NaN, which must
+    not become a verdict."""
     lam = dec.eigenvalues
     d = len(lam)
     li = lam[i - 1]
@@ -217,7 +218,8 @@ def _eei_pair(
     for mk in minor_lam:
         rhs *= li - mk
     residual = abs(lhs - rhs) / (1.0 + abs(lhs))
-    return EeiResult(lhs, rhs, residual, gap, gap > GAP_THRESHOLD)
+    conclusive = gap > GAP_THRESHOLD and math.isfinite(residual)
+    return EeiResult(lhs, rhs, residual, gap, conclusive)
 
 
 def eei_residual(m: HermMatrix, i: int, j: int) -> EeiResult:
@@ -226,8 +228,9 @@ def eei_residual(m: HermMatrix, i: int, j: int) -> EeiResult:
 
     When lam_i is within GAP_THRESHOLD of another eigenvalue the component
     |v_ij|^2 depends on the basis chosen inside the eigenspace, so the check
-    is flagged inconclusive rather than pass/fail.  One pair from two
-    eigensolves; verify_eei judges all d^2 pairs from d + 1.
+    is flagged inconclusive rather than pass/fail; so is a residual that is
+    not finite.  One pair from two eigensolves; verify_eei judges all d^2
+    pairs from d + 1.
     """
     d = m.dim
     if not (1 <= i <= d and 1 <= j <= d):
@@ -276,7 +279,6 @@ class LiuSpectrumResult:
     its characteristic polynomial is exactly prod_k (x^2 - k^2) over the
     claimed integers, plus the exact determinant."""
 
-    n: int
     expected: tuple[int, ...]
     charpoly_matches: bool
     det_value: Fraction
@@ -286,30 +288,37 @@ class LiuSpectrumResult:
 
 def liu_spectrum_check(n: int) -> LiuSpectrumResult:
     """For odd n: the (n-1)-minor of the reciprocal root-difference matrix
-    times the diagonal matrix diag(1 - zeta^i) has the claimed spectrum
+    with column k scaled by 1 - zeta^k has the claimed spectrum
     {-(n-1)/2..-1, 1..(n-1)/2} and determinant (-1)^((n-1)/2) (((n-1)/2)!)^2.
 
-    Both are verified exactly: the product matrix is not Hermitian, so its
-    spectrum is compared as the exact characteristic polynomial against
-    prod_{k=1}^{(n-1)/2} (x^2 - k^2), whose roots are the claimed integers.
+    One exact characteristic polynomial settles both: the product matrix is
+    not Hermitian, so its spectrum is compared as that polynomial against
+    prod_{k=1}^{(n-1)/2} (x^2 - k^2), whose roots are the claimed integers,
+    and its determinant is the constant coefficient (the dimension n - 1 is
+    even).  prod_k (1 - zeta^k) = n, so the determinant must be n times the
+    minor's closed form.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("defined for odd n >= 3")
-    minor = delete_rows_cols(build_sun_matrix(cyc_context(n)), {n})
-    prod = matmul(minor, build_bs_diagonal(minor.context, 1))
+    ctx = cyc_context(n)
+    minor = delete_rows_cols(build_sun_matrix(ctx), {n})
+    scale = [ctx.one - ctx.zeta_pow(k) for k in range(1, n)]
+    prod = ExactMatrix(
+        ctx,
+        n - 1,
+        tuple(tuple(e * s for e, s in zip(row, scale)) for row in minor.entries),
+    )
+    coeffs = charpoly_exact(prod)
     half = (n - 1) // 2
     expected = tuple(range(-half, 0)) + tuple(range(1, half + 1))
-    det_expected = Fraction(math.factorial(half) ** 2)
-    if half % 2:
-        det_expected = -det_expected
-    det_value = det_exact(prod).as_rational()
+    det_value = coeffs[0].as_rational()
+    det_expected = n * minor_determinant(n)
     claimed = [1]  # ascending coefficients of prod_k (x^2 - k^2)
     for k in range(1, half + 1):
         claimed = [a - k * k * b for a, b in zip([0, 0] + claimed, claimed + [0, 0])]
     return LiuSpectrumResult(
-        n,
         expected,
-        charpoly_exact(prod) == claimed,
+        coeffs == claimed,
         det_value,
         det_expected,
         det_value == det_expected,

@@ -134,6 +134,26 @@ def test_fixed_campaign_exact_records_are_pinned(capsys):
     )
 
 
+def test_cap_campaign_exact_records_are_pinned(capsys):
+    # Both caps below their defaults: the run covers every statement's skip
+    # note, "l=... exceeds enumeration cap 7" and "dimension ... exceeds
+    # permanent cap 9".
+    argv = ["verify", "--n", "0..12", "--trials", "3", "--seed", "5", "--jobs", "1",
+            "--permanent-cap", "9", "--enumeration-cap", "7"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    exact = [line for line, r in zip(lines, records) if r["identity_id"] != "eei"]
+    assert len(exact) == 186
+    notes = {r["notes"] for r in records if r["verdict"] == "skipped"}
+    assert {s.note for s in STATEMENTS.values()} < notes
+    assert {"l=8 exceeds enumeration cap 7",
+            "dimension 10 exceeds permanent cap 9"} < notes
+    assert hashlib.sha256("".join(exact).encode()).hexdigest() == (
+        "cb4b4ba37be20dd6e4bd53000da058cf7c142e4423e3b904eb71875298264acd"
+    )
+
+
 def test_campaign_tol_reaches_only_eei(tmp_path):
     argv = ["--identities", "thm2_1,eq2_4,eq2_3_liu,eei", "--n", "2..5",
             "--trials", "1", "--jobs", "1"]
@@ -417,6 +437,21 @@ def test_campaign_permanent_cap_alone_bounds_thm3_1(tmp_path):
         _, records = run_campaign(tmp_path, f"cap{cap}.jsonl", *argv,
                                   "--permanent-cap", cap)
         assert [(r["verdict"], r["parameters"]["l"]) for r in records] == [("pass", l)]
+
+
+def test_campaign_permanent_cap_bounds_eq3_1(tmp_path):
+    # eq3_1's lhs is an l x l permanent, so l past --permanent-cap is
+    # skipped, even within the enumeration cap.
+    _, records = run_campaign(tmp_path, "eq3_1.jsonl", "--identities", "eq3_1",
+                              "--n", "3..7", "--trials", "1", "--permanent-cap", "5",
+                              "--jobs", "1")
+    assert [(r["n"], r["verdict"], r["notes"]) for r in records] == [
+        (3, "pass", "both sides vanish"),
+        (4, "skipped", "needs odd l >= 3"),
+        (5, "pass", "both sides vanish"),
+        (6, "skipped", "needs odd l >= 3"),
+        (7, "skipped", "dimension 7 exceeds permanent cap 5"),
+    ]
 
 
 def test_campaign_jobs_env_override(tmp_path, monkeypatch):

@@ -508,6 +508,19 @@ def test_minor_spectra_identity_degenerate_is_inconclusive():
     assert report.verdict == "inconclusive"
 
 
+def test_minor_spectra_identity_overflow_is_inconclusive():
+    # At this scale the eigenvalue-gap products overflow and every residual
+    # is NaN; a NaN residual must count as inconclusive, not vanish into a
+    # pass with lhs 0.0.
+    matrix = HermMatrix.from_rows(random_hermitian(9, Random(1)).entries * 1e40)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = verify_eei(9, matrix=matrix)
+        pair = eei_residual(matrix, 1, 1)
+    assert report.verdict == "inconclusive"
+    assert report.parameters["inconclusive_pairs"] == 81
+    assert not math.isfinite(pair.residual) and not pair.conclusive
+
+
 def _eei_matrices():
     for dim in range(1, 8):
         yield random_hermitian(dim, Random(700 + dim))
@@ -576,17 +589,33 @@ def test_product_spectrum_passes_past_the_float_root_finder(n):
     assert report.parameters["max_spectrum_deviation"] == 0.0
 
 
-def test_product_spectrum_mismatch_fails_with_null_deviation(monkeypatch):
+def _perturb_charpoly(monkeypatch, index):
     exact_charpoly = cyclosum.spectral.charpoly_exact
 
     def off_by_one(m):
-        coeffs = exact_charpoly(m)
-        return [coeffs[0] + 1] + coeffs[1:]
+        coeffs = list(exact_charpoly(m))
+        coeffs[index] = coeffs[index] + 1
+        return coeffs
 
     monkeypatch.setattr(cyclosum.spectral, "charpoly_exact", off_by_one)
+
+
+def test_product_spectrum_mismatch_fails_with_null_deviation(monkeypatch):
+    # Coefficient 1 carries the spectrum but not the determinant.
+    _perturb_charpoly(monkeypatch, 1)
     report = verify_eq2_3_liu(7)
     assert report.verdict == "fail"
     assert report.lhs == report.rhs
+    assert report.parameters["max_spectrum_deviation"] is None
+
+
+def test_product_determinant_is_the_constant_coefficient(monkeypatch):
+    # The determinant is read off coefficient 0, so perturbing it fails
+    # both the spectrum and the determinant.
+    _perturb_charpoly(monkeypatch, 0)
+    report = verify_eq2_3_liu(7)
+    assert report.verdict == "fail"
+    assert report.lhs != report.rhs
     assert report.parameters["max_spectrum_deviation"] is None
 
 

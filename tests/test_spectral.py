@@ -19,6 +19,7 @@ from cyclosum.matrices import (
     charpoly_exact,
     delete_rows_cols,
     det_exact,
+    make_matrix,
     matmul,
 )
 from cyclosum.spectral import (
@@ -304,6 +305,21 @@ def test_product_spectrum_deviation_small_for_small_orders():
         assert res.charpoly_matches
         assert res.det_matches
         assert verify_eq2_3_liu(n).parameters["max_spectrum_deviation"] == 0.0
+
+
+def test_product_determinant_matches_gaussian_elimination():
+    # The determinant comes from the characteristic polynomial; elimination
+    # on the column-scaled minor, and on the minor times n, must agree.
+    for n in range(3, 14, 2):
+        ctx = cyc_context(n)
+        minor = delete_rows_cols(build_sun_matrix(ctx), {n})
+        scaled = make_matrix(ctx, [
+            [e * (1 - ctx.zeta_pow(k)) for k, e in enumerate(row, 1)]
+            for row in minor.entries
+        ])
+        det = liu_spectrum_check(n).det_value
+        assert det == det_exact(scaled)
+        assert det == n * det_exact(minor)
 
 
 def test_product_spectrum_rejects_even_orders():
