@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import derangements
 from .exact import ContextMismatchError, CycElem, CyclotomicContext, cyc_context, parse_elem
@@ -220,17 +220,60 @@ def det_exact(m: ExactMatrix) -> CycElem:
     return -det if negate else det
 
 
+def _necklaces(d: int) -> Iterator[tuple[int, int]]:
+    """Binary necklaces of length d, each once, as (word, period), by the
+    FKM algorithm (Ruskey, Savage and Wang, "Generating necklaces",
+    J. Algorithms 13, 1992).  Letter j of the word (1-based) is bit d - j,
+    so words come in increasing order and each is the least of its d
+    rotations; the period is the size of its rotation orbit."""
+    a = [0] * (d + 1)  # letters a[1..d]; a[0] = 0 stops the scan below
+    word = 0
+    yield word, 1
+    while True:
+        i = d
+        while a[i]:
+            i -= 1
+        if not i:
+            return
+        a[i] = 1
+        word |= 1 << (d - i)
+        for j in range(i + 1, d + 1):
+            if a[j] != a[j - i]:
+                a[j] = a[j - i]
+                word ^= 1 << (d - j)
+        if d % i == 0:
+            yield word, i
+
+
+def _is_circulant(m: ExactMatrix) -> bool:
+    """m[r][c] == m[0][(c - r) mod dim] on every entry, compared exactly."""
+    d = m.dim
+    first = m.entries[0]
+    return all(
+        e == first[(c - r) % d] for r, row in enumerate(m.entries) for c, e in enumerate(row)
+    )
+
+
 def permanent_ryser(m: ExactMatrix, cap: int = 16) -> CycElem:
     """Permanent by inclusion-exclusion over column subsets:
-    per(M) = (-1)^dim * sum_S (-1)^|S| prod_i (sum_{j in S} m_ij),
-    walking subsets in Gray-code order so each step updates the running
-    column sums by a single column add or subtract.
+    per(M) = (-1)^dim * sum_S (-1)^|S| prod_i (sum_{j in S} m_ij).
 
-    It runs on D * M packed into integers (per(M) = per(D M) / D^dim).  Each
-    of the fewer than 2^dim products has l1 norm at most
-    prod_i sum_j ||D m_ij||_1, which fixes the digit width; the running
-    product is folded modulo x^n - 1 after every factor, which keeps it at
-    n digits and leaves it within that norm.
+    A circulant M (m[r][c] == m[0][(c - r) mod dim] on every entry, checked
+    exactly) gives the same product for S and every rotation of S, with the
+    same |S|, so the sum runs once per binary necklace of length dim,
+    weighted by its period: about 2^dim / dim products.  Any other matrix
+    walks all subsets in Gray-code order, and that walk is also the
+    circulant route's oracle.  Either way each step updates the running
+    column sums by the columns whose membership changed: one for a Gray
+    step, about two on average from one necklace to the next.
+
+    Both run on D * M packed into integers (per(M) = per(D M) / D^dim).
+    Each product has l1 norm at most prod_i sum_j ||D m_ij||_1, and the
+    weights of the necklace sum add up to the 2^dim - 1 subsets it stands
+    for, so 2^dim times that norm bounds every coefficient on either route
+    and fixes the digit width.  The running product is folded modulo
+    x^n - 1 after every factor, which keeps it at n digits and leaves it
+    within that norm.
     """
     d = m.dim
     if d > cap:
@@ -245,26 +288,31 @@ def permanent_ryser(m: ExactMatrix, cap: int = 16) -> CycElem:
     bits = bound.bit_length() + 1
     cols = [[ctx.pack(row[c], bits) for row in rows] for c in range(d)]
     fold = ctx.fold
+    if _is_circulant(m):
+        words = _necklaces(d)
+    else:
+        words = ((g ^ (g >> 1), 1) for g in range(1, 1 << d))
     sums = [0] * d
     total = 0
     prev = 0
-    for g in range(1, 1 << d):
-        gray = g ^ (g >> 1)
-        bit = gray ^ prev
-        prev = gray
-        col = cols[bit.bit_length() - 1]
-        if gray & bit:
-            sums = [s + x for s, x in zip(sums, col)]
-        else:
-            sums = [s - x for s, x in zip(sums, col)]
-        prod = 1
+    for word, weight in words:
+        diff = word ^ prev
+        prev = word
+        while diff:
+            bit = diff & -diff
+            diff ^= bit
+            col = cols[bit.bit_length() - 1]
+            if word & bit:
+                sums = [s + x for s, x in zip(sums, col)]
+            else:
+                sums = [s - x for s, x in zip(sums, col)]
+        prod = weight
         for s in sums:
             if not s:
                 break
             prod = fold(prod * s, bits)
         else:
-            # parity of |S| = popcount of the Gray word = parity of g
-            if g & 1:
+            if word.bit_count() & 1:
                 total -= prod
             else:
                 total += prod
@@ -274,8 +322,8 @@ def permanent_ryser(m: ExactMatrix, cap: int = 16) -> CycElem:
 
 
 def permanent_naive(m: ExactMatrix, cap: int = 9) -> CycElem:
-    """Permanent as the plain sum over all permutations; oracle for the
-    Gray-code route, so it deliberately shares no code with it."""
+    """Permanent as the plain sum over all permutations; oracle for both
+    routes of permanent_ryser, so it deliberately shares no code with it."""
     d = m.dim
     if d > cap:
         raise CapExceededError(f"dimension {d} exceeds naive permanent cap {cap}")

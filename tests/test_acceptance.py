@@ -58,8 +58,8 @@ def criterion(number: int, label: str, budget: float | None = None):
 
 
 def test_c01_full_permanent_closed_form_even_orders():
-    with criterion(1, "permanent of full matrix, even n 2..14, exact", 600):
-        for n in range(2, 15, 2):
+    with criterion(1, "permanent of full matrix, even n 2..18, exact", 600):
+        for n in range(2, 19, 2):
             report = verify_eq1_1(n)
             assert report.verdict == "pass", f"n={n}: {report.notes}"
             assert report.lhs == report.rhs

@@ -1,6 +1,7 @@
 """Oracle tests for the integer kernels: the norm-based inverse, the Galois
-maps, Kronecker packing, and the packed permanent, matrix product and
-characteristic polynomial.
+maps, Kronecker packing, the packed permanent on both its routes (Gray
+code and circulant necklace orbits), matrix product and characteristic
+polynomial, and the necklace generator.
 
 Each packed kernel is compared with an implementation that does every step
 in CycElem arithmetic: the naive permanent from the package, and the
@@ -9,15 +10,17 @@ triple-loop product and element-wise Faddeev-LeVerrier recurrence below.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 import cyclosum.matrices
-from cyclosum.exact import cyc_context
+from cyclosum.exact import cyc_context, full_permanent
 from cyclosum.matrices import (
     ExactMatrix,
+    build_sun_matrix,
     charpoly_exact,
     identity_matrix,
     make_matrix,
@@ -89,6 +92,12 @@ def mixed_matrix(n: int, dim: int, rng: Random, zero_row: bool = False) -> Exact
                 ))
         rows.append(row)
     return make_matrix(ctx, rows)
+
+
+def circulant(ctx, first) -> ExactMatrix:
+    """The matrix with entry (r, c) = first[(c - r) mod dim]."""
+    d = len(first)
+    return make_matrix(ctx, [[first[(c - r) % d] for c in range(d)] for r in range(d)])
 
 
 def negative_matrix(n: int, dim: int) -> ExactMatrix:
@@ -186,6 +195,57 @@ def test_packed_charpoly_matches_elementwise_recurrence(n):
         assert charpoly_exact(m) == charpoly_reference(m), f"n={n} dim={dim}"
 
 
+@pytest.mark.parametrize("n", range(2, 15, 2))
+def test_necklace_route_matches_gray_code_on_sun_matrix(n):
+    # Swapping rows 1 and 2 keeps the permanent.  From n = 4 it breaks
+    # circulance, so the swapped matrix takes the Gray-code walk; a 2 x 2
+    # circulant with equal off-diagonal entries stays circulant.
+    sun = build_sun_matrix(cyc_context(n))
+    rows = list(sun.entries)
+    rows[0], rows[1] = rows[1], rows[0]
+    swapped = make_matrix(sun.context, rows)
+    assert cyclosum.matrices._is_circulant(sun)
+    assert cyclosum.matrices._is_circulant(swapped) == (n == 2)
+    assert permanent_ryser(sun) == permanent_ryser(swapped) == full_permanent(n)
+
+
+@pytest.mark.parametrize("n", (3, 4, 12))
+def test_necklace_route_matches_naive_on_random_circulants(n):
+    # Dimensions 4, 6 and 8 have necklaces of every proper period dividing them.
+    rng = Random(10_000 + n)
+    ctx = cyc_context(n)
+    for dim in range(1, 9):
+        m = circulant(ctx, mixed_matrix(n, dim, rng).entries[0])
+        assert cyclosum.matrices._is_circulant(m)
+        assert permanent_ryser(m) == permanent_naive(m), f"n={n} dim={dim}"
+
+
+def test_necklace_route_on_zero_and_sparse_first_rows():
+    ctx = cyc_context(6)
+    zero = circulant(ctx, [ctx.zero] * 4)
+    assert permanent_ryser(zero) == 0 == permanent_naive(zero)
+    a, b = ctx.zeta_pow(1), ctx.from_rational(Fraction(-3, 4))
+    for first in ([ctx.zero, a, ctx.zero, ctx.zero, ctx.zero, b],
+                  [ctx.zero, ctx.zero, a, ctx.zero, ctx.zero, ctx.zero],
+                  [a, ctx.zero, ctx.zero, b, ctx.zero, ctx.zero, ctx.zero, ctx.zero]):
+        m = circulant(ctx, first)
+        assert permanent_ryser(m) == permanent_naive(m), first
+
+
+def test_circulance_is_checked_on_every_entry():
+    # Circulant except one entry of the last row, outside the first column:
+    # a detector that read only the first row and column would take the
+    # necklace route and return the circulant's permanent.
+    rng = Random(11_000)
+    ctx = cyc_context(5)
+    base = circulant(ctx, mixed_matrix(5, 6, rng).entries[0])
+    rows = [list(row) for row in base.entries]
+    rows[5][3] = rows[5][3] + 1
+    m = make_matrix(ctx, rows)
+    assert not cyclosum.matrices._is_circulant(m)
+    assert permanent_ryser(m) == permanent_naive(m) != permanent_naive(base)
+
+
 @pytest.mark.parametrize("n", (3, 16, 21, 25, 32))
 def test_packed_kernels_carry_large_negative_coefficients(n):
     m = negative_matrix(n, 4)
@@ -207,3 +267,23 @@ def test_charpoly_refuses_an_inexact_trace_division(monkeypatch):
     monkeypatch.setattr(cyclosum.matrices, "_matmul_ints", off_by_one)
     with pytest.raises(ArithmeticError):
         charpoly_exact(identity_matrix(cyc_context(5), 3))
+
+
+# --- necklaces ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_fkm_yields_each_binary_necklace_once(d):
+    # N(d) = (1/d) sum_{k | d} phi(k) 2^(d/k), OEIS A000031.
+    phi = [sum(math.gcd(k, j) == 1 for j in range(1, k + 1)) for k in range(d + 1)]
+    count = sum(phi[k] << (d // k) for k in range(1, d + 1) if d % k == 0) // d
+    mask = (1 << d) - 1
+    words = []
+    for word, period in cyclosum.matrices._necklaces(d):
+        orbit = {((word << k) | (word >> (d - k))) & mask for k in range(d)}
+        assert word == min(orbit), f"{word:0{d}b} is not its least rotation"
+        assert period == len(orbit), f"{word:0{d}b}"
+        words.append((word, period))
+    assert len(words) == count
+    assert len({w for w, _ in words}) == count
+    assert sum(p for _, p in words) == 1 << d
