@@ -133,8 +133,8 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch {a.dim} vs {b.dim}")
     ctx = a.context
-    da, ia = _cleared(a)
-    db, ib = _cleared(b)
+    da, ia = _cleared(a.entries)
+    db, ib = _cleared(b.entries)
     den = da * db
     rows = tuple(
         tuple(CycElem(ctx, nums, den) for nums in row) for row in _matmul_ints(ctx, ia, ib)
@@ -154,13 +154,15 @@ def _l1(nums: Sequence[int]) -> int:
     return sum(map(abs, nums))
 
 
-def _cleared(m: ExactMatrix) -> tuple[int, list[list[Sequence[int]]]]:
-    """The lcm D of the entry denominators and the integer coefficient
-    vectors of D * M, whose entries lie in Z[zeta_n]."""
-    den = math.lcm(*(e.den for row in m.entries for e in row))
+def _cleared(
+    entries: Sequence[Sequence[CycElem]],
+) -> tuple[int, list[list[Sequence[int]]]]:
+    """The lcm D of the denominators of the rows of elements, and the
+    integer coefficient vectors of D times each, which lie in Z[zeta_n]."""
+    den = math.lcm(*(e.den for row in entries for e in row))
     rows = [
         [e.nums if e.den == den else [v * (den // e.den) for v in e.nums] for e in row]
-        for row in m.entries
+        for row in entries
     ]
     return den, rows
 
@@ -190,12 +192,80 @@ def _matmul_ints(ctx: CyclotomicContext, a: list, b: list) -> list[list[list[int
 # -- exact kernels ----------------------------------------------------------
 
 
+def _circulant_row(m: ExactMatrix) -> tuple[CycElem, ...] | None:
+    """The row t with m[r][c] == t[(c - r) mod N] on every entry, compared
+    exactly, or None.  Its length N is the order of the circulant behind m:
+    N = dim when m is circulant itself, tried first, with t its row 0; and
+    N = dim + 1 when m is a principal minor with one index deleted of an
+    order-N circulant (every such minor is the same matrix), with t row 0
+    followed by m[1][0].  A 1 x 1 matrix is always circulant, so the minor
+    shape, which reads m[1][0], never needs to be tried for it."""
+    rows = m.entries
+    shapes = [rows[0]]
+    if m.dim > 1:
+        shapes.append(rows[0] + rows[1][:1])
+    for t in shapes:
+        order = len(t)
+        if all(
+            e == t[(c - r) % order] for r, row in enumerate(rows) for c, e in enumerate(row)
+        ):
+            return t
+    return None
+
+
+def _circulant_det(ctx: CyclotomicContext, t: Sequence[CycElem], dim: int) -> CycElem:
+    """Determinant of the dim x dim matrix that _circulant_row(m) == t
+    describes, when N = len(t) divides n.
+
+    The order-N circulant C with row 0 t has the eigenvalues
+    lambda_k = sum_j t_j w^(jk), w = zeta^(n/N), k = 0..N-1, so
+    prod_k (x + lambda_k) has constant coefficient e_N(lambda) = det C and
+    x-coefficient e_(N-1)(lambda) = trace(adj C).  adj C is a polynomial in
+    C, hence circulant, so each of its diagonal entries, the principal
+    (N-1)-minors of C, is e_(N-1)(lambda) / N; that holds for a singular C
+    too.  The product is taken modulo x^2, two products per eigenvalue.
+
+    It runs on D t packed into integers modulo x^n - 1, where multiplying
+    by a power of zeta rotates the digits.  Each D lambda_k has l1 norm at
+    most L = sum_j ||D t_j||_1, so every partial product of the two
+    coefficients has coefficients at most N L^N, which fixes the digit
+    width."""
+    order = len(t)
+    den, (nums,) = _cleared((t,))
+    bound = order * sum(map(_l1, nums)) ** order
+    if not bound:
+        return ctx.zero
+    bits = bound.bit_length() + 1
+    n, fold = ctx.n, ctx.fold
+    packed = [ctx.pack(v, bits) for v in nums]
+    step = n // order
+    const, linear = 1, 0
+    for k in range(order):
+        lam = fold(
+            sum(p << (bits * (step * j * k % n)) for j, p in enumerate(packed)), bits
+        )
+        const, linear = fold(const * lam, bits), const + fold(linear * lam, bits)
+    if order == dim:
+        return CycElem(ctx, ctx.unpack(const, bits), den**dim)
+    return CycElem(ctx, ctx.unpack(linear, bits), order * den**dim)
+
+
 def det_exact(m: ExactMatrix) -> CycElem:
-    """Determinant by Gaussian elimination over the field; the pivot is the
-    first nonzero entry in the column (Q(zeta) has no useful magnitude to
-    pivot on, and exact arithmetic needs no numerical care)."""
+    """Determinant.  A circulant, or a principal minor of one with a single
+    index deleted (see _circulant_row), whose order N divides n, so that
+    zeta^(n/N) is a primitive N-th root of unity in the field, takes the
+    spectral route of _circulant_det: about N^2 digit rotations and 2N
+    products, and no inverse.
+
+    Every other matrix takes Gaussian elimination over the field, which is
+    also the spectral route's oracle in the tests; the pivot is the first
+    nonzero entry in the column (Q(zeta) has no useful magnitude to pivot
+    on, and exact arithmetic needs no numerical care)."""
     d = m.dim
     ctx = m.context
+    t = _circulant_row(m)
+    if t is not None and ctx.n % len(t) == 0:
+        return _circulant_det(ctx, t, d)
     a = [list(row) for row in m.entries]
     det = ctx.one
     negate = False
@@ -245,15 +315,6 @@ def _necklaces(d: int) -> Iterator[tuple[int, int]]:
             yield word, i
 
 
-def _is_circulant(m: ExactMatrix) -> bool:
-    """m[r][c] == m[0][(c - r) mod dim] on every entry, compared exactly."""
-    d = m.dim
-    first = m.entries[0]
-    return all(
-        e == first[(c - r) % d] for r, row in enumerate(m.entries) for c, e in enumerate(row)
-    )
-
-
 def permanent_ryser(m: ExactMatrix, cap: int = 16) -> CycElem:
     """Permanent by inclusion-exclusion over column subsets:
     per(M) = (-1)^dim * sum_S (-1)^|S| prod_i (sum_{j in S} m_ij).
@@ -279,7 +340,7 @@ def permanent_ryser(m: ExactMatrix, cap: int = 16) -> CycElem:
     if d > cap:
         raise CapExceededError(f"dimension {d} exceeds permanent cap {cap}")
     ctx = m.context
-    den, rows = _cleared(m)
+    den, rows = _cleared(m.entries)
     bound = 1 << d
     for row in rows:
         bound *= sum(map(_l1, row))
@@ -288,7 +349,8 @@ def permanent_ryser(m: ExactMatrix, cap: int = 16) -> CycElem:
     bits = bound.bit_length() + 1
     cols = [[ctx.pack(row[c], bits) for row in rows] for c in range(d)]
     fold = ctx.fold
-    if _is_circulant(m):
+    t = _circulant_row(m)
+    if t is not None and len(t) == d:
         words = _necklaces(d)
     else:
         words = ((g ^ (g >> 1), 1) for g in range(1, 1 << d))
@@ -396,7 +458,7 @@ def charpoly_exact(m: ExactMatrix) -> list[CycElem]:
     """
     d = m.dim
     ctx = m.context
-    den, a = _cleared(m)
+    den, a = _cleared(m.entries)
     one = (1,) + (0,) * (ctx.basis_degree - 1)
     zero = (0,) * ctx.basis_degree
     coeffs = [zero] * d + [one]

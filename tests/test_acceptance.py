@@ -74,8 +74,8 @@ def test_c02_minor_permanent_closed_form_odd_orders():
 
 
 def test_c03_minor_determinant_closed_form_odd_orders():
-    with criterion(3, "determinant of minor, odd n 3..25, exact", 60):
-        for n in range(3, 26, 2):
+    with criterion(3, "determinant of minor, odd n 3..41, exact", 60):
+        for n in range(3, 42, 2):
             report = verify_eq1_3(n)
             assert report.verdict == "pass", f"n={n}: {report.notes}"
             assert report.lhs == report.rhs

@@ -653,6 +653,11 @@ def test_spectrum_minor(capsys):
     assert "determinant: 16384 (expected 16384)" in capsys.readouterr().out
 
 
+def test_spectrum_minor_at_order_41(capsys):
+    assert main(["spectrum", "minor", "--n", "41"]) == 0
+    assert "determinant: " in capsys.readouterr().out
+
+
 def test_spectrum_minor_exits_1_on_mismatch(monkeypatch, capsys):
     real = cyclosum.cli.cp_minor_determinant
     monkeypatch.setattr(cyclosum.cli, "cp_minor_determinant", lambda n: real(n) + 1)

@@ -1,11 +1,13 @@
 """Oracle tests for the integer kernels: the norm-based inverse, the Galois
 maps, Kronecker packing, the packed permanent on both its routes (Gray
 code and circulant necklace orbits), matrix product and characteristic
-polynomial, and the necklace generator.
+polynomial, the necklace generator, and the determinant on both its routes
+(Gaussian elimination and the spectrum of a circulant).
 
 Each packed kernel is compared with an implementation that does every step
-in CycElem arithmetic: the naive permanent from the package, and the
-triple-loop product and element-wise Faddeev-LeVerrier recurrence below.
+in CycElem arithmetic: the naive permanent from the package, the Leibniz
+determinant, and the triple-loop product and element-wise Faddeev-LeVerrier
+recurrence below.
 """
 
 from __future__ import annotations
@@ -17,17 +19,27 @@ from random import Random
 import pytest
 
 import cyclosum.matrices
-from cyclosum.exact import cyc_context, full_permanent
+from cyclosum.exact import (
+    CycElem,
+    cp_minor_determinant,
+    cyc_context,
+    full_permanent,
+    minor_determinant,
+)
 from cyclosum.matrices import (
     ExactMatrix,
+    build_cp_matrix,
     build_sun_matrix,
     charpoly_exact,
+    delete_rows_cols,
+    det_exact,
     identity_matrix,
     make_matrix,
     matmul,
     permanent_naive,
     permanent_ryser,
 )
+from test_matrices import leibniz_det
 
 ORDERS = (2, 3, 4, 6, 8, 9, 12, 15, 16, 21, 25, 30, 32)
 
@@ -98,6 +110,22 @@ def circulant(ctx, first) -> ExactMatrix:
     """The matrix with entry (r, c) = first[(c - r) mod dim]."""
     d = len(first)
     return make_matrix(ctx, [[first[(c - r) % d] for c in range(d)] for r in range(d)])
+
+
+def circulant_order(m: ExactMatrix) -> int | None:
+    """Order of the circulant the detector finds behind m, or None."""
+    t = cyclosum.matrices._circulant_row(m)
+    return None if t is None else len(t)
+
+
+def eliminated(m: ExactMatrix) -> CycElem:
+    """det(m) by Gaussian elimination: swapping rows 1 and 2 negates the
+    determinant and breaks circulance, which is asserted."""
+    rows = list(m.entries)
+    rows[0], rows[1] = rows[1], rows[0]
+    swapped = make_matrix(m.context, rows)
+    assert circulant_order(swapped) is None
+    return -det_exact(swapped)
 
 
 def negative_matrix(n: int, dim: int) -> ExactMatrix:
@@ -204,8 +232,8 @@ def test_necklace_route_matches_gray_code_on_sun_matrix(n):
     rows = list(sun.entries)
     rows[0], rows[1] = rows[1], rows[0]
     swapped = make_matrix(sun.context, rows)
-    assert cyclosum.matrices._is_circulant(sun)
-    assert cyclosum.matrices._is_circulant(swapped) == (n == 2)
+    assert circulant_order(sun) == n
+    assert circulant_order(swapped) == (2 if n == 2 else None)
     assert permanent_ryser(sun) == permanent_ryser(swapped) == full_permanent(n)
 
 
@@ -216,7 +244,7 @@ def test_necklace_route_matches_naive_on_random_circulants(n):
     ctx = cyc_context(n)
     for dim in range(1, 9):
         m = circulant(ctx, mixed_matrix(n, dim, rng).entries[0])
-        assert cyclosum.matrices._is_circulant(m)
+        assert circulant_order(m) == dim
         assert permanent_ryser(m) == permanent_naive(m), f"n={n} dim={dim}"
 
 
@@ -242,7 +270,7 @@ def test_circulance_is_checked_on_every_entry():
     rows = [list(row) for row in base.entries]
     rows[5][3] = rows[5][3] + 1
     m = make_matrix(ctx, rows)
-    assert not cyclosum.matrices._is_circulant(m)
+    assert circulant_order(m) is None
     assert permanent_ryser(m) == permanent_naive(m) != permanent_naive(base)
 
 
@@ -287,3 +315,162 @@ def test_fkm_yields_each_binary_necklace_once(d):
     assert len(words) == count
     assert len({w for w, _ in words}) == count
     assert sum(p for _, p in words) == 1 << d
+
+
+# --- determinants ------------------------------------------------------------
+
+
+def count_inverses(monkeypatch) -> list[int]:
+    """Patch CycElem.inverse to count its calls into the returned cell."""
+    calls = [0]
+    inverse = CycElem.inverse
+
+    def counted(self):
+        calls[0] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(CycElem, "inverse", counted)
+    return calls
+
+
+def random_row(ctx, order: int, rng: Random) -> list:
+    return list(mixed_matrix(ctx.n, order, rng).entries[0])
+
+
+def singular_row(ctx, order: int, rng: Random, zeros: int) -> list:
+    """A first row whose circulant has lambda_0 = 0 and, for zeros = 2,
+    also lambda_1 = sum_j t_j w^j = 0, w = zeta^(n/order).  No entry it
+    draws is zero, so the row itself is not."""
+    t = [e or ctx.one for e in random_row(ctx, order, rng)]
+    w = ctx.zeta_pow(ctx.n // order)
+    if zeros == 1:
+        t[0] = -sum(t[1:], ctx.zero)
+        return t
+    s0 = sum(t[2:], ctx.zero)
+    s1 = sum((e * w**j for j, e in enumerate(t) if j >= 2), ctx.zero)
+    t[1] = (s0 - s1) / (w - 1)
+    t[0] = -s0 - t[1]
+    return t
+
+
+@pytest.mark.parametrize("n", range(3, 26, 2))
+def test_spectral_det_on_sun_and_cotangent_minors(n):
+    ctx = cyc_context(n)
+    sun_minor = delete_rows_cols(build_sun_matrix(ctx), {n})
+    cp_minor = delete_rows_cols(build_cp_matrix(ctx), {1})
+    for m, closed_form in ((sun_minor, minor_determinant(n)),
+                           (cp_minor, cp_minor_determinant(n))):
+        assert circulant_order(m) == n
+        det = det_exact(m)
+        assert det == eliminated(m) == closed_form
+        if n <= 7:
+            assert det == leibniz_det(m)
+
+
+@pytest.mark.parametrize("n", range(2, 15, 2))
+def test_spectral_det_on_full_sun_matrix(n):
+    sun = build_sun_matrix(cyc_context(n))
+    assert circulant_order(sun) == n
+    det = det_exact(sun)
+    if n > 2:  # the 2 x 2 matrix is circulant after a row swap as well
+        assert det == eliminated(sun)
+    if n <= 6:
+        assert det == leibniz_det(sun)
+    # eq1_1's twisted form: per = (-1)^(n/2) det
+    assert det * (-1) ** (n // 2) == full_permanent(n)
+
+
+@pytest.mark.parametrize("n", (4, 6, 12, 15))
+def test_spectral_det_on_random_circulants_and_minors(n):
+    # Every order N dividing n, so w = zeta^(n/N) runs over proper roots too.
+    rng = Random(12_000 + n)
+    ctx = cyc_context(n)
+    for order in (k for k in range(1, n + 1) if n % k == 0 and k <= 12):
+        full = circulant(ctx, random_row(ctx, order, rng))
+        # A minor of an order-2 circulant is 1 x 1, itself an order-1 circulant.
+        shapes = [full] if order < 3 else [full, delete_rows_cols(full, {order})]
+        for m in shapes:
+            assert circulant_order(m) == order, f"n={n} N={order} dim={m.dim}"
+            det = det_exact(m)
+            if m.dim >= 3:
+                assert det == eliminated(m), f"n={n} N={order} dim={m.dim}"
+            if m.dim <= 5:
+                assert det == leibniz_det(m), f"n={n} N={order} dim={m.dim}"
+
+
+@pytest.mark.parametrize("n", (4, 6, 12))
+def test_spectral_det_on_singular_circulants(n):
+    # One zero eigenvalue: det C = 0 while the minor generally is not.
+    # Two zero eigenvalues: every (N-1)-minor vanishes too.
+    rng = Random(13_000 + n)
+    ctx = cyc_context(n)
+    for order in (k for k in range(3, n + 1) if n % k == 0):
+        for zeros in (1, 2):
+            full = circulant(ctx, singular_row(ctx, order, rng, zeros))
+            minor = delete_rows_cols(full, {1})
+            assert circulant_order(full) == order
+            assert circulant_order(minor) == order
+            assert det_exact(full) == 0 == eliminated(full)
+            det = det_exact(minor)
+            assert det == eliminated(minor)
+            if minor.dim <= 5:
+                assert det == leibniz_det(minor)
+            assert (det == 0) == (zeros == 2), f"n={n} N={order} zeros={zeros}"
+
+
+@pytest.mark.parametrize("n", (3, 6, 9, 12))
+def test_spectral_det_on_two_by_two_with_equal_diagonal(n):
+    # [[a, b], [c, a]] is the minor of the circulant with row 0 (a, b, c).
+    rng = Random(14_000 + n)
+    ctx = cyc_context(n)
+    for _ in range(4):
+        a, b, c = random_row(ctx, 3, rng)
+        if b == c:
+            continue
+        m = make_matrix(ctx, [[a, b], [c, a]])
+        assert circulant_order(m) == 3
+        assert det_exact(m) == a * a - b * c == leibniz_det(m)
+
+
+@pytest.mark.parametrize("n", (3, 16, 21, 25))
+def test_spectral_det_carries_large_negative_coefficients(n):
+    ctx = cyc_context(n)
+    for order in (k for k in range(3, 9) if n % k == 0):
+        full = circulant(ctx, negative_matrix(n, order).entries[0])
+        for m in (full, delete_rows_cols(full, {order})):
+            assert det_exact(m) == eliminated(m), f"n={n} dim={m.dim}"
+
+
+def test_det_falls_back_when_the_order_does_not_divide_n(monkeypatch):
+    # A 3 x 3 circulant over Q(zeta_4): zeta_3 is not in the field.
+    rng = Random(15_000)
+    ctx = cyc_context(4)
+    m = circulant(ctx, random_row(ctx, 3, rng))
+    assert circulant_order(m) == 3
+    calls = count_inverses(monkeypatch)
+    assert det_exact(m) == leibniz_det(m)
+    assert calls[0] > 0
+
+
+def test_det_circulance_is_checked_on_every_entry():
+    # Circulant, and a minor of one, except for one entry of the last row
+    # outside the first column: a detector that read only row 0 and
+    # column 0 would take the spectral route and return the wrong value.
+    rng = Random(16_000)
+    ctx = cyc_context(6)
+    base = circulant(ctx, random_row(ctx, 6, rng))
+    for m in (base, delete_rows_cols(base, {6})):
+        rows = [list(row) for row in m.entries]
+        rows[-1][2] = rows[-1][2] + 1
+        near = make_matrix(ctx, rows)
+        assert circulant_order(near) is None
+        assert det_exact(near) == leibniz_det(near) != leibniz_det(m)
+
+
+def test_sun_minor_determinant_takes_no_inverse(monkeypatch):
+    # A silent fall-back to elimination inverts every pivot.
+    n = 25
+    minor = delete_rows_cols(build_sun_matrix(cyc_context(n)), {n})
+    calls = count_inverses(monkeypatch)
+    assert det_exact(minor) == minor_determinant(n)
+    assert calls[0] == 0
