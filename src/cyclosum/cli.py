@@ -50,6 +50,7 @@ from .identities import (
     verify_thm3_1,
 )
 from .matrices import (
+    PERMANENT_CAP,
     CapExceededError,
     build_cp_matrix,
     delete_rows_cols,
@@ -67,7 +68,7 @@ class CampaignConfig:
     n_range: tuple[int, int]
     seed: int = 0
     trials: int = 5
-    permanent_cap: int = 16
+    permanent_cap: int = PERMANENT_CAP
     enumeration_cap: int = 11
     tol: float = 1e-8
     output: str | None = None
@@ -294,7 +295,7 @@ def _exit_code(reports: list[VerificationReport]) -> int:
     return code
 
 
-def cmd_compute(kind: str, matrix_file: str, permanent_cap: int = 16) -> int:
+def cmd_compute(kind: str, matrix_file: str, permanent_cap: int) -> int:
     if permanent_cap < 1:
         print("error: caps must be positive", file=sys.stderr)
         return 2
@@ -376,27 +377,29 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated identity ids (default: all)",
     )
     v.add_argument("--n", required=True, metavar="LO..HI", help="inclusive n range")
-    v.add_argument("--trials", type=int, default=5)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--trials", type=int, default=CampaignConfig.trials)
+    v.add_argument("--seed", type=int, default=CampaignConfig.seed)
     v.add_argument(
         "--tol",
         type=float,
-        default=1e-8,
+        default=CampaignConfig.tol,
         help="float tolerance for eei, the one identity judged in floating point",
     )
     v.add_argument(
         "--permanent-cap",
         type=int,
-        default=16,
+        default=CampaignConfig.permanent_cap,
         help="largest permanent dimension (eq1_1, eq1_2, eq3_1, thm3_1)",
     )
     v.add_argument(
         "--enumeration-cap",
         type=int,
-        default=11,
+        default=CampaignConfig.enumeration_cap,
         help="largest l for the subset DPs of lemma3_2 and eq3_1",
     )
-    v.add_argument("--format", choices=("jsonl", "csv", "pretty"), default="jsonl")
+    v.add_argument(
+        "--format", choices=("jsonl", "csv", "pretty"), default=CampaignConfig.format
+    )
     v.add_argument("--output", default=None, help="output path (default: stdout)")
     v.add_argument("--jobs", type=int, default=None, help="worker processes")
     v.add_argument(
@@ -412,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--permanent-cap",
         type=int,
-        default=16,
+        default=PERMANENT_CAP,
         help="largest permanent dimension (per, derangement-sums); must be positive",
     )
 

@@ -11,7 +11,7 @@ and the parity of the inversion count is the parity of the permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -29,23 +29,6 @@ class SetPartition:
     ordered by their smallest element."""
 
     blocks: tuple[tuple[int, ...], ...]
-
-
-def perm_sign(mapping: Sequence[int]) -> int:
-    """Sign (-1)^(l - cycle count); rejects non-bijective input."""
-    l = len(mapping)
-    if sorted(mapping) != list(range(1, l + 1)):
-        raise ValueError(f"not a bijection on 1..{l}: {mapping!r}")
-    seen = [False] * (l + 1)
-    cycles = 0
-    for start in range(1, l + 1):
-        if not seen[start]:
-            cycles += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = mapping[j - 1]
-    return 1 if (l - cycles) % 2 == 0 else -1
 
 
 def derangements(l: int) -> Iterator[SignedPerm]:

@@ -456,17 +456,6 @@ def parse_elem(text: str, context: CyclotomicContext | None = None) -> CycElem:
     return ctx.element(coeffs)
 
 
-def random_element(
-    ctx: CyclotomicContext, rng, max_numerator: int = 9, max_denominator: int = 9
-) -> CycElem:
-    """Small random element, for randomized algebra checks."""
-    coeffs = [
-        Fraction(rng.randint(-max_numerator, max_numerator), rng.randint(1, max_denominator))
-        for _ in range(ctx.basis_degree)
-    ]
-    return ctx.element(coeffs)
-
-
 # -- closed-form constants -------------------------------------------------
 
 

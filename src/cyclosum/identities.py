@@ -147,19 +147,15 @@ def verify_eq1_2(n: int) -> VerificationReport:
     """Permanent of the (n-1)-minor against (1/n) (((n-1)/2)!)^2, odd n.
 
     The source statements delete index n in one place and index 1 in
-    another; the two minors must agree, which settles the ambiguity.  They
-    do entry for entry, since the matrix is circulant, and then the
-    permanent is computed once; otherwise both permanents are computed.
+    another; the two minors must agree entry for entry, which settles the
+    ambiguity.  The matrix is circulant, so they do, and the permanent is
+    computed once.
     """
     _require("eq1_2", n)
     m = build_sun_matrix(cyc_context(n))
     last = delete_rows_cols(m, {n})
-    first = delete_rows_cols(m, {1})
+    agree = delete_rows_cols(m, {1}).entries == last.entries
     per = permanent_ryser(last, cap=last.dim)
-    agree = (
-        first.entries == last.entries
-        or permanent_ryser(first, cap=first.dim) == per
-    )
     rhs = minor_permanent(n)
     ok = per == rhs and agree
     return VerificationReport(
@@ -171,7 +167,7 @@ def verify_eq1_2(n: int) -> VerificationReport:
         "pass" if ok else "fail",
         "minors from deleting index n and index 1 agree"
         if agree
-        else "deleting index n and index 1 gave different permanents",
+        else "deleting index n and index 1 gave different minors",
     )
 
 
@@ -181,14 +177,13 @@ def verify_eq1_3(n: int) -> VerificationReport:
     derivation leans on: det(minor) = 2^(1-n) times the cotangent-minor
     determinant, which is computed and must equal its own closed form, and
     (n-1)!! = 2^((n-1)/2) ((n-1)/2)!.  The minors deleting index n and
-    index 1 are compared as in verify_eq1_2."""
+    index 1 are compared entry for entry as in verify_eq1_2."""
     _require("eq1_3", n)
     ctx = cyc_context(n)
     m = build_sun_matrix(ctx)
     last = delete_rows_cols(m, {n})
-    first = delete_rows_cols(m, {1})
+    agree = delete_rows_cols(m, {1}).entries == last.entries
     det = det_exact(last)
-    agree = first.entries == last.entries or det_exact(first) == det
     rhs = minor_determinant(n)
     half = (n - 1) // 2
     cp_det = det_exact(delete_rows_cols(build_cp_matrix(ctx), {n}))
@@ -450,6 +445,7 @@ def verify_eei(
     is not finite, are inconclusive and do not count either way; a matrix
     with no conclusive pair is inconclusive."""
     _require("eei", n)
+    source = "random" if matrix is None else "supplied"
     if matrix is None:
         if rng is None:
             raise ValueError("need either a matrix or a seeded generator")
@@ -475,7 +471,7 @@ def verify_eei(
     params = {
         "pairs": pairs,
         "inconclusive_pairs": inconclusive,
-        "source": "random" if rng is not None else "supplied",
+        "source": source,
         "tol": tol,
     }
     if inconclusive == pairs:

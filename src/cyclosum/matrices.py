@@ -2,7 +2,7 @@
 determinant, permanent, and sign-split derangement-sum kernels.
 
 The permanent and the derangement sums are exponential-time; their dimension
-caps are explicit arguments with conservative defaults, and exceeding a cap
+caps are explicit arguments defaulting to PERMANENT_CAP, and exceeding a cap
 raises CapExceededError rather than hanging.
 """
 
@@ -12,11 +12,13 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
-from .combinatorics import derangements
 from .exact import ContextMismatchError, CycElem, CyclotomicContext, cyc_context, parse_elem
+
+# The default dimension cap of every permanent: the kernels', the campaign's
+# and the CLI's.
+PERMANENT_CAP = 16
 
 
 class CapExceededError(ValueError):
@@ -72,15 +74,6 @@ def make_matrix(
         for row in rows
     )
     return ExactMatrix(context, len(coerced), coerced)
-
-
-def identity_matrix(context: CyclotomicContext, dim: int) -> ExactMatrix:
-    one, zero = context.one, context.zero
-    return ExactMatrix(
-        context,
-        dim,
-        tuple(tuple(one if r == c else zero for c in range(dim)) for r in range(dim)),
-    )
 
 
 # -- structured builders ----------------------------------------------------
@@ -315,7 +308,7 @@ def _necklaces(d: int) -> Iterator[tuple[int, int]]:
             yield word, i
 
 
-def permanent_ryser(m: ExactMatrix, cap: int = 16) -> CycElem:
+def permanent_ryser(m: ExactMatrix, cap: int = PERMANENT_CAP) -> CycElem:
     """Permanent by inclusion-exclusion over column subsets:
     per(M) = (-1)^dim * sum_S (-1)^|S| prod_i (sum_{j in S} m_ij).
 
@@ -383,24 +376,6 @@ def permanent_ryser(m: ExactMatrix, cap: int = 16) -> CycElem:
     return CycElem(ctx, ctx.unpack(total, bits), den**d)
 
 
-def permanent_naive(m: ExactMatrix, cap: int = 9) -> CycElem:
-    """Permanent as the plain sum over all permutations; oracle for both
-    routes of permanent_ryser, so it deliberately shares no code with it."""
-    d = m.dim
-    if d > cap:
-        raise CapExceededError(f"dimension {d} exceeds naive permanent cap {cap}")
-    ctx = m.context
-    total = ctx.zero
-    for perm in permutations(range(d)):
-        prod = ctx.one
-        for r, c in enumerate(perm):
-            prod = prod * m.entries[r][c]
-            if not prod:
-                break
-        total = total + prod
-    return total
-
-
 @dataclass(frozen=True)
 class DerangementSums:
     """Sums of prod_j m[j, tau(j)] over fixed-point-free tau, split by
@@ -412,38 +387,18 @@ class DerangementSums:
     signed: CycElem
 
 
-def derangement_sums(m: ExactMatrix, permanent_cap: int = 16) -> DerangementSums:
+def derangement_sums(
+    m: ExactMatrix, permanent_cap: int = PERMANENT_CAP
+) -> DerangementSums:
     """Derangement sums by the permanent/determinant combination on the
     diagonal-zeroed matrix: derangements never read the diagonal, per picks
     up the total, det the signed total, and the classes are (per +/- det)/2.
-    derangement_sums_enumerated is its independent oracle."""
+    The tests check it against plain enumeration of the derangements."""
     z = m.zero_diagonal()
     per = permanent_ryser(z, cap=permanent_cap)
     det = det_exact(z)
     half = Fraction(1, 2)
     return DerangementSums(per, (per + det) * half, (per - det) * half, det)
-
-
-def derangement_sums_enumerated(m: ExactMatrix) -> DerangementSums:
-    """Derangement sums as plain sums over the enumerated derangements;
-    oracle for derangement_sums, so it deliberately shares no code with it.
-    Refuses dimensions above 11."""
-    d = m.dim
-    if d > 11:
-        raise CapExceededError(f"dimension {d} exceeds enumeration cap 11")
-    ctx = m.context
-    even = odd = ctx.zero
-    for tau in derangements(d):
-        prod = ctx.one
-        for j, v in enumerate(tau.mapping):
-            prod = prod * m.entries[j][v - 1]
-            if not prod:
-                break
-        if tau.sign > 0:
-            even = even + prod
-        else:
-            odd = odd + prod
-    return DerangementSums(even + odd, even, odd, even - odd)
 
 
 def charpoly_exact(m: ExactMatrix) -> list[CycElem]:

@@ -1,0 +1,116 @@
+"""The tests' oracles and input helpers: slow, independent implementations
+that the fast kernels in cyclosum are compared against, and the small
+builders the tests feed them.  Nothing in the package imports this module.
+
+Each oracle shares no code with the kernel it checks: the naive permanent
+sums over all permutations, the enumerated derangement sums walk the
+derangement stream, and the Leibniz determinant sums signed permutation
+products with the sign read off the cycle structure.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import permutations
+from typing import Sequence
+
+from cyclosum.combinatorics import derangements
+from cyclosum.exact import CycElem, CyclotomicContext
+from cyclosum.matrices import CapExceededError, DerangementSums, ExactMatrix
+
+
+def identity_matrix(context: CyclotomicContext, dim: int) -> ExactMatrix:
+    one, zero = context.one, context.zero
+    return ExactMatrix(
+        context,
+        dim,
+        tuple(tuple(one if r == c else zero for c in range(dim)) for r in range(dim)),
+    )
+
+
+def random_element(
+    ctx: CyclotomicContext, rng, max_numerator: int = 9, max_denominator: int = 9
+) -> CycElem:
+    """Small random element, for randomized algebra checks."""
+    coeffs = [
+        Fraction(rng.randint(-max_numerator, max_numerator), rng.randint(1, max_denominator))
+        for _ in range(ctx.basis_degree)
+    ]
+    return ctx.element(coeffs)
+
+
+def cycle_lengths(mapping: Sequence[int]) -> list[int]:
+    """Sorted cycle lengths of a permutation of {1..l} given by its image
+    vector (1-based)."""
+    seen = [False] * len(mapping)
+    lengths = []
+    for start in range(len(mapping)):
+        if seen[start]:
+            continue
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            length += 1
+            j = mapping[j] - 1
+        lengths.append(length)
+    return sorted(lengths)
+
+
+def perm_sign(mapping: Sequence[int]) -> int:
+    """Sign (-1)^(l - cycle count); rejects non-bijective input."""
+    l = len(mapping)
+    if sorted(mapping) != list(range(1, l + 1)):
+        raise ValueError(f"not a bijection on 1..{l}: {mapping!r}")
+    return 1 if (l - len(cycle_lengths(mapping))) % 2 == 0 else -1
+
+
+def leibniz_det(m: ExactMatrix) -> CycElem:
+    """Determinant as the signed sum over all permutations; oracle for both
+    routes of det_exact."""
+    total = m.context.zero
+    for p in permutations(range(1, m.dim + 1)):
+        term = m.context.one * perm_sign(p)
+        for j in range(1, m.dim + 1):
+            term = term * m.entry(j, p[j - 1])
+        total = total + term
+    return total
+
+
+def permanent_naive(m: ExactMatrix, cap: int = 9) -> CycElem:
+    """Permanent as the plain sum over all permutations; oracle for both
+    routes of permanent_ryser, so it deliberately shares no code with it."""
+    d = m.dim
+    if d > cap:
+        raise CapExceededError(f"dimension {d} exceeds naive permanent cap {cap}")
+    ctx = m.context
+    total = ctx.zero
+    for perm in permutations(range(d)):
+        prod = ctx.one
+        for r, c in enumerate(perm):
+            prod = prod * m.entries[r][c]
+            if not prod:
+                break
+        total = total + prod
+    return total
+
+
+def derangement_sums_enumerated(m: ExactMatrix) -> DerangementSums:
+    """Derangement sums as plain sums over the enumerated derangements;
+    oracle for derangement_sums, so it deliberately shares no code with it.
+    Refuses dimensions above 11."""
+    d = m.dim
+    if d > 11:
+        raise CapExceededError(f"dimension {d} exceeds enumeration cap 11")
+    ctx = m.context
+    even = odd = ctx.zero
+    for tau in derangements(d):
+        prod = ctx.one
+        for j, v in enumerate(tau.mapping):
+            prod = prod * m.entries[j][v - 1]
+            if not prod:
+                break
+        if tau.sign > 0:
+            even = even + prod
+        else:
+            odd = odd + prod
+    return DerangementSums(even + odd, even, odd, even - odd)

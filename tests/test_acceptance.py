@@ -15,7 +15,7 @@ from random import Random
 import numpy as np
 
 from cyclosum.cli import CampaignConfig, cmd_verify
-from cyclosum.exact import cyc_context, random_element
+from cyclosum.exact import cyc_context
 from cyclosum.identities import (
     random_distinct_rationals,
     verify_eei,
@@ -32,12 +32,11 @@ from cyclosum.identities import (
 from cyclosum.matrices import (
     build_cp_matrix,
     derangement_sums,
-    derangement_sums_enumerated,
     make_matrix,
-    permanent_naive,
     permanent_ryser,
 )
 from cyclosum.spectral import HermMatrix, embed_matrix
+from oracles import derangement_sums_enumerated, permanent_naive, random_element
 
 
 @contextmanager

@@ -32,10 +32,10 @@ from cyclosum.identities import (
 from cyclosum.matrices import (
     CapExceededError,
     build_sun_matrix,
-    identity_matrix,
     save_matrix,
 )
 from cyclosum.spectral import ConvergenceError
+from oracles import identity_matrix
 
 
 def run_campaign(tmp_path, name, *argv):

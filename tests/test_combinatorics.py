@@ -3,18 +3,18 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from cyclosum.combinatorics import (
-    SignedPerm,
-    derangements,
-    full_cycles,
-    partitions_min2,
-    perm_sign,
-)
+import cyclosum
+from cyclosum.combinatorics import SignedPerm, derangements, full_cycles, partitions_min2
+from oracles import cycle_lengths, perm_sign
 
 
 def derangement_count(l: int) -> int:
@@ -27,21 +27,6 @@ def derangement_count(l: int) -> int:
     for k in range(2, l + 1):
         prev2, prev1 = prev1, (k - 1) * (prev1 + prev2)
     return prev1
-
-
-def cycle_lengths(mapping: tuple[int, ...]) -> list[int]:
-    seen = [False] * len(mapping)
-    lengths = []
-    for start in range(len(mapping)):
-        if seen[start]:
-            continue
-        length, j = 0, start
-        while not seen[j]:
-            seen[j] = True
-            length += 1
-            j = mapping[j] - 1
-        lengths.append(length)
-    return sorted(lengths)
 
 
 # --- perm_sign ----------------------------------------------------------------
@@ -261,3 +246,18 @@ def test_derangement_signs_split_by_cycle_parity():
         )
         assert evens == oracle_evens
         assert evens + odds == derangement_count(l)
+
+
+# --- the package does not need the streams -------------------------------------
+
+
+def test_package_import_does_not_load_combinatorics():
+    # The streams are the tests' oracles (and the benchmark tracer's), so a
+    # fresh interpreter importing the package must not load them.
+    src = str(Path(cyclosum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, cyclosum; print('cyclosum.combinatorics' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

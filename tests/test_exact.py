@@ -18,8 +18,8 @@ from cyclosum.exact import (
     minor_determinant,
     minor_permanent,
     parse_elem,
-    random_element,
 )
+from oracles import random_element
 
 
 def euler_phi(n: int) -> int:

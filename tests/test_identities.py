@@ -37,11 +37,11 @@ from cyclosum.matrices import (
     build_sun_matrix,
     delete_rows_cols,
     derangement_sums,
-    derangement_sums_enumerated,
     det_exact,
     make_matrix,
 )
 from cyclosum.spectral import HermMatrix, eei_residual, embed_matrix, random_hermitian
+from oracles import derangement_sums_enumerated
 
 
 # --- permanent of the full matrix ----------------------------------------------
@@ -131,11 +131,11 @@ def _recording(monkeypatch, name):
     "verify,kernel,calls",
     [(verify_eq1_2, "permanent_ryser", 1), (verify_eq1_3, "det_exact", 2)],
 )
-def test_minor_deletions_compared_by_value(monkeypatch, verify, kernel, calls):
+def test_minor_deletions_compared_entry_for_entry(monkeypatch, verify, kernel, calls):
     # The circulant matrix's two minors are equal entry for entry, so the
     # kernel runs once on them (eq1_3 also takes the cotangent minor's
-    # determinant).  Off the circulant both minors are computed, and
-    # deletions_agree follows their values.
+    # determinant).  Minors that differ in an entry disagree, even where
+    # their values are equal, and the second minor is never computed.
     seen = _recording(monkeypatch, kernel)
     assert verify(7).parameters["deletions_agree"] is True
     assert len(seen) == calls
@@ -149,15 +149,16 @@ def test_minor_deletions_compared_by_value(monkeypatch, verify, kernel, calls):
         return build
 
     # Conjugating by diag(1..n) changes the entries but no principal minor's
-    # value; doubling row 1 doubles the index-n minor's value only.
+    # value, so it fails on the deletions alone; doubling row 1 doubles the
+    # index-n minor's value only.
     similar, row_doubled = (lambda j, k: Fraction(j, k)), (lambda j, k: 1 + (j == 1))
-    for scale, agree in ((similar, True), (row_doubled, False)):
+    for scale in (similar, row_doubled):
         monkeypatch.setattr(cyclosum.identities, "build_sun_matrix", scaled_sun(scale))
         seen.clear()
         report = verify(7)
-        assert len(seen) == calls + 1
-        assert report.parameters["deletions_agree"] is agree
-        assert report.verdict == ("pass" if agree else "fail")
+        assert len(seen) == calls
+        assert report.parameters["deletions_agree"] is False
+        assert report.verdict == "fail"
 
 
 # --- full-cycle sums ------------------------------------------------------------------
@@ -496,6 +497,15 @@ def test_minor_spectra_identity_random_and_structured():
     assert report.parameters["pairs"] == 25
     structured = verify_eei(6, matrix=random_hermitian(6, Random(5)))
     assert structured.verdict in ("pass", "inconclusive")
+
+
+def test_minor_spectra_identity_records_its_source():
+    rng_only = verify_eei(4, rng=Random(1))
+    matrix = random_hermitian(4, Random(2))
+    both = verify_eei(4, rng=Random(1), matrix=matrix)
+    assert rng_only.parameters["source"] == "random"
+    assert both.parameters["source"] == "supplied"
+    assert both == verify_eei(4, matrix=matrix)
 
 
 def test_minor_spectra_identity_needs_a_source():

@@ -5,9 +5,9 @@ polynomial, the necklace generator, and the determinant on both its routes
 (Gaussian elimination and the spectrum of a circulant).
 
 Each packed kernel is compared with an implementation that does every step
-in CycElem arithmetic: the naive permanent from the package, the Leibniz
-determinant, and the triple-loop product and element-wise Faddeev-LeVerrier
-recurrence below.
+in CycElem arithmetic: the naive permanent and the Leibniz determinant
+from oracles.py, and the triple-loop product and element-wise
+Faddeev-LeVerrier recurrence below.
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ from cyclosum.matrices import (
     charpoly_exact,
     delete_rows_cols,
     det_exact,
-    identity_matrix,
     make_matrix,
     matmul,
-    permanent_naive,
     permanent_ryser,
 )
-from test_matrices import leibniz_det
+from oracles import identity_matrix, leibniz_det, permanent_naive
 
 ORDERS = (2, 3, 4, 6, 8, 9, 12, 15, 16, 21, 25, 30, 32)
 

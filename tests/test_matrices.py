@@ -11,8 +11,7 @@ from random import Random
 
 import pytest
 
-from cyclosum.combinatorics import perm_sign
-from cyclosum.exact import cyc_context, random_element
+from cyclosum.exact import cyc_context
 from cyclosum.matrices import (
     CapExceededError,
     build_cp_matrix,
@@ -20,17 +19,21 @@ from cyclosum.matrices import (
     charpoly_exact,
     delete_rows_cols,
     derangement_sums,
-    derangement_sums_enumerated,
     det_exact,
-    identity_matrix,
     load_matrix,
     make_matrix,
     matmul,
     matrix_from_json,
     matrix_to_json,
-    permanent_naive,
     permanent_ryser,
     save_matrix,
+)
+from oracles import (
+    derangement_sums_enumerated,
+    identity_matrix,
+    leibniz_det,
+    permanent_naive,
+    random_element,
 )
 
 
@@ -42,16 +45,6 @@ def random_matrix(n: int, dim: int, rng: Random, max_numerator: int = 3):
         for _ in range(dim)
     ]
     return make_matrix(ctx, rows)
-
-
-def leibniz_det(m):
-    total = m.context.zero
-    for p in permutations(range(1, m.dim + 1)):
-        term = m.context.one * perm_sign(p)
-        for j in range(1, m.dim + 1):
-            term = term * m.entry(j, p[j - 1])
-        total = total + term
-    return total
 
 
 # --- builders -------------------------------------------------------------------
