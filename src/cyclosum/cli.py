@@ -34,6 +34,7 @@ from random import Random
 
 from .exact import cp_minor_determinant, cyc_context
 from .identities import (
+    EEI_TOL,
     IDENTITY_IDS,
     STATEMENTS,
     VerificationReport,
@@ -70,7 +71,7 @@ class CampaignConfig:
     trials: int = 5
     permanent_cap: int = PERMANENT_CAP
     enumeration_cap: int = 11
-    tol: float = 1e-8
+    tol: float = EEI_TOL
     output: str | None = None
     format: str = "jsonl"
     jobs: int | None = None

@@ -81,6 +81,8 @@ STATEMENTS = {
 }
 IDENTITY_IDS = tuple(STATEMENTS)
 
+EEI_TOL = 1e-8  # the EEI's default tolerance, verify_eei's and the campaign's
+
 
 def _require(identity: str, n: int) -> None:
     if not STATEMENTS[identity].covers(n):
@@ -437,7 +439,7 @@ def verify_eei(
     n: int,
     rng: Random | None = None,
     matrix: HermMatrix | None = None,
-    tol: float = 1e-8,
+    tol: float = EEI_TOL,
 ) -> VerificationReport:
     """Eigenvector-eigenvalue identity over every index pair (i, j) of one
     Hermitian matrix: random (seeded) when no matrix is supplied.  Pairs

@@ -206,49 +206,45 @@ def _circulant_row(m: ExactMatrix) -> tuple[CycElem, ...] | None:
     return None
 
 
+def _circulant_eigenvalues(ctx: CyclotomicContext, t: Sequence[CycElem]) -> list[CycElem]:
+    """The eigenvalues lambda_k = sum_j t_j w^(jk), w = zeta^(n/N),
+    k = 0..N-1, of the order-N circulant with row 0 t, N = len(t) dividing
+    n; lambda_k belongs to the eigenvector (w^(jk))_j.  They are summed on
+    D t packed into integers, where multiplying by a power of zeta rotates
+    the digits; each coefficient of D lambda_k, before and after unpack
+    folds it modulo x^n - 1, is at most L = sum_j ||D t_j||_1, which fixes
+    the digit width."""
+    den, (nums,) = _cleared((t,))
+    bits = sum(map(_l1, nums)).bit_length() + 1
+    packed = [ctx.pack(v, bits) for v in nums]
+    n, step = ctx.n, ctx.n // len(t)
+    sums = (sum(p << bits * (step * j * k % n) for j, p in enumerate(packed))
+            for k in range(len(t)))
+    return [CycElem(ctx, ctx.unpack(s, bits), den) for s in sums]
+
+
 def _circulant_det(ctx: CyclotomicContext, t: Sequence[CycElem], dim: int) -> CycElem:
     """Determinant of the dim x dim matrix that _circulant_row(m) == t
     describes, when N = len(t) divides n.
 
-    The order-N circulant C with row 0 t has the eigenvalues
-    lambda_k = sum_j t_j w^(jk), w = zeta^(n/N), k = 0..N-1, so
+    Over the eigenvalues lambda_k of the order-N circulant C with row 0 t,
     prod_k (x + lambda_k) has constant coefficient e_N(lambda) = det C and
     x-coefficient e_(N-1)(lambda) = trace(adj C).  adj C is a polynomial in
     C, hence circulant, so each of its diagonal entries, the principal
     (N-1)-minors of C, is e_(N-1)(lambda) / N; that holds for a singular C
-    too.  The product is taken modulo x^2, two products per eigenvalue.
-
-    It runs on D t packed into integers modulo x^n - 1, where multiplying
-    by a power of zeta rotates the digits.  Each D lambda_k has l1 norm at
-    most L = sum_j ||D t_j||_1, so every partial product of the two
-    coefficients has coefficients at most N L^N, which fixes the digit
-    width."""
-    order = len(t)
-    den, (nums,) = _cleared((t,))
-    bound = order * sum(map(_l1, nums)) ** order
-    if not bound:
-        return ctx.zero
-    bits = bound.bit_length() + 1
-    n, fold = ctx.n, ctx.fold
-    packed = [ctx.pack(v, bits) for v in nums]
-    step = n // order
-    const, linear = 1, 0
-    for k in range(order):
-        lam = fold(
-            sum(p << (bits * (step * j * k % n)) for j, p in enumerate(packed)), bits
-        )
-        const, linear = fold(const * lam, bits), const + fold(linear * lam, bits)
-    if order == dim:
-        return CycElem(ctx, ctx.unpack(const, bits), den**dim)
-    return CycElem(ctx, ctx.unpack(linear, bits), order * den**dim)
+    too.  The product is taken modulo x^2 in the field."""
+    const, linear = ctx.one, ctx.zero
+    for lam in _circulant_eigenvalues(ctx, t):
+        const, linear = const * lam, const + linear * lam
+    return const if len(t) == dim else CycElem(ctx, linear.nums, len(t) * linear.den)
 
 
 def det_exact(m: ExactMatrix) -> CycElem:
     """Determinant.  A circulant, or a principal minor of one with a single
     index deleted (see _circulant_row), whose order N divides n, so that
     zeta^(n/N) is a primitive N-th root of unity in the field, takes the
-    spectral route of _circulant_det: about N^2 digit rotations and 2N
-    products, and no inverse.
+    spectral route of _circulant_det: the N exact eigenvalues from about
+    N^2 digit rotations, then 2N products in the field, and no inverse.
 
     Every other matrix takes Gaussian elimination over the field, which is
     also the spectral route's oracle in the tests; the pivot is the first

@@ -20,14 +20,15 @@ from random import Random
 
 import numpy as np
 
-from .exact import CyclotomicContext, cyc_context, minor_determinant
+from .exact import cyc_context, minor_determinant
 from .matrices import (
     ExactMatrix,
+    _circulant_eigenvalues,
+    _circulant_row,
     build_cp_matrix,
     build_sun_matrix,
     charpoly_exact,
     delete_rows_cols,
-    matmul,
 )
 
 
@@ -147,40 +148,26 @@ def cp_eigenvalues(n: int) -> list[int]:
     return [2 * i - n - 1 for i in range(1, n + 1)]
 
 
-def cp_eigenvectors(ctx: CyclotomicContext) -> ExactMatrix:
-    """The closed-form eigenvectors as the columns of V, V_ji = zeta^(-ij)
-    for rows j and columns i in 1..n; column i pairs with eigenvalue
-    2i - n - 1."""
-    n = ctx.n
-    return ExactMatrix(
-        ctx,
-        n,
-        tuple(
-            tuple(ctx.zeta_pow(-i * j) for i in range(1, n + 1))
-            for j in range(1, n + 1)
-        ),
-    )
-
-
 def cp_eigenpair_failures(n: int) -> list[int]:
-    """The columns i (1-based) where (C V)[:, i] != (2i - n - 1) V[:, i]
-    in Q(zeta_n), for the cotangent matrix C and V from cp_eigenvectors.
+    """The columns i (1-based) where C v_i != (2i - n - 1) v_i in Q(zeta_n)
+    for the cotangent matrix C and v_i = (zeta^(-ij))_j, j = 1..n.
 
-    V is the Vandermonde matrix on the n distinct roots zeta^(-i), so it is
-    invertible, and an empty result means C = V diag(2i - n - 1) V^-1
+    C must be circulant, checked exactly on every entry, or every column
+    fails.  With row 0 t, (C v_i)_j = sum_m t_m zeta^(-i(j+m)), so
+    C v_i = mu_i v_i with mu_i = lambda_(-i mod n) of _circulant_eigenvalues,
+    and v_i != 0, so column i fails exactly when mu_i != 2i - n - 1.  The
+    v_i form the Vandermonde matrix V on the n distinct roots zeta^(-i),
+    which is invertible, so an empty result means C = V diag(2i - n - 1) V^-1
     exactly: it proves the whole spectrum, with multiplicities, and every
     eigenvector, with no eigensolve and no tolerance."""
     if n < 2:
         raise ValueError("n must be >= 2")
     ctx = cyc_context(n)
-    v = cp_eigenvectors(ctx)
-    cv = matmul(build_cp_matrix(ctx), v)
-    lam = cp_eigenvalues(n)
-    return [
-        i + 1
-        for i in range(n)
-        if any(row[i] != lam[i] * vrow[i] for row, vrow in zip(cv.entries, v.entries))
-    ]
+    t = _circulant_row(build_cp_matrix(ctx))
+    if t is None or len(t) != n:
+        return list(range(1, n + 1))
+    mu = _circulant_eigenvalues(ctx, t)
+    return [i for i, want in enumerate(cp_eigenvalues(n), 1) if mu[-i % n] != want]
 
 
 @dataclass(frozen=True)

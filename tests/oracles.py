@@ -4,8 +4,11 @@ builders the tests feed them.  Nothing in the package imports this module.
 
 Each oracle shares no code with the kernel it checks: the naive permanent
 sums over all permutations, the enumerated derangement sums walk the
-derangement stream, and the Leibniz determinant sums signed permutation
-products with the sign read off the cycle structure.
+derangement stream, the Leibniz determinant sums signed permutation
+products with the sign read off the cycle structure, the circulant
+eigenvalues are plain field sums of the row times powers of zeta, and the
+cotangent matrix's eigenvectors are written out as the matrix V that the
+tests multiply by.
 """
 
 from __future__ import annotations
@@ -92,6 +95,31 @@ def permanent_naive(m: ExactMatrix, cap: int = 9) -> CycElem:
                 break
         total = total + prod
     return total
+
+
+def circulant_eigenvalues_naive(ctx: CyclotomicContext, t: Sequence[CycElem]) -> list[CycElem]:
+    """lambda_k = sum_j t_j zeta^((n/N) jk) for k = 0..N-1, N = len(t), as
+    sums of field products; oracle for matrices._circulant_eigenvalues."""
+    step = ctx.n // len(t)
+    return [
+        sum((e * ctx.zeta_pow(step * j * k) for j, e in enumerate(t)), ctx.zero)
+        for k in range(len(t))
+    ]
+
+
+def cp_eigenvectors(ctx: CyclotomicContext) -> ExactMatrix:
+    """The closed-form eigenvectors as the columns of V, V_ji = zeta^(-ij)
+    for rows j and columns i in 1..n; column i pairs with eigenvalue
+    2i - n - 1."""
+    n = ctx.n
+    return ExactMatrix(
+        ctx,
+        n,
+        tuple(
+            tuple(ctx.zeta_pow(-i * j) for i in range(1, n + 1))
+            for j in range(1, n + 1)
+        ),
+    )
 
 
 def derangement_sums_enumerated(m: ExactMatrix) -> DerangementSums:

@@ -73,16 +73,16 @@ def test_c02_minor_permanent_closed_form_odd_orders():
 
 
 def test_c03_minor_determinant_closed_form_odd_orders():
-    with criterion(3, "determinant of minor, odd n 3..41, exact", 60):
-        for n in range(3, 42, 2):
+    with criterion(3, "determinant of minor, odd n 3..61, exact", 60):
+        for n in range(3, 62, 2):
             report = verify_eq1_3(n)
             assert report.verdict == "pass", f"n={n}: {report.notes}"
             assert report.lhs == report.rhs
 
 
 def test_c04_integer_spectrum_and_eigenvectors():
-    with criterion(4, "integer spectrum and eigenvectors, n 2..32, exact", 60):
-        for n in range(2, 33):
+    with criterion(4, "integer spectrum and eigenvectors, n 2..64, exact", 60):
+        for n in range(2, 65):
             report = verify_thm2_1(n)
             assert report.verdict == "pass", f"n={n}: {report.notes}"
             assert report.lhs == 0.0

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cyclosum.identities
+import cyclosum.matrices
 import cyclosum.spectral
 from cyclosum.combinatorics import full_cycles, partitions_min2
 from cyclosum.exact import cp_minor_determinant, cyc_context
@@ -446,35 +447,53 @@ def test_integer_spectrum_fails_on_an_eigenvalue_off_by_one(monkeypatch):
 
 
 def test_integer_spectrum_fails_on_a_wrong_eigenvector(monkeypatch):
-    real = cyclosum.spectral.cp_eigenvectors
+    # Mutations of the route: eigenvalues paired with the wrong
+    # eigenvectors, and a matrix that is no longer circulant.
+    real_eigenvalues = cyclosum.spectral._circulant_eigenvalues
+    real_matrix = cyclosum.spectral.build_cp_matrix
 
-    def check(change, failing):
-        def wrong(ctx):
-            v = real(ctx)
-            rows = [list(row) for row in v.entries]
-            change(rows)
-            return dataclasses.replace(v, entries=tuple(map(tuple, rows)))
-
-        monkeypatch.setattr(cyclosum.spectral, "cp_eigenvectors", wrong)
+    def check(failing):
         report = verify_thm2_1(5)
         assert report.verdict == "fail"
         assert report.lhs == len(failing)
         assert report.parameters["eigenvector_residual"] is None
         assert f"failing columns {failing}" in report.notes
 
-    def swap(rows):
-        # Columns 1 and 2 then meet each other's eigenvalue.
-        for row in rows:
-            row[0], row[1] = row[1], row[0]
+    def swapped(ctx, t):
+        # Column i reads lambda_(-i mod 5): columns 1 and 2 then meet each
+        # other's eigenvalue.
+        lam = real_eigenvalues(ctx, t)
+        lam[4], lam[3] = lam[3], lam[4]
+        return lam
 
-    def one_component(rows):
-        # Column 3 spans the kernel; doubling its second component leaves
-        # row 2 of C v equal to 0 (C has a zero diagonal), so only the
-        # other rows show the error.
-        rows[1][2] = rows[1][2] + rows[1][2]
+    monkeypatch.setattr(cyclosum.spectral, "_circulant_eigenvalues", swapped)
+    check([1, 2])
+    monkeypatch.setattr(cyclosum.spectral, "_circulant_eigenvalues", real_eigenvalues)
 
-    check(swap, [1, 2])
-    check(one_component, [3])
+    def one_entry(ctx):
+        # Off row 0, so row 0 still holds the true cotangent row.
+        m = real_matrix(ctx)
+        rows = [list(row) for row in m.entries]
+        rows[2][4] = rows[2][4] + 1
+        return dataclasses.replace(m, entries=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(cyclosum.spectral, "build_cp_matrix", one_entry)
+    check([1, 2, 3, 4, 5])
+
+
+def test_integer_spectrum_makes_no_matrix_product(monkeypatch):
+    calls = []
+    product = cyclosum.matrices.matmul
+
+    def counting(a, b):
+        calls.append(a.dim)
+        return product(a, b)
+
+    for module in (cyclosum.matrices, cyclosum.spectral, cyclosum.identities):
+        if hasattr(module, "matmul"):
+            monkeypatch.setattr(module, "matmul", counting)
+    assert verify_thm2_1(32).verdict == "pass"
+    assert calls == []
 
 
 def test_integer_spectrum_makes_no_eigensolve(monkeypatch):

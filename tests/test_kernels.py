@@ -1,13 +1,14 @@
 """Oracle tests for the integer kernels: the norm-based inverse, the Galois
 maps, Kronecker packing, the packed permanent on both its routes (Gray
 code and circulant necklace orbits), matrix product and characteristic
-polynomial, the necklace generator, and the determinant on both its routes
-(Gaussian elimination and the spectrum of a circulant).
+polynomial, the necklace generator, the exact spectrum of a circulant,
+and the determinant on both its routes (Gaussian elimination and that
+spectrum).
 
 Each packed kernel is compared with an implementation that does every step
-in CycElem arithmetic: the naive permanent and the Leibniz determinant
-from oracles.py, and the triple-loop product and element-wise
-Faddeev-LeVerrier recurrence below.
+in CycElem arithmetic: the naive permanent, the Leibniz determinant and
+the naive circulant eigenvalues from oracles.py, and the triple-loop
+product and element-wise Faddeev-LeVerrier recurrence below.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from cyclosum.matrices import (
     matmul,
     permanent_ryser,
 )
-from oracles import identity_matrix, leibniz_det, permanent_naive
+from oracles import circulant_eigenvalues_naive, identity_matrix, leibniz_det, permanent_naive
 
 ORDERS = (2, 3, 4, 6, 8, 9, 12, 15, 16, 21, 25, 30, 32)
 
@@ -349,6 +350,26 @@ def singular_row(ctx, order: int, rng: Random, zeros: int) -> list:
     t[1] = (s0 - s1) / (w - 1)
     t[0] = -s0 - t[1]
     return t
+
+
+@pytest.mark.parametrize("n", (4, 6, 12, 15))
+def test_circulant_eigenvalues_match_naive_sums(n):
+    # Every order N dividing n; random rows, the zero row, and rows whose
+    # circulant has one or two zero eigenvalues.
+    rng = Random(17_000 + n)
+    ctx = cyc_context(n)
+    for order in (k for k in range(1, n + 1) if n % k == 0):
+        rows = {"random": random_row(ctx, order, rng), "zero": [ctx.zero] * order}
+        if order >= 3:
+            rows.update((f"singular {z}", singular_row(ctx, order, rng, z)) for z in (1, 2))
+        for kind, t in rows.items():
+            lam = cyclosum.matrices._circulant_eigenvalues(ctx, t)
+            assert lam == circulant_eigenvalues_naive(ctx, t), f"n={n} N={order} {kind}"
+            zeros = sum(not e for e in lam)
+            if kind == "zero":
+                assert zeros == order
+            elif kind.startswith("singular"):
+                assert not lam[0] and zeros >= int(kind[-1]), f"n={n} N={order} {kind}"
 
 
 @pytest.mark.parametrize("n", range(3, 26, 2))

@@ -11,6 +11,7 @@ from random import Random
 import numpy as np
 import pytest
 
+import cyclosum.spectral
 from cyclosum.exact import cp_minor_determinant, cyc_context
 from cyclosum.identities import verify_eq2_3_liu
 from cyclosum.matrices import (
@@ -27,13 +28,13 @@ from cyclosum.spectral import (
     charpoly_lagrange,
     cp_eigenpair_failures,
     cp_eigenvalues,
-    cp_eigenvectors,
     eei_residual,
     embed_matrix,
     herm_eigen,
     liu_spectrum_check,
     random_hermitian,
 )
+from oracles import cp_eigenvectors
 
 
 # --- embedding ------------------------------------------------------------------
@@ -174,6 +175,25 @@ def test_closed_form_vectors_diagonalize_the_matrix():
         vecs = np.array([[e.to_complex() for e in row] for row in v.entries])
         lam = np.array(cp_eigenvalues(n), dtype=np.float64)
         assert np.allclose(a @ vecs, vecs * lam, rtol=0, atol=1e-9)
+
+
+def test_eigenpair_failures_agree_with_the_fourier_product(monkeypatch):
+    # The oracle route: C V against V diag(claimed), column by column, for
+    # the true spectrum and for the reversed one, which pairs column i with
+    # column n + 1 - i's eigenvalue and so fails every column but a middle one.
+    for n in range(2, 33):
+        ctx = cyc_context(n)
+        v = cp_eigenvectors(ctx)
+        cv = matmul(build_cp_matrix(ctx), v)
+        for claimed in (cp_eigenvalues(n), cp_eigenvalues(n)[::-1]):
+            failing = [
+                i + 1
+                for i in range(n)
+                if any(row[i] != claimed[i] * vrow[i] for row, vrow in zip(cv.entries, v.entries))
+            ]
+            monkeypatch.setattr(cyclosum.spectral, "cp_eigenvalues", lambda _: claimed)
+            assert cp_eigenpair_failures(n) == failing, n
+        assert failing == [i for i in range(1, n + 1) if 2 * i != n + 1], n
 
 
 # --- eigenvector-eigenvalue identity --------------------------------------------------
