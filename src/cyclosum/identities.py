@@ -519,7 +519,8 @@ def verify_eq2_3_liu(n: int) -> VerificationReport:
 
 def verify_eq2_4(n: int) -> VerificationReport:
     """Lagrange interpolation through the closed-form node values against
-    the exact characteristic polynomial of the cotangent minor.
+    the exact characteristic polynomial of the cotangent minor, which
+    charpoly_exact reads off the cotangent matrix's exact eigenvalues.
 
     Both sides are compared exactly: the verdict is pass only when every
     exact coefficient is rational and equals its interpolated Fraction.

@@ -223,28 +223,41 @@ def _circulant_eigenvalues(ctx: CyclotomicContext, t: Sequence[CycElem]) -> list
     return [CycElem(ctx, ctx.unpack(s, bits), den) for s in sums]
 
 
-def _circulant_det(ctx: CyclotomicContext, t: Sequence[CycElem], dim: int) -> CycElem:
-    """Determinant of the dim x dim matrix that _circulant_row(m) == t
+def _circulant_charpoly(
+    ctx: CyclotomicContext, t: Sequence[CycElem], dim: int, terms: int | None = None
+) -> list[CycElem]:
+    """The lowest `terms` ascending coefficients (all dim + 1 by default)
+    of det(xI - M) for the dim x dim matrix M that _circulant_row(M) == t
     describes, when N = len(t) divides n.
 
-    Over the eigenvalues lambda_k of the order-N circulant C with row 0 t,
-    prod_k (x + lambda_k) has constant coefficient e_N(lambda) = det C and
-    x-coefficient e_(N-1)(lambda) = trace(adj C).  adj C is a polynomial in
-    C, hence circulant, so each of its diagonal entries, the principal
-    (N-1)-minors of C, is e_(N-1)(lambda) / N; that holds for a singular C
-    too.  The product is taken modulo x^2 in the field."""
-    const, linear = ctx.one, ctx.zero
+    Let lambda_k be the eigenvalues of the order-N circulant C with row 0 t
+    and p(x) = prod_k (x - lambda_k), taken modulo x^(terms + N - dim) in
+    the field.  For M = C the answer is p.  For M a principal
+    (N-1)-minor of C it is p'(x) / N: adj(xI - C) is a polynomial in C,
+    hence circulant, so each of its diagonal entries, the characteristic
+    polynomials of the principal (N-1)-minors of C, is its trace
+    d/dx det(xI - C) = p'(x) over N.  That is the eigenvector-eigenvalue
+    identity with |v_k(j)|^2 = 1/N for every eigenvector of C, and it
+    holds whether or not the lambda_k are distinct or nonzero."""
+    order = len(t)
+    keep = (dim + 1 if terms is None else terms) + order - dim
+    p = [ctx.one]
     for lam in _circulant_eigenvalues(ctx, t):
-        const, linear = const * lam, const + linear * lam
-    return const if len(t) == dim else CycElem(ctx, linear.nums, len(t) * linear.den)
+        # p * (x - lam): coefficient i is p[i-1] - lam p[i]
+        p = ([-(lam * p[0])] + [hi - lam * lo for hi, lo in zip(p, p[1:])] + p[-1:])[:keep]
+    if order == dim:
+        return p
+    return [CycElem(ctx, [j * v for v in c.nums], order * c.den)
+            for j, c in enumerate(p[1:], 1)]
 
 
 def det_exact(m: ExactMatrix) -> CycElem:
     """Determinant.  A circulant, or a principal minor of one with a single
     index deleted (see _circulant_row), whose order N divides n, so that
     zeta^(n/N) is a primitive N-th root of unity in the field, takes the
-    spectral route of _circulant_det: the N exact eigenvalues from about
-    N^2 digit rotations, then 2N products in the field, and no inverse.
+    spectral route: det M = (-1)^dim c_0, where c_0 is the constant
+    coefficient of _circulant_charpoly, computed modulo x^2 from the N
+    exact eigenvalues in about 2N products in the field, with no inverse.
 
     Every other matrix takes Gaussian elimination over the field, which is
     also the spectral route's oracle in the tests; the pivot is the first
@@ -254,7 +267,8 @@ def det_exact(m: ExactMatrix) -> CycElem:
     ctx = m.context
     t = _circulant_row(m)
     if t is not None and ctx.n % len(t) == 0:
-        return _circulant_det(ctx, t, d)
+        (const,) = _circulant_charpoly(ctx, t, d, 1)
+        return -const if d & 1 else const
     a = [list(row) for row in m.entries]
     det = ctx.one
     negate = False
@@ -398,17 +412,26 @@ def derangement_sums(
 
 
 def charpoly_exact(m: ExactMatrix) -> list[CycElem]:
-    """Monic characteristic polynomial det(xI - M) by the Faddeev-LeVerrier
-    trace recurrence, run on A = D * M over Z[zeta_n].  Returns ascending
+    """Monic characteristic polynomial det(xI - M), as ascending
     coefficients c with c[dim] = 1.
 
-    The coefficients of A's characteristic polynomial are algebraic
-    integers, so each division of a trace by k is exact on every integer
-    coordinate; a nonzero remainder raises ArithmeticError.  Coefficient j
-    of M's polynomial is c_j(A) / D^(dim-j).
+    A circulant, or a principal minor of one with a single index deleted,
+    whose order N divides n takes the spectral route of det_exact with
+    every coefficient kept: _circulant_charpoly, about N^2 / 2 products in
+    the field.
+
+    Every other matrix takes the Faddeev-LeVerrier trace recurrence, run on
+    A = D * M over Z[zeta_n], which is also the spectral route's oracle in
+    the tests.  The coefficients of A's characteristic polynomial are
+    algebraic integers, so each division of a trace by k is exact on every
+    integer coordinate; a nonzero remainder raises ArithmeticError.
+    Coefficient j of M's polynomial is c_j(A) / D^(dim-j).
     """
     d = m.dim
     ctx = m.context
+    t = _circulant_row(m)
+    if t is not None and ctx.n % len(t) == 0:
+        return _circulant_charpoly(ctx, t, d)
     den, a = _cleared(m.entries)
     one = (1,) + (0,) * (ctx.basis_degree - 1)
     zero = (0,) * ctx.basis_degree

@@ -20,9 +20,10 @@ from random import Random
 
 import numpy as np
 
-from .exact import cyc_context, minor_determinant
+from .exact import CycElem, cyc_context, minor_determinant
 from .matrices import (
     ExactMatrix,
+    _circulant_charpoly,
     _circulant_eigenvalues,
     _circulant_row,
     build_cp_matrix,
@@ -233,31 +234,34 @@ def charpoly_lagrange(n: int) -> list[Fraction]:
     interpolation through the n nodes n+1-2i with values
     (2^(n-1)/n) prod_{k!=i}(k-i).  Monic of degree n-1 by construction (the
     node values are |v|^2-weighted spectral gap products, one degree below
-    the node count)."""
+    the node count).
+
+    The nodes are integers, so the node polynomial w(x) = prod_k (x - x_k)
+    and each basis numerator w(x) / (x - x_i), by synthetic division, have
+    integer coefficients; the weights y_i / prod_{k!=i} (x_i - x_k) are
+    brought to one denominator, so the sum runs on integers in O(n^2)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    nodes = [Fraction(n + 1 - 2 * i) for i in range(1, n + 1)]
+    nodes = [n + 1 - 2 * i for i in range(1, n + 1)]
     values = [
         Fraction(2) ** (n - 1) / n * math.prod(k - i for k in range(1, n + 1) if k != i)
         for i in range(1, n + 1)
     ]
-    acc = [Fraction(0)] * n
-    for xi, yi in zip(nodes, values):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for xk in nodes:
-            if xk != xi:
-                # multiply the running basis polynomial by (x - xk)
-                nxt = [Fraction(0)] * (len(basis) + 1)
-                for p, cf in enumerate(basis):
-                    nxt[p] -= cf * xk
-                    nxt[p + 1] += cf
-                basis = nxt
-                denom *= xi - xk
-        w = yi / denom
-        for p, cf in enumerate(basis):
-            acc[p] += w * cf
-    return acc
+    node_poly = [1]  # ascending coefficients of w(x)
+    for xk in nodes:
+        node_poly = [lo - xk * hi for lo, hi in zip([0] + node_poly, node_poly + [0])]
+    weights = [
+        yi / math.prod(xi - xk for xk in nodes if xk != xi) for xi, yi in zip(nodes, values)
+    ]
+    den = math.lcm(*(w.denominator for w in weights))
+    acc = [0] * n
+    for xi, w in zip(nodes, weights):
+        scale = w.numerator * (den // w.denominator)
+        q = 0  # w(x) / (x - x_i), from the top coefficient down
+        for p in range(n - 1, -1, -1):
+            q = node_poly[p + 1] + xi * q
+            acc[p] += scale * q
+    return [Fraction(c, den) for c in acc]
 
 
 @dataclass(frozen=True)
@@ -273,6 +277,38 @@ class LiuSpectrumResult:
     det_matches: bool
 
 
+def _twisted_charpoly(c: ExactMatrix) -> list[CycElem]:
+    """Ascending coefficients of det(xI - P) for the twisted product P of
+    an N x N matrix c, N dividing n: c without row and column N, with
+    column k scaled by 1 - w^k for k = 1..N-1, where w = zeta^(n/N).
+
+    When c is an order-N circulant, checked exactly on every entry, this is
+    (p(x) - p(0)) / x, p(x) = det(xI - c) = prod_k (x - lambda_k) from
+    _circulant_charpoly, so the answer is p's coefficients 1..N.  Proof:
+    let Q = c diag(1 - w^k), k = 0..N-1.  Column 0 of Q is zero, so
+    det(xI - Q) = x det(xI - Q'), with Q' the minor of Q without row and
+    column 0; and Q' = P, since c[r+1][s+1] = c[r][s].  With F the Fourier
+    matrix F_jk = w^(jk), c = F diag(lambda) F^-1, and F^-1 diag(w^k) F is
+    the cyclic shift Pi, so Q is similar to diag(lambda)(I - Pi).  Then
+    xI - Q is similar to a diagonal x - lambda_k plus one cyclic
+    off-diagonal lambda_k, whose determinant has two terms, the identity's
+    and the N-cycle's: p(x) + (-1)^(N-1) prod_k lambda_k = p(x) - p(0).
+
+    Every other c builds P and takes charpoly_exact."""
+    ctx, d = c.context, c.dim
+    t = _circulant_row(c)
+    if t is not None and len(t) == d:
+        return _circulant_charpoly(ctx, t, d)[1:]
+    step = ctx.n // d
+    scale = [ctx.one - ctx.zeta_pow(step * k) for k in range(1, d)]
+    minor = delete_rows_cols(c, {d})
+    return charpoly_exact(ExactMatrix(
+        ctx,
+        d - 1,
+        tuple(tuple(e * s for e, s in zip(row, scale)) for row in minor.entries),
+    ))
+
+
 def liu_spectrum_check(n: int) -> LiuSpectrumResult:
     """For odd n: the (n-1)-minor of the reciprocal root-difference matrix
     with column k scaled by 1 - zeta^k has the claimed spectrum
@@ -284,18 +320,15 @@ def liu_spectrum_check(n: int) -> LiuSpectrumResult:
     and its determinant is the constant coefficient (the dimension n - 1 is
     even).  prod_k (1 - zeta^k) = n, so the determinant must be n times the
     minor's closed form.
+
+    The polynomial comes from _twisted_charpoly of the sun matrix: from its
+    exact eigenvalues as (p(x) - p(0)) / x when it is an order-n circulant,
+    which is checked on every entry.  For odd n one eigenvalue is 0, so
+    p(0) = 0 and the product's spectrum is the sun matrix's without that 0.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("defined for odd n >= 3")
-    ctx = cyc_context(n)
-    minor = delete_rows_cols(build_sun_matrix(ctx), {n})
-    scale = [ctx.one - ctx.zeta_pow(k) for k in range(1, n)]
-    prod = ExactMatrix(
-        ctx,
-        n - 1,
-        tuple(tuple(e * s for e, s in zip(row, scale)) for row in minor.entries),
-    )
-    coeffs = charpoly_exact(prod)
+    coeffs = _twisted_charpoly(build_sun_matrix(cyc_context(n)))
     half = (n - 1) // 2
     expected = tuple(range(-half, 0)) + tuple(range(1, half + 1))
     det_value = coeffs[0].as_rational()

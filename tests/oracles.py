@@ -6,13 +6,15 @@ Each oracle shares no code with the kernel it checks: the naive permanent
 sums over all permutations, the enumerated derangement sums walk the
 derangement stream, the Leibniz determinant sums signed permutation
 products with the sign read off the cycle structure, the circulant
-eigenvalues are plain field sums of the row times powers of zeta, and the
+eigenvalues are plain field sums of the row times powers of zeta, the
 cotangent matrix's eigenvectors are written out as the matrix V that the
-tests multiply by.
+tests multiply by, and the interpolated polynomial multiplies out every
+Lagrange basis polynomial in Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
@@ -120,6 +122,35 @@ def cp_eigenvectors(ctx: CyclotomicContext) -> ExactMatrix:
             for j in range(1, n + 1)
         ),
     )
+
+
+def charpoly_lagrange_naive(n: int) -> list[Fraction]:
+    """The Lagrange interpolation through the nodes n+1-2i with values
+    (2^(n-1)/n) prod_{k!=i}(k-i), i = 1..n, with each basis polynomial
+    multiplied out factor by factor in Fractions: O(n^3).  Oracle for
+    spectral.charpoly_lagrange."""
+    nodes = [Fraction(n + 1 - 2 * i) for i in range(1, n + 1)]
+    values = [
+        Fraction(2) ** (n - 1) / n * math.prod(k - i for k in range(1, n + 1) if k != i)
+        for i in range(1, n + 1)
+    ]
+    acc = [Fraction(0)] * n
+    for xi, yi in zip(nodes, values):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for xk in nodes:
+            if xk != xi:
+                # multiply the running basis polynomial by (x - xk)
+                nxt = [Fraction(0)] * (len(basis) + 1)
+                for p, cf in enumerate(basis):
+                    nxt[p] -= cf * xk
+                    nxt[p + 1] += cf
+                basis = nxt
+                denom *= xi - xk
+        w = yi / denom
+        for p, cf in enumerate(basis):
+            acc[p] += w * cf
+    return acc
 
 
 def derangement_sums_enumerated(m: ExactMatrix) -> DerangementSums:

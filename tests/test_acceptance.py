@@ -108,17 +108,18 @@ def test_c05_minor_spectra_identity():
 
 
 def test_c06_product_matrix_spectrum_and_determinant():
-    label = "product-matrix determinant and characteristic polynomial exact, odd n 3..25"
+    label = "product-matrix determinant and characteristic polynomial exact, odd n 3..61"
     with criterion(6, label, 120):
-        for n in range(3, 26, 2):
+        for n in range(3, 62, 2):
             report = verify_eq2_3_liu(n)
             assert report.verdict == "pass", f"n={n}: {report.notes}"
             assert report.lhs == report.rhs
 
 
 def test_c07_interpolated_polynomial_resolution():
-    with criterion(7, "interpolated vs exact characteristic polynomial, odd n 3..25, exact"):
-        for n in range(3, 26, 2):
+    label = "interpolated vs exact characteristic polynomial, odd n 3..61, exact"
+    with criterion(7, label, 60):
+        for n in range(3, 62, 2):
             report = verify_eq2_4(n)
             assert report.verdict == "pass", f"n={n}: {report.notes}"
             assert report.lhs == 0.0

@@ -619,14 +619,16 @@ def test_product_spectrum_passes_past_the_float_root_finder(n):
 
 
 def _perturb_charpoly(monkeypatch, index):
-    exact_charpoly = cyclosum.spectral.charpoly_exact
+    # liu reads the product's polynomial through _twisted_charpoly, on
+    # either of its routes.
+    twisted_charpoly = cyclosum.spectral._twisted_charpoly
 
     def off_by_one(m):
-        coeffs = list(exact_charpoly(m))
+        coeffs = list(twisted_charpoly(m))
         coeffs[index] = coeffs[index] + 1
         return coeffs
 
-    monkeypatch.setattr(cyclosum.spectral, "charpoly_exact", off_by_one)
+    monkeypatch.setattr(cyclosum.spectral, "_twisted_charpoly", off_by_one)
 
 
 def test_product_spectrum_mismatch_fails_with_null_deviation(monkeypatch):
@@ -646,6 +648,22 @@ def test_product_determinant_is_the_constant_coefficient(monkeypatch):
     assert report.verdict == "fail"
     assert report.lhs != report.rhs
     assert report.parameters["max_spectrum_deviation"] is None
+
+
+def test_characteristic_polynomials_make_no_matrix_product(monkeypatch):
+    # eq2_4 and eq2_3_liu read their polynomials off the circulant
+    # spectrum; Faddeev-LeVerrier would call the packed product d times.
+    calls = []
+    packed = cyclosum.matrices._matmul_ints
+
+    def counting(ctx, a, b):
+        calls.append(len(a))
+        return packed(ctx, a, b)
+
+    monkeypatch.setattr(cyclosum.matrices, "_matmul_ints", counting)
+    assert verify_eq2_4(15).verdict == "pass"
+    assert verify_eq2_3_liu(19).verdict == "pass"
+    assert calls == []
 
 
 def test_interpolation_report_records_factor_discrepancy():

@@ -20,6 +20,7 @@ from random import Random
 import pytest
 
 import cyclosum.matrices
+import cyclosum.spectral
 from cyclosum.exact import (
     CycElem,
     cp_minor_determinant,
@@ -493,3 +494,134 @@ def test_sun_minor_determinant_takes_no_inverse(monkeypatch):
     calls = count_inverses(monkeypatch)
     assert det_exact(minor) == minor_determinant(n)
     assert calls[0] == 0
+
+
+# --- characteristic polynomials from the circulant spectrum ----------------------
+
+
+def count_matmuls(monkeypatch) -> list[int]:
+    """Patch the packed product, which only Faddeev-LeVerrier calls on
+    these inputs, to count its calls into the returned cell."""
+    calls = [0]
+    packed = cyclosum.matrices._matmul_ints
+
+    def counted(ctx, a, b):
+        calls[0] += 1
+        return packed(ctx, a, b)
+
+    monkeypatch.setattr(cyclosum.matrices, "_matmul_ints", counted)
+    return calls
+
+
+def nonzero_row(ctx, order: int, rng: Random) -> list:
+    """random_row with entry j replaced by j + 1 where it is zero."""
+    return [e or ctx.from_rational(j + 1) for j, e in enumerate(random_row(ctx, order, rng))]
+
+
+def twisted_product(c: ExactMatrix) -> ExactMatrix:
+    """c without its last row and column, times diag(1 - w^k), k = 1..N-1,
+    w = zeta^(n/N), by the triple-loop product."""
+    ctx, d = c.context, c.dim
+    w = ctx.zeta_pow(ctx.n // d)
+    scale = make_matrix(ctx, [
+        [1 - w**k if k == j else 0 for k in range(1, d)] for j in range(1, d)
+    ])
+    return matmul_reference(delete_rows_cols(c, {d}), scale)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_circulant_charpoly_on_sun_and_cotangent_matrices(n, monkeypatch):
+    ctx = cyc_context(n)
+    calls = count_matmuls(monkeypatch)
+    for full in (build_sun_matrix(ctx), build_cp_matrix(ctx)):
+        for m in (full, delete_rows_cols(full, {1}), delete_rows_cols(full, {n})):
+            if m.dim >= 2:
+                assert circulant_order(m) == n
+            want = charpoly_reference(m)
+            calls[0] = 0
+            assert charpoly_exact(m) == want, f"n={n} dim={m.dim}"
+            assert calls[0] == 0
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7, 9, 12))
+def test_circulant_charpoly_on_random_circulants_and_minors(n, monkeypatch):
+    # Every order N dividing n, random and singular rows, with no zero
+    # entry.  p'(x) / N for a minor: a
+    # route that dropped the 1/N would return N times the answer.
+    rng = Random(18_000 + n)
+    ctx = cyc_context(n)
+    calls = count_matmuls(monkeypatch)
+    for order in (k for k in range(1, n + 1) if n % k == 0 and k <= 9):
+        rows = [nonzero_row(ctx, order, rng)]
+        if order >= 3:
+            rows.append(singular_row(ctx, order, rng, 1))
+        for t in rows:
+            full = circulant(ctx, t)
+            shapes = [full] if order < 3 else [full, delete_rows_cols(full, {order})]
+            for m in shapes:
+                assert circulant_order(m) == order, f"n={n} N={order} dim={m.dim}"
+                want = charpoly_reference(m)
+                calls[0] = 0
+                assert charpoly_exact(m) == want, f"n={n} N={order} dim={m.dim}"
+                assert calls[0] == 0
+
+
+def test_charpoly_falls_back_when_the_order_does_not_divide_n(monkeypatch):
+    # A 3 x 3 circulant over Q(zeta_4), and a circulant with one entry off.
+    rng = Random(19_000)
+    ctx = cyc_context(4)
+    m = circulant(ctx, random_row(ctx, 3, rng))
+    base = circulant(ctx, random_row(ctx, 4, rng))
+    rows = [list(row) for row in base.entries]
+    rows[-1][1] = rows[-1][1] + 1
+    near = make_matrix(ctx, rows)
+    assert circulant_order(m) == 3 and circulant_order(near) is None
+    calls = count_matmuls(monkeypatch)
+    for a in (m, near):
+        calls[0] = 0
+        assert charpoly_exact(a) == charpoly_reference(a)
+        assert calls[0] == a.dim
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7, 9, 12))
+def test_twisted_charpoly_on_random_circulants(n, monkeypatch):
+    # det(xI - P) = (p(x) - p(0)) / x.  The random rows have p(0) = +-det C
+    # != 0, so a lemma that took p(x) / x, the spectrum of C without a 0,
+    # would fail here while passing on the sun matrix of odd order.
+    rng = Random(20_000 + n)
+    ctx = cyc_context(n)
+    twisted_charpoly = cyclosum.spectral._twisted_charpoly
+    calls = count_matmuls(monkeypatch)
+    for order in (k for k in range(2, n + 1) if n % k == 0 and k <= 9):
+        c = circulant(ctx, nonzero_row(ctx, order, rng))
+        assert det_exact(c) != 0
+        p = twisted_product(c)
+        if order >= 3:
+            assert circulant_order(p) is None  # so charpoly_exact is generic
+        want = charpoly_reference(p)
+        assert charpoly_exact(p) == want, f"n={n} N={order}"
+        calls[0] = 0
+        assert twisted_charpoly(c) == want, f"n={n} N={order}"
+        assert calls[0] == 0
+
+
+@pytest.mark.parametrize("n", range(3, 12, 2))
+def test_twisted_charpoly_on_the_sun_matrix(n):
+    sun = build_sun_matrix(cyc_context(n))
+    want = charpoly_reference(twisted_product(sun))
+    assert cyclosum.spectral._twisted_charpoly(sun) == want
+
+
+def test_twisted_charpoly_falls_back_on_a_non_circulant(monkeypatch):
+    # One entry off inside the minor: the lemma does not apply, and the
+    # generic route must give the perturbed product's polynomial.
+    ctx = cyc_context(7)
+    rows = [list(row) for row in build_sun_matrix(ctx).entries]
+    rows[3][1] = rows[3][1] + 1
+    near = make_matrix(ctx, rows)
+    assert circulant_order(near) is None
+    calls = count_matmuls(monkeypatch)
+    assert cyclosum.spectral._twisted_charpoly(near) == charpoly_reference(
+        twisted_product(near)
+    )
+    assert calls[0] == 6

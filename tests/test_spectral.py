@@ -34,7 +34,7 @@ from cyclosum.spectral import (
     liu_spectrum_check,
     random_hermitian,
 )
-from oracles import cp_eigenvectors
+from oracles import charpoly_lagrange_naive, cp_eigenvectors
 
 
 # --- embedding ------------------------------------------------------------------
@@ -290,6 +290,13 @@ def test_interpolated_polynomial_is_monic():
         assert len(coeffs) == n
         assert coeffs[-1] == 1
         assert all(type(c) is Fraction for c in coeffs)
+
+
+def test_interpolated_polynomial_matches_basis_by_basis_oracle():
+    # Synthetic division by each node against multiplying each basis
+    # polynomial out: the same Fractions, coefficient for coefficient.
+    for n in range(2, 26):
+        assert charpoly_lagrange(n) == charpoly_lagrange_naive(n), f"n={n}"
 
 
 def test_interpolated_polynomial_matches_exact_charpoly():
