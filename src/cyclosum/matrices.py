@@ -256,8 +256,9 @@ def det_exact(m: ExactMatrix) -> CycElem:
     index deleted (see _circulant_row), whose order N divides n, so that
     zeta^(n/N) is a primitive N-th root of unity in the field, takes the
     spectral route: det M = (-1)^dim c_0, where c_0 is the constant
-    coefficient of _circulant_charpoly, computed modulo x^2 from the N
-    exact eigenvalues in about 2N products in the field, with no inverse.
+    coefficient of _circulant_charpoly, the lowest coefficient only (modulo
+    x for a circulant, x^2 for a minor), from the N exact eigenvalues in
+    about N or 2N products in the field, with no inverse.
 
     Every other matrix takes Gaussian elimination over the field, which is
     also the spectral route's oracle in the tests; the pivot is the first

@@ -28,8 +28,6 @@ from .matrices import (
     _circulant_row,
     build_cp_matrix,
     build_sun_matrix,
-    charpoly_exact,
-    delete_rows_cols,
 )
 
 
@@ -268,45 +266,38 @@ def charpoly_lagrange(n: int) -> list[Fraction]:
 class LiuSpectrumResult:
     """Spectrum and determinant facts for the column-scaled minor: whether
     its characteristic polynomial is exactly prod_k (x^2 - k^2) over the
-    claimed integers, plus the exact determinant."""
+    claimed integers, plus the exact determinant (None, and both checks
+    false, when the sun matrix is not an order-n circulant)."""
 
     expected: tuple[int, ...]
     charpoly_matches: bool
-    det_value: Fraction
+    det_value: Fraction | None
     det_expected: Fraction
     det_matches: bool
 
 
-def _twisted_charpoly(c: ExactMatrix) -> list[CycElem]:
+def _twisted_charpoly(c: ExactMatrix) -> list[CycElem] | None:
     """Ascending coefficients of det(xI - P) for the twisted product P of
-    an N x N matrix c, N dividing n: c without row and column N, with
-    column k scaled by 1 - w^k for k = 1..N-1, where w = zeta^(n/N).
+    an n x n circulant c over Q(zeta_n): c without row and column n, with
+    column k scaled by 1 - zeta^k for k = 1..n-1.  None when c is not an
+    order-n circulant, checked exactly on every entry.
 
-    When c is an order-N circulant, checked exactly on every entry, this is
-    (p(x) - p(0)) / x, p(x) = det(xI - c) = prod_k (x - lambda_k) from
-    _circulant_charpoly, so the answer is p's coefficients 1..N.  Proof:
-    let Q = c diag(1 - w^k), k = 0..N-1.  Column 0 of Q is zero, so
-    det(xI - Q) = x det(xI - Q'), with Q' the minor of Q without row and
-    column 0; and Q' = P, since c[r+1][s+1] = c[r][s].  With F the Fourier
-    matrix F_jk = w^(jk), c = F diag(lambda) F^-1, and F^-1 diag(w^k) F is
-    the cyclic shift Pi, so Q is similar to diag(lambda)(I - Pi).  Then
-    xI - Q is similar to a diagonal x - lambda_k plus one cyclic
-    off-diagonal lambda_k, whose determinant has two terms, the identity's
-    and the N-cycle's: p(x) + (-1)^(N-1) prod_k lambda_k = p(x) - p(0).
-
-    Every other c builds P and takes charpoly_exact."""
-    ctx, d = c.context, c.dim
+    The answer is (p(x) - p(0)) / x, p(x) = det(xI - c) = prod_k
+    (x - lambda_k) from _circulant_charpoly, so it is p's coefficients
+    1..n.  Proof: let Q = c diag(1 - zeta^k), k = 0..n-1.  Column 0 of Q
+    is zero, so det(xI - Q) = x det(xI - Q'), with Q' the minor of Q
+    without row and column 0; and Q' = P, since c[r+1][s+1] = c[r][s].
+    With F the Fourier matrix F_jk = zeta^(jk), c = F diag(lambda) F^-1,
+    and F^-1 diag(zeta^k) F is the cyclic shift Pi, so Q is similar to
+    diag(lambda)(I - Pi).  Then xI - Q is similar to a diagonal
+    x - lambda_k plus one cyclic off-diagonal lambda_k, whose determinant
+    has two terms, the identity's and the n-cycle's:
+    p(x) + (-1)^(n-1) prod_k lambda_k = p(x) - p(0)."""
+    ctx = c.context
     t = _circulant_row(c)
-    if t is not None and len(t) == d:
-        return _circulant_charpoly(ctx, t, d)[1:]
-    step = ctx.n // d
-    scale = [ctx.one - ctx.zeta_pow(step * k) for k in range(1, d)]
-    minor = delete_rows_cols(c, {d})
-    return charpoly_exact(ExactMatrix(
-        ctx,
-        d - 1,
-        tuple(tuple(e * s for e, s in zip(row, scale)) for row in minor.entries),
-    ))
+    if t is None or len(t) != ctx.n:
+        return None
+    return _circulant_charpoly(ctx, t, c.dim)[1:]
 
 
 def liu_spectrum_check(n: int) -> LiuSpectrumResult:
@@ -322,17 +313,20 @@ def liu_spectrum_check(n: int) -> LiuSpectrumResult:
     minor's closed form.
 
     The polynomial comes from _twisted_charpoly of the sun matrix: from its
-    exact eigenvalues as (p(x) - p(0)) / x when it is an order-n circulant,
-    which is checked on every entry.  For odd n one eigenvalue is 0, so
-    p(0) = 0 and the product's spectrum is the sun matrix's without that 0.
+    exact eigenvalues as (p(x) - p(0)) / x, once it is checked an order-n
+    circulant on every entry; a sun matrix that is not fails both checks.
+    For odd n one eigenvalue is 0, so p(0) = 0 and the product's spectrum
+    is the sun matrix's without that 0.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("defined for odd n >= 3")
     coeffs = _twisted_charpoly(build_sun_matrix(cyc_context(n)))
     half = (n - 1) // 2
     expected = tuple(range(-half, 0)) + tuple(range(1, half + 1))
-    det_value = coeffs[0].as_rational()
     det_expected = n * minor_determinant(n)
+    if coeffs is None:
+        return LiuSpectrumResult(expected, False, None, det_expected, False)
+    det_value = coeffs[0].as_rational()
     claimed = [1]  # ascending coefficients of prod_k (x^2 - k^2)
     for k in range(1, half + 1):
         claimed = [a - k * k * b for a, b in zip([0, 0] + claimed, claimed + [0, 0])]

@@ -619,8 +619,7 @@ def test_product_spectrum_passes_past_the_float_root_finder(n):
 
 
 def _perturb_charpoly(monkeypatch, index):
-    # liu reads the product's polynomial through _twisted_charpoly, on
-    # either of its routes.
+    # liu reads the product's polynomial through _twisted_charpoly.
     twisted_charpoly = cyclosum.spectral._twisted_charpoly
 
     def off_by_one(m):
@@ -644,6 +643,22 @@ def test_product_determinant_is_the_constant_coefficient(monkeypatch):
     # The determinant is read off coefficient 0, so perturbing it fails
     # both the spectrum and the determinant.
     _perturb_charpoly(monkeypatch, 0)
+    report = verify_eq2_3_liu(7)
+    assert report.verdict == "fail"
+    assert report.lhs != report.rhs
+    assert report.parameters["max_spectrum_deviation"] is None
+
+
+def test_product_check_fails_when_the_sun_matrix_is_not_circulant(monkeypatch):
+    # One entry off inside the minor: the lemma does not apply, and the
+    # check must fail rather than read a polynomial it did not prove.
+    ctx = cyc_context(7)
+    rows = [list(row) for row in build_sun_matrix(ctx).entries]
+    rows[3][1] = rows[3][1] + 1
+    near = make_matrix(ctx, rows)
+    assert cyclosum.matrices._circulant_row(near) is None
+    assert cyclosum.spectral._twisted_charpoly(near) is None
+    monkeypatch.setattr(cyclosum.spectral, "build_sun_matrix", lambda _ctx: near)
     report = verify_eq2_3_liu(7)
     assert report.verdict == "fail"
     assert report.lhs != report.rhs

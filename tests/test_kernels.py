@@ -519,12 +519,11 @@ def nonzero_row(ctx, order: int, rng: Random) -> list:
 
 
 def twisted_product(c: ExactMatrix) -> ExactMatrix:
-    """c without its last row and column, times diag(1 - w^k), k = 1..N-1,
-    w = zeta^(n/N), by the triple-loop product."""
+    """c without its last row and column, times diag(1 - zeta^k),
+    k = 1..n-1, by the triple-loop product."""
     ctx, d = c.context, c.dim
-    w = ctx.zeta_pow(ctx.n // d)
     scale = make_matrix(ctx, [
-        [1 - w**k if k == j else 0 for k in range(1, d)] for j in range(1, d)
+        [1 - ctx.zeta_pow(k) if k == j else 0 for k in range(1, d)] for j in range(1, d)
     ])
     return matmul_reference(delete_rows_cols(c, {d}), scale)
 
@@ -592,17 +591,18 @@ def test_twisted_charpoly_on_random_circulants(n, monkeypatch):
     ctx = cyc_context(n)
     twisted_charpoly = cyclosum.spectral._twisted_charpoly
     calls = count_matmuls(monkeypatch)
-    for order in (k for k in range(2, n + 1) if n % k == 0 and k <= 9):
-        c = circulant(ctx, nonzero_row(ctx, order, rng))
-        assert det_exact(c) != 0
-        p = twisted_product(c)
-        if order >= 3:
-            assert circulant_order(p) is None  # so charpoly_exact is generic
-        want = charpoly_reference(p)
-        assert charpoly_exact(p) == want, f"n={n} N={order}"
-        calls[0] = 0
-        assert twisted_charpoly(c) == want, f"n={n} N={order}"
-        assert calls[0] == 0
+    c = circulant(ctx, nonzero_row(ctx, n, rng))
+    assert det_exact(c) != 0
+    p = twisted_product(c)
+    assert circulant_order(p) is None  # so charpoly_exact is generic
+    want = charpoly_reference(p)
+    assert charpoly_exact(p) == want
+    calls[0] = 0
+    assert twisted_charpoly(c) == want
+    assert calls[0] == 0
+    # A circulant of a smaller order is not the sun matrix's shape.
+    for order in (k for k in range(2, n) if n % k == 0):
+        assert twisted_charpoly(circulant(ctx, nonzero_row(ctx, order, rng))) is None
 
 
 @pytest.mark.parametrize("n", range(3, 12, 2))
@@ -610,18 +610,3 @@ def test_twisted_charpoly_on_the_sun_matrix(n):
     sun = build_sun_matrix(cyc_context(n))
     want = charpoly_reference(twisted_product(sun))
     assert cyclosum.spectral._twisted_charpoly(sun) == want
-
-
-def test_twisted_charpoly_falls_back_on_a_non_circulant(monkeypatch):
-    # One entry off inside the minor: the lemma does not apply, and the
-    # generic route must give the perturbed product's polynomial.
-    ctx = cyc_context(7)
-    rows = [list(row) for row in build_sun_matrix(ctx).entries]
-    rows[3][1] = rows[3][1] + 1
-    near = make_matrix(ctx, rows)
-    assert circulant_order(near) is None
-    calls = count_matmuls(monkeypatch)
-    assert cyclosum.spectral._twisted_charpoly(near) == charpoly_reference(
-        twisted_product(near)
-    )
-    assert calls[0] == 6
