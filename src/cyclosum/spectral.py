@@ -3,8 +3,11 @@ the eigenvector-eigenvalue identity, the exact eigenpair check of the
 cotangent matrix, exact Lagrange interpolation of the minor characteristic
 polynomial, and the exact spectrum check for the scaled minor.
 
-The eigensolver runs cyclic complex Jacobi sweeps on the d x d Hermitian
-matrix itself, with no LAPACK call.  It is the one float kernel here: the
+The eigensolver runs complex Jacobi sweeps on the d x d Hermitian matrix
+itself, with no LAPACK call.  A sweep is the round-robin ordering of the
+index pairs: each round's rotations touch disjoint pairs, so the round is
+one d x d unitary, applied as two matrix products to the matrix and one to
+the eigenvectors.  It is the one float kernel here: the
 eigenvector-eigenvalue identity is the only statement checked in floating
 point.  The cotangent matrix's eigenpairs are checked exactly in
 Q(zeta_n), and the scaled minor's spectrum is settled exactly through its
@@ -45,8 +48,8 @@ GAP_THRESHOLD = 1e-8
 @dataclass(frozen=True, eq=False)
 class HermMatrix:
     """Complex double-precision Hermitian matrix; construction symmetrizes
-    (entries become (a + a^H)/2), so entry(k,j) = conj(entry(j,k)) holds
-    exactly afterwards."""
+    (entries become a/2 + a^H/2, which cannot overflow where (a + a^H)/2
+    can), so entry(k,j) = conj(entry(j,k)) holds exactly afterwards."""
 
     dim: int
     entries: np.ndarray
@@ -56,7 +59,7 @@ class HermMatrix:
         a = np.asarray(rows, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        return cls(a.shape[0], (a + a.conj().T) / 2)
+        return cls(a.shape[0], a / 2 + a.conj().T / 2)
 
     def entry(self, j: int, k: int) -> complex:
         """1-based accessor."""
@@ -84,44 +87,78 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
+def _round_robin(d: int) -> list[list[tuple[int, int]]]:
+    """One sweep of the round-robin (tournament) ordering: d - 1 rounds for
+    even d, d for odd d, where one index sits out each round.  The pairs of
+    a round are disjoint, and every pair (p, q), p < q, appears exactly
+    once per sweep.  Index 0 stays put while the others turn one place per
+    round; for odd d a phantom index d pads the circle, and its partner
+    sits out."""
+    size = d + d % 2
+    circle = list(range(size))
+    rounds = []
+    for _ in range(size - 1):
+        half = zip(circle[: size // 2], reversed(circle[size // 2 :]))
+        rounds.append([(min(p, q), max(p, q)) for p, q in half if max(p, q) < d])
+        circle.insert(1, circle.pop())
+    return rounds
+
+
 def herm_eigen(m: HermMatrix) -> SpectralDecomposition:
-    """Full eigen-decomposition of a Hermitian matrix by cyclic complex
-    Jacobi sweeps (Golub and Van Loan, Matrix Computations, section 8.5).
+    """Full eigen-decomposition of a Hermitian matrix by complex Jacobi
+    sweeps (Golub and Van Loan, Matrix Computations, section 8.5) in the
+    round-robin ordering of Brent and Luk (SIAM J. Sci. Stat. Comput. 6,
+    1985), which converges like the cyclic-by-rows ordering (Luk and Park,
+    1989).
 
     Each rotation first turns the phase of a_pq onto the real axis, then
-    zeroes it with the real rotation (c, s); deterministic for a fixed input.
+    zeroes it with the real rotation (c, s).  The pairs of one round are
+    disjoint, so the round's rotations make one unitary J, applied as
+    a <- J^H a J and v <- v J.  The entries are first divided by a power of
+    two near their largest modulus, exact for every entry that stays a
+    normal number, which keeps tiny and huge matrices inside the range the
+    stop test needs; the eigenvalues are scaled back.  Deterministic for a fixed input; an entry that is not
+    finite raises ValueError.
     """
     d = m.dim
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    a = m.entries.copy()
-    v = np.eye(d, dtype=np.complex128)
-    scale = np.max(np.abs(a))
-    stop = 1e-14 * scale
+    scale = float(np.max(np.abs(m.entries)))
+    if not math.isfinite(scale):
+        raise ValueError("matrix entries must be finite")
+    # scale = frac * 2**e with 0.5 <= frac < 1; frexp(0.0) is (0.0, 0), so
+    # the zero matrix is left as it is.
+    frac, e = math.frexp(scale)
+    parts = np.ascontiguousarray(m.entries, dtype=np.complex128).view(np.float64)
+    a = np.ldexp(parts, -e).view(np.complex128)
+    stop = 1e-14 * frac
+    eye = np.eye(d, dtype=np.complex128)
+    v = eye
+    rounds = _round_robin(d)
     for _ in range(MAX_SWEEPS):
-        if np.max(np.abs(a - np.diag(np.diag(a)))) <= stop:
+        off = np.abs(a)
+        np.fill_diagonal(off, 0.0)
+        if off.max() <= stop:
             lam = a.diagonal().real
             order = np.argsort(lam, kind="stable")
-            return SpectralDecomposition(lam[order], v[:, order])
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                r = abs(a[p, q])
+            return SpectralDecomposition(np.ldexp(lam[order], e), v[:, order])
+        for pairs in rounds:
+            rows = a.tolist()
+            j = eye.copy()
+            for p, q in pairs:
+                r = abs(rows[p][q])
                 if r <= stop * 1e-2:
                     continue
-                phase = a[p, q] / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
+                phase = rows[p][q] / r
+                tau = (rows[q][q].real - rows[p][p].real) / (2.0 * r)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
                 c = 1.0 / math.hypot(t, 1.0)
-                sn = t * c
-                for x in (a, v):
-                    colp = x[:, p].copy()
-                    colq = x[:, q] * phase.conjugate()
-                    x[:, p] = c * colp - sn * colq
-                    x[:, q] = sn * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :] * phase
-                a[p, :] = c * rowp - sn * rowq
-                a[q, :] = sn * rowp + c * rowq
+                s = t * c * phase
+                j[p, p] = j[q, q] = c
+                j[p, q] = s
+                j[q, p] = -s.conjugate()
+            a = j.conj().T @ a @ j
+            v = v @ j
     raise ConvergenceError(f"Jacobi sweeps did not converge within {MAX_SWEEPS}")
 
 

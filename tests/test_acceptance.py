@@ -90,16 +90,16 @@ def test_c04_integer_spectrum_and_eigenvectors():
 
 
 def test_c05_minor_spectra_identity():
-    label = "eigenvector-eigenvalue identity, 50 matrices per dim 2..8 plus structured n 2..12, tol 1e-8"
+    label = "eigenvector-eigenvalue identity, 50 matrices per dim 2..12 plus structured n 2..24, tol 1e-8"
     with criterion(5, label, 300):
-        for dim in range(2, 9):
+        for dim in range(2, 13):
             for trial in range(50):
                 rng = Random(1_000_000 + dim * 1_000 + trial)
                 report = verify_eei(dim, rng=rng, tol=1e-8)
                 assert report.verdict == "pass", (
                     f"dim={dim} trial={trial}: {report.verdict} {report.notes}"
                 )
-        for n in range(2, 13):
+        for n in range(2, 25):
             matrix = embed_matrix(build_cp_matrix(cyc_context(n)))
             report = verify_eei(n, matrix=matrix, tol=1e-8)
             assert report.verdict == "pass", f"structured n={n}: {report.notes}"

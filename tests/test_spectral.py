@@ -13,7 +13,7 @@ import pytest
 
 import cyclosum.spectral
 from cyclosum.exact import cp_minor_determinant, cyc_context
-from cyclosum.identities import verify_eq2_3_liu
+from cyclosum.identities import verify_eei, verify_eq2_3_liu
 from cyclosum.matrices import (
     build_cp_matrix,
     build_sun_matrix,
@@ -25,6 +25,7 @@ from cyclosum.matrices import (
 )
 from cyclosum.spectral import (
     HermMatrix,
+    _round_robin,
     charpoly_lagrange,
     cp_eigenpair_failures,
     cp_eigenvalues,
@@ -56,6 +57,19 @@ def test_embedded_entry_values():
 def test_from_rows_symmetrizes():
     h = HermMatrix.from_rows([[1.0, 2.0 + 1e-14j], [2.0, 3.0]])
     assert np.allclose(h.entries, h.entries.conj().T)
+
+
+def test_from_rows_symmetrizes_without_overflow():
+    # (a + a^H)/2 overflows here and turned a finite matrix into one with an
+    # inf entry; on normal-range input a/2 + a^H/2 gives the same bits.
+    h = HermMatrix.from_rows([[1, 1e308], [1e308, 2]])
+    assert np.array_equal(h.entries, [[1, 1e308], [1e308, 2]])
+    lam = herm_eigen(h).eigenvalues
+    assert np.allclose(lam, np.linalg.eigvalsh(h.entries), rtol=1e-14, atol=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert verify_eei(2, matrix=h).verdict == "inconclusive"
+    a = random_hermitian(6, Random(3)).entries + np.triu(np.full((6, 6), 1e-9j))
+    assert np.array_equal(HermMatrix.from_rows(a).entries, (a + a.conj().T) / 2)
 
 
 # --- eigensolver ------------------------------------------------------------------
@@ -128,6 +142,65 @@ def test_eigensolver_zero_and_one_by_one():
 
 def test_eigensolver_cotangent_order_32():
     assert_matches_eigh(embed_matrix(build_cp_matrix(cyc_context(32))), 1e-12)
+
+
+def test_eigensolver_rejects_non_finite_entries():
+    # An inf entry used to make the stop threshold inf, so the solver
+    # reported its input as already diagonal and the EEI passed with lhs 0.0.
+    inf, nan = math.inf, math.nan
+    bad = [
+        [[1, inf], [inf, 2]],
+        [[1, 0, inf], [0, 2, 0], [inf, 0, 3]],
+        [[nan, 0], [0, 1]],
+        [[1, complex(1, inf)], [complex(1, -inf), 2]],
+        [[1, inf, 0], [inf, nan, 1], [0, 1, -inf]],
+    ]
+    for rows in bad:
+        with np.errstate(invalid="ignore"):
+            h = HermMatrix.from_rows(rows)
+        with pytest.raises(ValueError, match="finite"):
+            herm_eigen(h)
+        with pytest.raises(ValueError, match="finite"):
+            verify_eei(h.dim, matrix=h)
+
+
+def test_eigensolver_scales_by_a_power_of_two():
+    # Subnormal entries used to hit the sweep cap: the stop threshold
+    # 1e-14 * scale underflowed below every rotation's reach.
+    rows = [[1e-310, 1e-310], [1e-310, 0]]
+    lam = herm_eigen(HermMatrix.from_rows(rows)).eigenvalues
+    assert np.allclose(lam, np.linalg.eigvalsh(np.array(rows)), rtol=1e-12, atol=0)
+    a = random_hermitian(7, Random(11)).entries
+    for k in (-1030, 1000):
+        h = HermMatrix.from_rows(np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k))
+        ref = np.linalg.eigvalsh(h.entries)
+        tol = 1e-12 * np.max(np.abs(ref))
+        assert np.allclose(herm_eigen(h).eigenvalues, ref, rtol=0, atol=tol), k
+
+
+def test_round_robin_schedule_covers_each_pair_once():
+    for d in range(1, 17):
+        rounds = _round_robin(d)
+        assert len(rounds) == (d if d % 2 else d - 1)
+        for pairs in rounds:
+            indices = [i for pair in pairs for i in pair]
+            assert len(indices) == len(set(indices))
+            assert len(pairs) == d // 2
+        swept = [pair for pairs in rounds for pair in pairs]
+        assert sorted(swept) == [(p, q) for p in range(d) for q in range(p + 1, d)]
+
+
+def test_eigensolver_converges_within_ten_sweeps(monkeypatch):
+    # Jacobi converges quadratically in every cyclic ordering; the
+    # round-robin one needs at most 8 sweeps up to d = 32.
+    monkeypatch.setattr(cyclosum.spectral, "MAX_SWEEPS", 10)
+    rng = Random(31337)
+    for dim in range(2, 17):
+        for _ in range(200):
+            h = random_hermitian(dim, rng)
+            assert np.allclose(
+                herm_eigen(h).eigenvalues, np.linalg.eigvalsh(h.entries), rtol=0, atol=1e-9
+            )
 
 
 def test_random_hermitian_is_deterministic():
