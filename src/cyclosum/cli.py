@@ -28,7 +28,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from random import Random
 
@@ -255,6 +254,10 @@ def cmd_verify(config: CampaignConfig) -> int:
                 work.append((identity, n, trial, config))
 
     if jobs > 1 and len(work) > 1:
+        # Imported here: loading the process pool costs a serial run memory
+        # and start-up time for nothing.
+        from concurrent.futures import ProcessPoolExecutor
+
         # The pool forks all its workers up front: no more than there are items.
         with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             timed.extend(pool.map(_run_item, work))

@@ -98,12 +98,20 @@ def build_sun_matrix(ctx: CyclotomicContext) -> ExactMatrix:
 def build_cp_matrix(ctx: CyclotomicContext) -> ExactMatrix:
     """The cotangent matrix with entries (1-delta_jk)(1 + i cot((j-k)pi/n)),
     held exactly as 2/(1 - zeta^(j-k)); Hermitian under the embedding."""
-    sun = build_sun_matrix(ctx)
-    return ExactMatrix(
-        ctx,
-        sun.dim,
-        tuple(tuple(e + e for e in row) for row in sun.entries),
-    )
+    return _doubled(build_sun_matrix(ctx))
+
+
+def _doubled(m: ExactMatrix) -> ExactMatrix:
+    """2 M, adding each entry object to itself once: the sun matrix and its
+    minors hold n objects in n^2 places.  Objects are told apart by
+    identity, which is cheaper than hashing their values; equal values in
+    distinct objects are merely doubled twice."""
+    twice: dict[int, CycElem] = {}
+    for row in m.entries:
+        for e in row:
+            if id(e) not in twice:
+                twice[id(e)] = e + e
+    return replace(m, entries=tuple(tuple(twice[id(e)] for e in row) for row in m.entries))
 
 
 def delete_rows_cols(m: ExactMatrix, deleted: Iterable[int]) -> ExactMatrix:
@@ -319,47 +327,93 @@ def _necklaces(d: int) -> Iterator[tuple[int, int]]:
             yield word, i
 
 
-def permanent_ryser(m: ExactMatrix, cap: int = PERMANENT_CAP) -> CycElem:
-    """Permanent by inclusion-exclusion over column subsets:
-    per(M) = (-1)^dim * sum_S (-1)^|S| prod_i (sum_{j in S} m_ij).
+def _galois_symmetries(ctx: CyclotomicContext, nums: Sequence[Sequence[int]]) -> list[int]:
+    """The group H of units u mod n with sigma_u(t_c) = t_(uc mod N) for
+    every c, checked exactly on the integer vectors nums of D t, N =
+    len(nums); sigma_u is zeta -> zeta^u.  H = {1} unless N == n, where
+    multiplying an index by a unit mod n permutes Z/N."""
+    order = len(nums)
+    if order != ctx.n:
+        return [1]
+    rows = [list(v) for v in nums]
+    return [u for u in range(1, order) if math.gcd(u, order) == 1
+            and all(ctx._galois(v, u) == rows[u * c % order] for c, v in enumerate(rows))]
 
-    A circulant M (m[r][c] == m[0][(c - r) mod dim] on every entry, checked
-    exactly) gives the same product for S and every rotation of S, with the
-    same |S|, so the sum runs once per binary necklace of length dim,
-    weighted by its period: about 2^dim / dim products.  Any other matrix
-    walks all subsets in Gray-code order, and that walk is also the
-    circulant route's oracle.  Either way each step updates the running
-    column sums by the columns whose membership changed: one for a Gray
-    step, about two on average from one necklace to the next.
 
-    Both run on D * M packed into integers (per(M) = per(D M) / D^dim).
-    Each product has l1 norm at most prod_i sum_j ||D m_ij||_1, and the
-    weights of the necklace sum add up to the 2^dim - 1 subsets it stands
-    for, so 2^dim times that norm bounds every coefficient on either route
-    and fixes the digit width.  The running product is folded modulo
-    x^n - 1 after every factor, which keeps it at n digits and leaves it
-    within that norm.
-    """
-    d = m.dim
-    if d > cap:
-        raise CapExceededError(f"dimension {d} exceeds permanent cap {cap}")
-    ctx = m.context
-    den, rows = _cleared(m.entries)
-    bound = 1 << d
-    for row in rows:
-        bound *= sum(map(_l1, row))
-    if not bound:
-        return ctx.zero
-    bits = bound.bit_length() + 1
-    cols = [[ctx.pack(row[c], bits) for row in rows] for c in range(d)]
-    fold = ctx.fold
-    t = _circulant_row(m)
-    if t is not None and len(t) == d:
-        words = _necklaces(d)
-    else:
-        words = ((g ^ (g >> 1), 1) for g in range(1, 1 << d))
-    sums = [0] * d
-    total = 0
+def _rotation_order(image: int, word: int, d: int) -> int:
+    """-1, 0 or 1 as the least rotation of the d-bit image is below, equal
+    to or above the necklace word (the least of its own rotations), for
+    image != word and word neither 0 nor all ones.  A rotation at most word
+    starts with word's z >= 1 leading zeros, so only the starts of runs of
+    z zeros in the doubled image are compared."""
+    mask = (1 << d) - 1
+    size = word.bit_length()
+    doubled = image | image << d
+    runs = ~doubled & (mask << d | mask)
+    have, z = 1, d - size
+    while have < z:  # bit p of runs: bits p..p+have-1 of doubled are zero
+        step = min(have, z - have)
+        runs &= runs >> step
+        have += step
+    starts = runs >> size & mask
+    while starts:
+        low = starts & -starts
+        starts ^= low
+        turned = doubled >> (low.bit_length() - 1) & mask
+        if turned < word:
+            return -1
+        if turned == word:
+            return 0
+    return 1
+
+
+def _orbits(d: int, units: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The orbits of the maps c -> uc + s (u in units, a group of units mod
+    d, and s mod d) on the subsets of Z/d, bit c of a word standing for c,
+    each once as (word, size).  The word is the orbit's least binary
+    necklace: _necklaces yields each necklace S, and S is kept when no image
+    uS has a smaller least rotation.  The orbit's size is
+    period * |units| / #{u : uS is a rotation of S}.  With units = [1] these
+    are the necklaces and their periods."""
+    others = [u for u in units if u != 1]
+    if not others:
+        yield from _necklaces(d)
+        return
+    # images[k][i][b]: the image under c -> others[k] c of byte b at byte i
+    images = []
+    for u in others:
+        tables = []
+        for base in range(0, d, 8):
+            table = [0] * 256
+            for b in range(1, 256):
+                low = b & -b
+                table[b] = table[b ^ low] | 1 << u * (base + low.bit_length() - 1) % d
+            tables.append(table)
+        images.append(tables)
+    for word, period in _necklaces(d):
+        fixed = 1
+        for tables in images:
+            image, rest = 0, word
+            for table in tables:
+                image |= table[rest & 255]
+                rest >>= 8
+            cmp = 0 if image == word else _rotation_order(image, word, d)
+            if cmp < 0:
+                break
+            if not cmp:
+                fixed += 1
+        else:
+            yield word, period * len(units) // fixed
+
+
+def _column_sums(
+    cols: Sequence[Sequence[int]], words: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, int, list[int]]]:
+    """(word, weight, sums) for each (word, weight) of words, where sums[i]
+    is the sum of cols[c][i] over the bits c of word.  Each step updates the
+    running sums by the columns whose membership changed: one for a Gray
+    step, a few from one kept orbit to the next."""
+    sums = [0] * len(cols[0])
     prev = 0
     for word, weight in words:
         diff = word ^ prev
@@ -372,7 +426,102 @@ def permanent_ryser(m: ExactMatrix, cap: int = PERMANENT_CAP) -> CycElem:
                 sums = [s + x for s, x in zip(sums, col)]
             else:
                 sums = [s - x for s, x in zip(sums, col)]
-        prod = weight
+        yield word, weight, sums
+
+
+def _circulant_permanent(ctx: CyclotomicContext, t: Sequence[CycElem], dim: int) -> CycElem:
+    """per(M) for the dim x dim matrix M that _circulant_row(M) == t
+    describes: the order-N circulant C with row 0 t, N = len(t), or a
+    principal (N-1)-minor of it.  See permanent_ryser."""
+    order = len(t)
+    minor = order > dim
+    den, (nums,) = _cleared((t,))
+    norm = sum(map(_l1, nums))
+    if not norm:
+        return ctx.zero
+    units = _galois_symmetries(ctx, nums)
+    # on a minor, each factor's norm grows by the 1 of x [i in S]
+    bits = ((1 << order) * (norm + minor) ** order).bit_length() + 1
+    pack, fold = ctx.pack, ctx.fold
+    packed = [pack(v, bits) for v in nums]
+    cols = [[packed[(c - i) % order] for i in range(order)] for c in range(order)]
+    total = 0
+    for word, weight, sums in _column_sums(cols, _orbits(order, units)):
+        if minor:  # (a, b) stands for a + b x modulo x^2
+            a, b = weight, 0
+            for i, s in enumerate(sums):
+                b = fold(b * s + a if word >> i & 1 else b * s, bits)
+                a = fold(a * s, bits)
+            prod = b
+        else:
+            prod = weight
+            for s in sums:
+                prod = fold(prod * s, bits)
+                if not prod:
+                    break
+        if word.bit_count() & 1:
+            total -= prod
+        else:
+            total += prod
+    if order & 1:
+        total = -total
+    total = ctx.unpack(total, bits)
+    trace = [sum(cs) for cs in zip(*(ctx._galois(total, u) for u in units))]
+    return CycElem(ctx, trace, len(units) * (order if minor else 1) * den**dim)
+
+
+def permanent_ryser(m: ExactMatrix, cap: int = PERMANENT_CAP) -> CycElem:
+    """Permanent by inclusion-exclusion over column subsets:
+    per(M) = (-1)^dim * sum_S (-1)^|S| prod_i (sum_{j in S} m_ij).
+
+    A circulant C of order N (m[r][c] == t[(c - r) mod N] on every entry,
+    checked exactly by _circulant_row) takes one orbit walk.  Rotating S
+    keeps Ryser's term T(S) and |S|.  When N == n and its row satisfies
+    sigma_u(t_c) = t_(uc) for every u in a group H of units mod n (checked
+    exactly; the sun matrix has every unit), T(uS) = sigma_u(T(S)) as
+    well.  So the walk takes one S per orbit of {c -> uc + s} (_orbits),
+    weighted by the orbit's size, and applies (1/|H|) sum_{u in H} sigma_u
+    once to the sum; for the sun matrix that is the field trace over
+    |H|.  That is about 2^N / (N |H|) products; H = {1} gives the
+    necklaces.
+
+    A principal (N-1)-minor of C takes the same walk on C + xI, which is
+    circulant with the same symmetries:
+    per(minor) = (1/N) [x^1] per(C + xI), since d/dx per(C + xI) at 0 sums
+    the N equal principal minors.  Each factor s_i + x [i in S] is
+    multiplied into a pair (a, b) standing for a + b x modulo x^2, two
+    packed products.
+
+    Any other matrix walks all subsets in Gray-code order, one column
+    update per step, and that walk is also the orbit route's oracle.
+
+    Every route runs on D * M packed into integers (per(M) = per(D M) /
+    D^dim).  A product has l1 norm at most prod_i sum_j ||D m_ij||_1, and
+    the orbit weights add up to the 2^N subsets they stand for, so 2^N
+    times that norm bounds every coefficient and fixes the digit width; on
+    a minor each factor's norm grows by the 1 of x [i in S].  The running
+    product is folded modulo x^n - 1 after every factor, which keeps it at
+    n digits and within that norm.
+    """
+    d = m.dim
+    if d > cap:
+        raise CapExceededError(f"dimension {d} exceeds permanent cap {cap}")
+    ctx = m.context
+    t = _circulant_row(m)
+    if t is not None:
+        return _circulant_permanent(ctx, t, d)
+    den, rows = _cleared(m.entries)
+    bound = 1 << d
+    for row in rows:
+        bound *= sum(map(_l1, row))
+    if not bound:
+        return ctx.zero
+    bits = bound.bit_length() + 1
+    cols = [[ctx.pack(row[c], bits) for row in rows] for c in range(d)]
+    fold = ctx.fold
+    total = 0
+    for word, _, sums in _column_sums(cols, ((g ^ (g >> 1), 1) for g in range(1, 1 << d))):
+        prod = 1
         for s in sums:
             if not s:
                 break

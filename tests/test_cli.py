@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from random import Random
 
 import pytest
@@ -349,11 +353,21 @@ def test_campaign_pool_is_no_larger_than_the_work(
 
     argv = ["--identities", identities, "--n", "3..3"]
     _, serial = run_campaign(tmp_path, "serial.jsonl", *argv, "--jobs", "1")
-    monkeypatch.setattr(cyclosum.cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     code, pooled = run_campaign(tmp_path, "pooled.jsonl", *argv, "--jobs", jobs)
     assert code == 0
     assert sizes == [workers]
     assert pooled == serial
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # Only a campaign with --jobs above 1 starts a pool, so a serial run
+    # must not pay for loading one.
+    src = os.path.dirname(os.path.dirname(cyclosum.cli.__file__))
+    probe = "import sys, cyclosum.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def _verify_outside(identity, n):

@@ -1,9 +1,9 @@
 """Oracle tests for the integer kernels: the norm-based inverse, the Galois
 maps, Kronecker packing, the packed permanent on both its routes (Gray
-code and circulant necklace orbits), matrix product and characteristic
-polynomial, the necklace generator, the exact spectrum of a circulant,
-and the determinant on both its routes (Gaussian elimination and that
-spectrum).
+code, and the orbit walk over a circulant or a minor of one), matrix
+product and characteristic polynomial, the necklace and orbit generators,
+the exact spectrum of a circulant, and the determinant on both its routes
+(Gaussian elimination and that spectrum).
 
 Each packed kernel is compared with an implementation that does every step
 in CycElem arithmetic: the naive permanent, the Leibniz determinant and
@@ -27,6 +27,7 @@ from cyclosum.exact import (
     cyc_context,
     full_permanent,
     minor_determinant,
+    minor_permanent,
 )
 from cyclosum.matrices import (
     ExactMatrix,
@@ -223,41 +224,159 @@ def test_packed_charpoly_matches_elementwise_recurrence(n):
         assert charpoly_exact(m) == charpoly_reference(m), f"n={n} dim={dim}"
 
 
-@pytest.mark.parametrize("n", range(2, 15, 2))
-def test_necklace_route_matches_gray_code_on_sun_matrix(n):
-    # Swapping rows 1 and 2 keeps the permanent.  From n = 4 it breaks
-    # circulance, so the swapped matrix takes the Gray-code walk; a 2 x 2
-    # circulant with equal off-diagonal entries stays circulant.
-    sun = build_sun_matrix(cyc_context(n))
-    rows = list(sun.entries)
+def gray_walk(m: ExactMatrix) -> CycElem:
+    """per(m) by the Gray-code walk: swapping rows 1 and 2 keeps the
+    permanent and, from dimension 3 on, breaks circulance, which is
+    asserted."""
+    rows = list(m.entries)
     rows[0], rows[1] = rows[1], rows[0]
-    swapped = make_matrix(sun.context, rows)
-    assert circulant_order(sun) == n
-    assert circulant_order(swapped) == (2 if n == 2 else None)
-    assert permanent_ryser(sun) == permanent_ryser(swapped) == full_permanent(n)
+    swapped = make_matrix(m.context, rows)
+    assert circulant_order(swapped) is None
+    return permanent_ryser(swapped, cap=m.dim)
+
+
+def symmetries(m: ExactMatrix) -> list[int]:
+    """The Galois symmetry group the orbit route finds on m's circulant row."""
+    _, (nums,) = cyclosum.matrices._cleared((cyclosum.matrices._circulant_row(m),))
+    return cyclosum.matrices._galois_symmetries(m.context, nums)
+
+
+def units(n: int) -> list[int]:
+    return [u for u in range(1, n) if math.gcd(u, n) == 1]
+
+
+def galois_row(ctx, rng: Random) -> list:
+    """t_c = g(zeta^c), c = 0..n-1, for a random rational polynomial g, so
+    that sigma_u(t_c) = g(zeta^(uc)) = t_(uc) for every unit u."""
+    g = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(2, 4))]
+    g[1] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))  # t is not constant
+    return [sum((ctx.zeta_pow(k * c) * a for k, a in enumerate(g)), ctx.zero)
+            for c in range(ctx.n)]
+
+
+def with_minors(ctx, first) -> list[ExactMatrix]:
+    """The circulant with row 0 first and, from order 3 on, its minor."""
+    full = circulant(ctx, first)
+    return [full] + ([delete_rows_cols(full, {full.dim})] if full.dim > 2 else [])
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_necklace_route_matches_gray_code_on_sun_matrix(n):
+    # The sun matrix's row has every unit mod n as a symmetry, and C + xI
+    # keeps them, so the full matrix and its minor both take the largest
+    # orbits.  The 2 x 2 matrices stay circulant under a row swap and are
+    # compared with the naive permanent instead.
+    sun = build_sun_matrix(cyc_context(n))
+    minor = delete_rows_cols(sun, {n})
+    assert symmetries(sun) == units(n)
+    assert circulant_order(sun) == n and circulant_order(minor) == (n if n > 2 else 1)
+    for m in (sun, minor):
+        want = gray_walk(m) if m.dim > 2 else permanent_naive(m)
+        assert permanent_ryser(m, cap=m.dim) == want, f"n={n} dim={m.dim}"
+    if n % 2:
+        assert permanent_ryser(minor) == minor_permanent(n)
+    else:
+        assert permanent_ryser(sun) == full_permanent(n)
+
+
+@pytest.mark.parametrize("n", (15, 16))
+def test_orbit_route_matches_necklaces_on_larger_sun_matrices(n, monkeypatch):
+    # Past the Gray-code walk's reach, the same walk with H = {1} (the
+    # plain necklace sum, weighted by period) is the oracle.
+    sun = build_sun_matrix(cyc_context(n))
+    matrices = (sun, delete_rows_cols(sun, {n}))
+    fast = [permanent_ryser(m, cap=m.dim) for m in matrices]
+    monkeypatch.setattr(cyclosum.matrices, "_galois_symmetries", lambda ctx, nums: [1])
+    assert fast == [permanent_ryser(m, cap=m.dim) for m in matrices]
+
+
+@pytest.mark.parametrize("n", (3, 5, 6, 8, 9, 12))
+def test_orbit_route_on_random_galois_symmetric_rows(n):
+    rng = Random(12_000 + n)
+    ctx = cyc_context(n)
+    for _ in range(2):
+        for m in with_minors(ctx, galois_row(ctx, rng)):
+            assert symmetries(m) == units(n)
+            got = permanent_ryser(m)
+            assert got == gray_walk(m), f"n={n} dim={m.dim}"
+            if m.dim <= 6:
+                assert got == permanent_naive(m), f"n={n} dim={m.dim}"
+
+
+@pytest.mark.parametrize("n", (5, 7, 8))
+def test_orbit_route_on_a_row_symmetric_under_conjugation_only(n):
+    # t_c = zeta^c + zeta^-c + r_c with r_c = r_-c but r_1 != r_u for every
+    # other unit u: only sigma_(-1) maps the row onto itself.
+    ctx = cyc_context(n)
+    r = [Fraction(min(c, n - c) ** 2, 3) for c in range(n)]
+    first = [ctx.zeta_pow(c) + ctx.zeta_pow(-c) + r[c] for c in range(n)]
+    for m in with_minors(ctx, first):
+        assert symmetries(m) == [1, n - 1]
+        assert permanent_ryser(m) == gray_walk(m), f"n={n} dim={m.dim}"
 
 
 @pytest.mark.parametrize("n", (3, 4, 12))
 def test_necklace_route_matches_naive_on_random_circulants(n):
-    # Dimensions 4, 6 and 8 have necklaces of every proper period dividing them.
+    # Dimensions 4, 6 and 8 have necklaces of every proper period dividing
+    # them.  A random row has no Galois symmetry but the identity.
     rng = Random(10_000 + n)
     ctx = cyc_context(n)
-    for dim in range(1, 9):
-        m = circulant(ctx, mixed_matrix(n, dim, rng).entries[0])
-        assert circulant_order(m) == dim
-        assert permanent_ryser(m) == permanent_naive(m), f"n={n} dim={dim}"
+    for order in range(1, 9):
+        for m in with_minors(ctx, random_row(ctx, order, rng)):
+            assert circulant_order(m) == order
+            if order == n:
+                assert symmetries(m) == [1]
+            want = permanent_naive(m) if m.dim <= 6 else gray_walk(m)
+            assert permanent_ryser(m) == want, f"n={n} N={order} dim={m.dim}"
 
 
 def test_necklace_route_on_zero_and_sparse_first_rows():
     ctx = cyc_context(6)
-    zero = circulant(ctx, [ctx.zero] * 4)
-    assert permanent_ryser(zero) == 0 == permanent_naive(zero)
+    for m in with_minors(ctx, [ctx.zero] * 4):
+        assert permanent_ryser(m) == 0 == permanent_naive(m)
     a, b = ctx.zeta_pow(1), ctx.from_rational(Fraction(-3, 4))
     for first in ([ctx.zero, a, ctx.zero, ctx.zero, ctx.zero, b],
                   [ctx.zero, ctx.zero, a, ctx.zero, ctx.zero, ctx.zero],
                   [a, ctx.zero, ctx.zero, b, ctx.zero, ctx.zero, ctx.zero, ctx.zero]):
-        m = circulant(ctx, first)
-        assert permanent_ryser(m) == permanent_naive(m), first
+        for m in with_minors(ctx, first):
+            assert permanent_ryser(m) == permanent_naive(m), (first, m.dim)
+    # Rational values constant on each class {c : gcd(c, n) = g} are Galois
+    # symmetric; zero on most classes, they leave most row sums zero.
+    q = Fraction(-3, 4)
+    for n, classes in ((6, {1: q}), (6, {2: q, 3: 1}), (8, {1: q}), (8, {4: q, 8: -q})):
+        ctx = cyc_context(n)
+        first = [ctx.from_rational(classes.get(math.gcd(c, n), 0)) for c in range(n)]
+        for m in with_minors(ctx, first):
+            assert symmetries(m) == units(n)
+            want = permanent_naive(m) if m.dim <= 7 else gray_walk(m)
+            assert permanent_ryser(m) == want, (n, classes, m.dim)
+
+
+def test_a_perturbed_sun_matrix_falls_back_to_the_gray_code_walk(monkeypatch):
+    # One entry off breaks circulance: the orbit route must not run, and the
+    # Gray-code walk must give the perturbed matrix's own permanent.  One
+    # value off in every row keeps circulance but breaks the symmetry
+    # sigma_u(t_1) = t_u, which leaves only u = 1 and -1 as symmetries of
+    # the row.
+    ctx = cyc_context(7)
+    sun = build_sun_matrix(ctx)
+    rows = [list(row) for row in sun.entries]
+    rows[4][2] = rows[4][2] + 1
+    near = make_matrix(ctx, rows)
+    first = list(sun.entries[0])
+    first[1] = first[1] + ctx.zeta_pow(1)
+    first[6] = first[6] + ctx.zeta_pow(-1)
+    twisted = circulant(ctx, first)
+    assert circulant_order(near) is None and symmetries(twisted) == [1, 6]
+    want = [permanent_naive(near), permanent_naive(twisted)]
+    assert want[0] != permanent_naive(sun)
+
+    def refuse(*args):
+        raise AssertionError("the orbit route ran on a matrix that is not circulant")
+
+    assert permanent_ryser(twisted) == want[1]
+    monkeypatch.setattr(cyclosum.matrices, "_orbits", refuse)
+    assert permanent_ryser(near) == want[0]
 
 
 def test_circulance_is_checked_on_every_entry():
@@ -315,6 +434,36 @@ def test_fkm_yields_each_binary_necklace_once(d):
     assert len(words) == count
     assert len({w for w, _ in words}) == count
     assert sum(p for _, p in words) == 1 << d
+
+
+def subgroups(d: int) -> list[list[int]]:
+    """The unit group mod d, {1, -1} and the subgroup generated by 3 or 5
+    when coprime to d, each sorted, without repeats."""
+    out = [units(d) or [1], sorted({1, (d - 1) or 1})]
+    for g in (3, 5):
+        if math.gcd(g, d) == 1:
+            out.append(sorted({pow(g, e, d) or 1 for e in range(d)}))
+    return [list(h) for h in dict.fromkeys(map(tuple, out))]
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_orbits_yield_each_affine_orbit_once_at_its_size(d):
+    # Brute force: the orbit of every subset under c -> uc + s, u in the
+    # group, s mod d, and its least rotation-minimal member.
+    mask = (1 << d) - 1
+
+    def image(word, u, s):
+        return sum(1 << (u * c + s) % d for c in range(d) if word >> c & 1) & mask
+
+    for group in subgroups(d):
+        orbits = {}
+        for word in range(1 << d):
+            orbit = frozenset(image(word, u, s) for u in group for s in range(d))
+            orbits[min(orbit)] = len(orbit)
+        got = list(cyclosum.matrices._orbits(d, group))
+        assert dict(got) == orbits, f"d={d} group={group}"
+        assert len(got) == len(orbits)
+        assert sum(size for _, size in got) == 1 << d
 
 
 # --- determinants ------------------------------------------------------------
