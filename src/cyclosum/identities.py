@@ -30,12 +30,12 @@ from .exact import (
 )
 from .matrices import (
     build_cp_matrix,
+    build_sun_and_cp_matrices,
     build_sun_matrix,
     delete_rows_cols,
     derangement_sums,
     det_exact,
     charpoly_exact,
-    _doubled,
     make_matrix,
     permanent_ryser,
 )
@@ -180,16 +180,16 @@ def verify_eq1_3(n: int) -> VerificationReport:
     derivation leans on: det(minor) = 2^(1-n) times the cotangent-minor
     determinant, which is computed and must equal its own closed form, and
     (n-1)!! = 2^((n-1)/2) ((n-1)/2)!.  The minors deleting index n and
-    index 1 are compared entry for entry as in verify_eq1_2.  The
-    cotangent minor is the sun minor doubled."""
+    index 1 are compared entry for entry as in verify_eq1_2.  The sun and
+    cotangent matrices are built from one set of inverses."""
     _require("eq1_3", n)
-    m = build_sun_matrix(cyc_context(n))
+    m, cp = build_sun_and_cp_matrices(cyc_context(n))
     last = delete_rows_cols(m, {n})
     agree = delete_rows_cols(m, {1}).entries == last.entries
     det = det_exact(last)
     rhs = minor_determinant(n)
     half = (n - 1) // 2
-    cp_det = det_exact(_doubled(last))
+    cp_det = det_exact(delete_rows_cols(cp, {n}))
     chain_scaling = cp_det == cp_minor_determinant(n) and det * 2 ** (n - 1) == cp_det
     chain_dfac = double_factorial(n - 1) == 2**half * math.factorial(half)
     ok = det == rhs and agree and chain_scaling and chain_dfac

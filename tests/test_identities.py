@@ -149,12 +149,21 @@ def test_minor_deletions_compared_entry_for_entry(monkeypatch, verify, kernel, c
 
         return build
 
+    def scaled_pair(scale):
+        # verify_eq1_3 builds the sun matrix together with twice it
+        def build(ctx):
+            sun = scaled_sun(scale)(ctx)
+            return sun, make_matrix(ctx, [[2 * e for e in row] for row in sun.entries])
+
+        return build
+
     # Conjugating by diag(1..n) changes the entries but no principal minor's
     # value, so it fails on the deletions alone; doubling row 1 doubles the
     # index-n minor's value only.
     similar, row_doubled = (lambda j, k: Fraction(j, k)), (lambda j, k: 1 + (j == 1))
     for scale in (similar, row_doubled):
         monkeypatch.setattr(cyclosum.identities, "build_sun_matrix", scaled_sun(scale))
+        monkeypatch.setattr(cyclosum.identities, "build_sun_and_cp_matrices", scaled_pair(scale))
         seen.clear()
         report = verify(7)
         assert len(seen) == calls

@@ -15,6 +15,7 @@ from cyclosum.exact import cyc_context
 from cyclosum.matrices import (
     CapExceededError,
     build_cp_matrix,
+    build_sun_and_cp_matrices,
     build_sun_matrix,
     charpoly_exact,
     delete_rows_cols,
@@ -91,6 +92,16 @@ def test_doubled_matrix_is_twice_base():
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 assert doubled.entry(j, k) == 2 * base.entry(j, k)
+
+
+def test_sun_and_cp_matrices_from_one_set_of_inverses():
+    for n in (2, 3, 4, 9):
+        ctx = cyc_context(n)
+        sun, cp = build_sun_and_cp_matrices(ctx)
+        assert sun == build_sun_matrix(ctx) and cp == build_cp_matrix(ctx)
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                assert cp.entry(j, k) == 2 * sun.entry(j, k)
 
 
 def test_doubled_matrix_embeds_hermitian():
