@@ -314,12 +314,21 @@ class CycElem:
         )
 
     def __mul__(self, other: object) -> "CycElem":
+        """Product.  A rational factor, one whose numerators past the first
+        are all zero, scales the other factor's numerators directly, with no
+        packed product; the constructor brings either result to lowest
+        terms."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycElem(
-            self.context, self.context._mul_nums(self.nums, o.nums), self.den * o.den
-        )
+        a, b = self.nums, o.nums
+        if not any(b[1:]):
+            nums = [b[0] * v for v in a]
+        elif not any(a[1:]):
+            nums = [a[0] * v for v in b]
+        else:
+            nums = self.context._mul_nums(a, b)
+        return CycElem(self.context, nums, self.den * o.den)
 
     __rmul__ = __mul__
 

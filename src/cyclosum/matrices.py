@@ -97,7 +97,7 @@ def build_cp_matrix(ctx: CyclotomicContext) -> ExactMatrix:
 
 def build_sun_and_cp_matrices(ctx: CyclotomicContext) -> tuple[ExactMatrix, ExactMatrix]:
     """The sun matrix and the cotangent matrix, twice it, from one set of
-    the n-1 distinct off-diagonal values: each is inverted once and doubled
+    the n-1 distinct off-diagonal values (see _sun_entries), each doubled
     once."""
     inv = _sun_entries(ctx)
     twice = {d: v + v for d, v in inv.items()}
@@ -105,8 +105,25 @@ def build_sun_and_cp_matrices(ctx: CyclotomicContext) -> tuple[ExactMatrix, Exac
 
 
 def _sun_entries(ctx: CyclotomicContext) -> dict[int, CycElem]:
-    """1/(1 - zeta^d) for d = 1..n-1."""
-    return {d: (ctx.one - ctx.zeta_pow(d)).inverse() for d in range(1, ctx.n)}
+    """1/(1 - zeta^d) for d = 1..n-1, with one inverse for each proper
+    divisor g of n.  Every d is u g mod n, g = gcd(d, n), for a unit u mod
+    n: u = d/g is a unit mod n/g, and adding multiples of n/g reaches one
+    mod n.  The automorphism sigma_u (zeta -> zeta^u) commutes with
+    inversion, so 1/(1 - zeta^d) = sigma_u(1/(1 - zeta^g)); sigma_u maps
+    Z[zeta_n] onto itself, so the image keeps the denominator."""
+    n = ctx.n
+    bases: dict[int, CycElem] = {}
+    out = {}
+    for d in range(1, n):
+        g = math.gcd(d, n)
+        if g not in bases:
+            bases[g] = (ctx.one - ctx.zeta_pow(g)).inverse()
+        base = bases[g]
+        u = d // g
+        while math.gcd(u, n) != 1:
+            u += n // g
+        out[d] = base if u == 1 else CycElem(ctx, ctx._galois(base.nums, u), base.den)
+    return out
 
 
 def _by_difference(ctx: CyclotomicContext, values: dict[int, CycElem]) -> ExactMatrix:
@@ -206,7 +223,9 @@ def _circulant_row(m: ExactMatrix) -> tuple[CycElem, ...] | None:
     N = dim + 1 when m is a principal minor with one index deleted of an
     order-N circulant (every such minor is the same matrix), with t row 0
     followed by m[1][0].  A 1 x 1 matrix is always circulant, so the minor
-    shape, which reads m[1][0], never needs to be tried for it."""
+    shape, which reads m[1][0], never needs to be tried for it.  The
+    builders share one object per difference, so most entries match by
+    identity before the exact comparison."""
     rows = m.entries
     shapes = [rows[0]]
     if m.dim > 1:
@@ -214,7 +233,8 @@ def _circulant_row(m: ExactMatrix) -> tuple[CycElem, ...] | None:
     for t in shapes:
         order = len(t)
         if all(
-            e == t[(c - r) % order] for r, row in enumerate(rows) for c, e in enumerate(row)
+            e is t[(c - r) % order] or e == t[(c - r) % order]
+            for r, row in enumerate(rows) for c, e in enumerate(row)
         ):
             return t
     return None

@@ -1,9 +1,10 @@
 """Oracle tests for the integer kernels: the norm-based inverse, the Galois
-maps, Kronecker packing, the packed permanent on both its routes (Gray
-code, and the orbit walk over a circulant or a minor of one), matrix
-product and characteristic polynomial, the necklace and orbit generators,
-the exact spectrum of a circulant, and the determinant on both its routes
-(Gaussian elimination and that spectrum).
+maps, the sun entries as Galois images of one inverse per divisor,
+Kronecker packing, the rational multiply path, the packed permanent on
+both its routes (Gray code, and the orbit walk over a circulant or a minor
+of one), matrix product and characteristic polynomial, the necklace and
+orbit generators, the exact spectrum of a circulant, and the determinant
+on both its routes (Gaussian elimination and that spectrum).
 
 Each packed kernel is compared with an implementation that does every step
 in CycElem arithmetic: the naive permanent, the Leibniz determinant and
@@ -38,6 +39,8 @@ from cyclosum.matrices import (
     det_exact,
     make_matrix,
     matmul,
+    matrix_from_json,
+    matrix_to_json,
     permanent_ryser,
 )
 from oracles import circulant_eigenvalues_naive, identity_matrix, leibniz_det, permanent_naive
@@ -191,6 +194,34 @@ def test_multiply_with_large_negative_coefficients(n):
             power = ctx.zeta_pow(i + j).coeffs
             reference = reference + ctx.element(c * p * q for c in power)
     assert a * b == reference
+
+
+def canonical(x: CycElem) -> bool:
+    return x.den > 0 and math.gcd(x.den, *x.nums) == 1
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 12, 15, 30))
+def test_rational_factor_scales_without_a_packed_product(n):
+    # The rational path against the packed product on the same numerators,
+    # with either factor rational, both, zero, negative, and a product that
+    # must be brought back to lowest terms: 2 * (zeta/2) has denominator 1.
+    ctx = cyc_context(n)
+    rng = Random(4_000 + n)
+    zeta = ctx.zeta_pow(1)
+    general = [big_element(ctx, rng), big_element(ctx, rng, digits=3), zeta * Fraction(1, 2)]
+    rationals = [ctx.from_rational(q) for q in
+                 (Fraction(2), Fraction(-3, 4), Fraction(5, 6), Fraction(-1), Fraction(0))]
+    pairs = [(a, b) for a in rationals for b in general + rationals]
+    pairs += [(b, a) for a, b in pairs]
+    for a, b in pairs:
+        got = a * b
+        want = CycElem(ctx, ctx._mul_nums(a.nums, b.nums), a.den * b.den)
+        assert (got.nums, got.den) == (want.nums, want.den), f"n={n} {a!r} * {b!r}"
+        assert canonical(got)
+    two = ctx.from_rational(2)
+    for x in (two * (zeta / 2), (zeta / 2) * two, 2 * (zeta / 2)):
+        assert x == zeta and x.den == 1 and canonical(x)
+    assert (-3 * (zeta / 6)).den == 2
 
 
 # --- packed matrix kernels ------------------------------------------------------------
@@ -651,6 +682,47 @@ def test_sun_minor_determinant_takes_no_inverse(monkeypatch):
     calls = count_inverses(monkeypatch)
     assert det_exact(minor) == minor_determinant(n)
     assert calls[0] == 0
+
+
+# --- the sun entries as Galois images ------------------------------------------
+
+
+def divisor_count(n: int) -> int:
+    return sum(1 for g in range(1, n + 1) if n % g == 0)
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 101, 105])
+def test_sun_entries_are_galois_images_of_one_inverse_per_divisor(n, monkeypatch):
+    ctx = cyc_context(n)
+    calls = count_inverses(monkeypatch)
+    got = cyclosum.matrices._sun_entries(ctx)
+    assert calls[0] == divisor_count(n) - 1  # every divisor g < n
+    assert sorted(got) == list(range(1, n))
+    for d in range(1, n):
+        assert got[d] == (ctx.one - ctx.zeta_pow(d)).inverse(), f"n={n} d={d}"
+
+
+def test_circulance_is_exact_on_entries_that_are_not_shared(monkeypatch):
+    # The builders share one object per difference; a matrix read back from
+    # JSON shares none, and must take the same routes.
+    calls = count_inverses(monkeypatch)
+    for n in (9, 15):
+        ctx = cyc_context(n)
+        sun = build_sun_matrix(ctx)
+        for m in (sun, delete_rows_cols(sun, {n})):
+            read = matrix_from_json(matrix_to_json(m))
+            assert read == m and read.entries[0][1] is not m.entries[0][1]
+            assert circulant_order(read) == n
+            calls[0] = 0
+            assert det_exact(read) == (minor_determinant(n) if read.dim < n else 0)
+            assert calls[0] == 0
+            rows = [list(row) for row in m.entries]
+            e = rows[-1][1]
+            rows[-1][1] = CycElem(ctx, list(e.nums), e.den)
+            assert rows[-1][1] is not e
+            assert circulant_order(make_matrix(ctx, rows)) == n
+            rows[-1][1] = e + 1
+            assert circulant_order(make_matrix(ctx, rows)) is None
 
 
 # --- characteristic polynomials from the circulant spectrum ----------------------
