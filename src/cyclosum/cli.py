@@ -28,27 +28,11 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from random import Random
 
 from .exact import cp_minor_determinant, cyc_context
-from .identities import (
-    EEI_TOL,
-    IDENTITY_IDS,
-    STATEMENTS,
-    VerificationReport,
-    random_distinct_rationals,
-    verify_eei,
-    verify_eq1_1,
-    verify_eq1_2,
-    verify_eq1_3,
-    verify_eq2_3_liu,
-    verify_eq2_4,
-    verify_eq3_1,
-    verify_lemma3_2,
-    verify_thm2_1,
-    verify_thm3_1,
-)
+from .identities import EEI_TOL, IDENTITY_IDS, STATEMENTS, VerificationReport
 from .matrices import (
     PERMANENT_CAP,
     CapExceededError,
@@ -80,6 +64,9 @@ class CampaignConfig:
         unknown = [i for i in self.identities if i not in IDENTITY_IDS]
         if unknown:
             raise ValueError(f"unknown identities: {', '.join(unknown)}")
+        repeated = {i: None for i in self.identities if self.identities.count(i) > 1}
+        if repeated:
+            raise ValueError(f"duplicate identities: {', '.join(repeated)}")
         if not self.identities:
             raise ValueError("no identities selected")
         lo, hi = self.n_range
@@ -118,38 +105,14 @@ def _child_rng(seed: int, identity: str, n: int, trial: int) -> Random:
     return Random(int(digest, 16))
 
 
-def _thm3_1_valid_ks(n: int, want_odd_l: bool, cfg: CampaignConfig) -> list[int]:
-    cap, parity = cfg.permanent_cap, 1 if want_odd_l else 0
-    ks = [0] + list(range(2, n))
-    return [k for k in ks if (n - k) % 2 == parity and n - k <= cap]
-
-
-def _skip_reason(identity: str, n: int, cfg: CampaignConfig) -> str | None:
-    """Why the campaign skips (identity, n): outside the statement, or past a
-    cap; None when it runs.  The verify functions take no cap, so this and
-    _thm3_1_valid_ks are what bound every permanent a campaign runs."""
-    statement = STATEMENTS[identity]
-    if not statement.covers(n):
-        return statement.note
-    if identity in ("lemma3_2", "eq3_1") and n > cfg.enumeration_cap:
-        return f"l={n} exceeds enumeration cap {cfg.enumeration_cap}"
-    dim = {"eq1_1": n, "eq1_2": n - 1, "eq3_1": n}.get(identity)
-    if dim is not None and dim > cfg.permanent_cap:
-        return f"dimension {dim} exceeds permanent cap {cfg.permanent_cap}"
-    if identity in ("thm3_1_odd", "thm3_1_even"):
-        odd = identity == "thm3_1_odd"
-        if not _thm3_1_valid_ks(n, odd, cfg):
-            return f"no deletion size gives {'odd' if odd else 'even'} l within the cap"
-    return None
-
-
 def _run_item(args: tuple) -> tuple[VerificationReport, float]:
     """One work item's report and its wall time in milliseconds, the input
     draw included; an exception becomes an "error" record."""
     identity, n, trial, cfg = args
     t0 = time.perf_counter()
     try:
-        report = _verify_item(identity, n, trial, cfg)
+        rng = _child_rng(cfg.seed, identity, n, trial)
+        report = STATEMENTS[identity].run(n, trial, rng, cfg)
     except Exception as exc:
         sys.stderr.write(
             f"error: {identity} n={n} trial {trial}\n{traceback.format_exc()}"
@@ -158,38 +121,6 @@ def _run_item(args: tuple) -> tuple[VerificationReport, float]:
             identity, n, {"trial": trial}, "", "", "error", f"{type(exc).__name__}: {exc}"
         )
     return report, (time.perf_counter() - t0) * 1e3
-
-
-def _verify_item(
-    identity: str, n: int, trial: int, cfg: CampaignConfig
-) -> VerificationReport:
-    rng = _child_rng(cfg.seed, identity, n, trial)
-    if identity == "eq1_1":
-        return verify_eq1_1(n)
-    if identity == "eq1_2":
-        return verify_eq1_2(n)
-    if identity == "eq1_3":
-        return verify_eq1_3(n)
-    if identity == "eq2_3_liu":
-        return verify_eq2_3_liu(n)
-    if identity == "eq2_4":
-        return verify_eq2_4(n)
-    if identity == "thm2_1":
-        return verify_thm2_1(n)
-    if identity == "eei":
-        report = verify_eei(n, rng=rng, tol=cfg.tol)
-    elif identity == "lemma3_2":
-        report = verify_lemma3_2(n, random_distinct_rationals(n, rng))
-    elif identity == "eq3_1":
-        report = verify_eq3_1(n, random_distinct_rationals(n, rng))
-    elif identity in ("thm3_1_odd", "thm3_1_even"):
-        ks = _thm3_1_valid_ks(n, identity == "thm3_1_odd", cfg)
-        k = 0 if trial == 0 and 0 in ks else ks[rng.randrange(len(ks))]
-        deleted = sorted(rng.sample(range(1, n + 1), k))
-        report = verify_thm3_1(n, deleted)
-    else:
-        raise ValueError(f"unknown identity {identity!r}")
-    return replace(report, parameters={"trial": trial, **report.parameters})
 
 
 def _render_jsonl(records: list[dict]) -> str:
@@ -241,15 +172,16 @@ def cmd_verify(config: CampaignConfig) -> int:
     timed: list[tuple[VerificationReport, float]] = []
     work: list[tuple] = []
     for identity in config.identities:
+        statement = STATEMENTS[identity]
         for n in range(lo, hi + 1):
-            reason = _skip_reason(identity, n, config)
+            reason = statement.skip_reason(n, config)
             if reason is not None:
                 skipped = VerificationReport(
                     identity, n, {"trial": 0}, "", "", "skipped", reason
                 )
                 timed.append((skipped, 0.0))
                 continue
-            trials = config.trials if STATEMENTS[identity].randomized else 1
+            trials = config.trials if statement.randomized else 1
             for trial in range(trials):
                 work.append((identity, n, trial, config))
 
@@ -387,19 +319,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=CampaignConfig.tol,
-        help="float tolerance for eei, the one identity judged in floating point",
+        help="float tolerance for the eigenvector-eigenvalue identity, the one "
+        "identity judged in floating point",
     )
     v.add_argument(
         "--permanent-cap",
         type=int,
         default=CampaignConfig.permanent_cap,
-        help="largest permanent dimension (eq1_1, eq1_2, eq3_1, thm3_1)",
+        help="largest permanent dimension",
     )
     v.add_argument(
         "--enumeration-cap",
         type=int,
         default=CampaignConfig.enumeration_cap,
-        help="largest l for the subset DPs of lemma3_2 and eq3_1",
+        help="largest l for the subset DPs",
     )
     v.add_argument(
         "--format", choices=("jsonl", "csv", "pretty"), default=CampaignConfig.format

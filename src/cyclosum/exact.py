@@ -280,33 +280,29 @@ class CycElem:
 
     # -- ring operations --------------------------------------------------
 
-    def __add__(self, other: object) -> "CycElem":
+    def __add__(self, other: object, sign: int = 1) -> "CycElem":
+        """Sum, or with sign -1 the difference self - other, formed directly
+        with no negated element in between."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        a, b = self.nums, o.nums
         if self.den == o.den:
-            return CycElem(
-                self.context, [a + b for a, b in zip(self.nums, o.nums)], self.den
-            )
+            if sign > 0:
+                return CycElem(self.context, [x + y for x, y in zip(a, b)], self.den)
+            return CycElem(self.context, [x - y for x, y in zip(a, b)], self.den)
         den = math.lcm(self.den, o.den)
-        sa, sb = den // self.den, den // o.den
-        return CycElem(
-            self.context, [a * sa + b * sb for a, b in zip(self.nums, o.nums)], den
-        )
+        sa, sb = den // self.den, sign * (den // o.den)
+        return CycElem(self.context, [x * sa + y * sb for x, y in zip(a, b)], den)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "CycElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other: object) -> "CycElem":
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return NotImplemented if o is None else o.__add__(self, -1)
 
     def __neg__(self) -> "CycElem":
         return CycElem(

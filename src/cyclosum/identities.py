@@ -13,10 +13,10 @@ range) comes back "inconclusive" or "fail" with an explanatory note, not
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,31 +54,93 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class Statement:
-    """The orders a statement covers: n >= least, of the given parity when
-    parity is not None.  note says why an order outside is skipped;
-    randomized statements draw a fresh input for each campaign trial."""
+    """One identity as a campaign runs it: the orders n >= least, of the
+    given parity when parity is not None, and the note that says why an
+    order outside is skipped.  check(n, trial, rng, cfg) draws the input
+    from rng, a fresh one per trial when randomized, and calls the verify
+    function by its module-global name when it runs, so that a replacement
+    there (a tracer, a counting test) sees the call.
+
+    The verify functions take no cap, so the campaign's caps bound what
+    they run: a permanent of dimension n - drop, the subset DPs over n
+    labels when enumerates, and for thm3_1 the deletion sizes k whose
+    l = n - k is odd when odd_l, even when not."""
 
     least: int
     parity: int | None
     note: str
+    check: Callable[..., VerificationReport]
     randomized: bool = False
+    drop: int | None = None
+    enumerates: bool = False
+    odd_l: bool | None = None
 
     def covers(self, n: int) -> bool:
         return n >= self.least and (self.parity is None or n % 2 == self.parity)
 
+    def run(self, n: int, trial: int, rng: Random, cfg) -> VerificationReport:
+        """The campaign's report on trial `trial` at order n; a randomized
+        statement's parameters lead with the trial."""
+        report = self.check(n, trial, rng, cfg)
+        if not self.randomized:
+            return report
+        return replace(report, parameters={"trial": trial, **report.parameters})
+
+    def skip_reason(self, n: int, cfg) -> str | None:
+        """Why a campaign with cfg's caps skips order n, None when it runs;
+        past both caps the enumeration cap's note wins."""
+        if not self.covers(n):
+            return self.note
+        if self.enumerates and n > cfg.enumeration_cap:
+            return f"l={n} exceeds enumeration cap {cfg.enumeration_cap}"
+        if self.drop is not None and n - self.drop > cfg.permanent_cap:
+            return f"dimension {n - self.drop} exceeds permanent cap {cfg.permanent_cap}"
+        if self.odd_l is not None and not _deletion_sizes(n, self.odd_l, cfg):
+            parity = "odd" if self.odd_l else "even"
+            return f"no deletion size gives {parity} l within the cap"
+        return None
+
+
+def _deletion_sizes(n: int, odd_l: bool, cfg) -> list[int]:
+    """The sizes k in thm3_1's statement (k = 1 is not) whose l = n - k has
+    the given parity and is at most cfg's permanent cap."""
+    cap = cfg.permanent_cap
+    return [k for k in [0, *range(2, n)] if (n - k) % 2 == odd_l and n - k <= cap]
+
+
+def _thm3_1(odd_l: bool) -> Statement:
+    def check(n: int, trial: int, rng: Random, cfg) -> VerificationReport:
+        # Trial 0 keeps the whole matrix when its order has the right parity.
+        ks = _deletion_sizes(n, odd_l, cfg)
+        k = 0 if trial == 0 and 0 in ks else ks[rng.randrange(len(ks))]
+        return verify_thm3_1(n, sorted(rng.sample(range(1, n + 1), k)))
+
+    return Statement(2, None, "needs n >= 2", check, randomized=True, odd_l=odd_l)
+
 
 STATEMENTS = {
-    "eq1_1": Statement(2, 0, "needs even n >= 2"),
-    "eq1_2": Statement(3, 1, "needs odd n >= 3"),
-    "eq1_3": Statement(3, 1, "needs odd n >= 3"),
-    "lemma3_2": Statement(3, None, "statement needs l > 2", randomized=True),
-    "eq3_1": Statement(3, 1, "needs odd l >= 3", randomized=True),
-    "thm3_1_odd": Statement(2, None, "needs n >= 2", randomized=True),
-    "thm3_1_even": Statement(2, None, "needs n >= 2", randomized=True),
-    "eq2_3_liu": Statement(3, 1, "needs odd n >= 3"),
-    "eq2_4": Statement(2, None, "needs n >= 2"),
-    "thm2_1": Statement(2, None, "needs n >= 2"),
-    "eei": Statement(1, None, "needs n >= 1", randomized=True),
+    "eq1_1": Statement(2, 0, "needs even n >= 2", lambda n, *_: verify_eq1_1(n), drop=0),
+    "eq1_2": Statement(3, 1, "needs odd n >= 3", lambda n, *_: verify_eq1_2(n), drop=1),
+    "eq1_3": Statement(3, 1, "needs odd n >= 3", lambda n, *_: verify_eq1_3(n)),
+    "lemma3_2": Statement(
+        3, None, "statement needs l > 2",
+        lambda l, _, rng, cfg: verify_lemma3_2(l, random_distinct_rationals(l, rng)),
+        randomized=True, enumerates=True,
+    ),
+    "eq3_1": Statement(
+        3, 1, "needs odd l >= 3",
+        lambda l, _, rng, cfg: verify_eq3_1(l, random_distinct_rationals(l, rng)),
+        randomized=True, drop=0, enumerates=True,
+    ),
+    "thm3_1_odd": _thm3_1(odd_l=True),
+    "thm3_1_even": _thm3_1(odd_l=False),
+    "eq2_3_liu": Statement(3, 1, "needs odd n >= 3", lambda n, *_: verify_eq2_3_liu(n)),
+    "eq2_4": Statement(2, None, "needs n >= 2", lambda n, *_: verify_eq2_4(n)),
+    "thm2_1": Statement(2, None, "needs n >= 2", lambda n, *_: verify_thm2_1(n)),
+    "eei": Statement(
+        1, None, "needs n >= 1",
+        lambda n, _, rng, cfg: verify_eei(n, rng=rng, tol=cfg.tol), randomized=True,
+    ),
 }
 IDENTITY_IDS = tuple(STATEMENTS)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import dataclasses
 import hashlib
@@ -15,10 +16,12 @@ from random import Random
 import pytest
 
 import cyclosum.cli
+import cyclosum.identities
 import cyclosum.spectral
-from cyclosum.cli import CampaignConfig, _exit_code, _skip_reason, cmd_verify, main
+from cyclosum.cli import CampaignConfig, _exit_code, cmd_verify, main
 from cyclosum.exact import cyc_context
 from cyclosum.identities import (
+    IDENTITY_IDS,
     STATEMENTS,
     VerificationReport,
     random_distinct_rationals,
@@ -274,7 +277,7 @@ def test_campaign_item_error_becomes_record(tmp_path, monkeypatch, capfd, jobs):
     def no_convergence(n):
         raise ConvergenceError(f"Jacobi sweeps did not converge within {n}")
 
-    monkeypatch.setattr(cyclosum.cli, "verify_eq2_3_liu", no_convergence)
+    monkeypatch.setattr(cyclosum.identities, "verify_eq2_3_liu", no_convergence)
     code, records = run_campaign(
         tmp_path, "errors.jsonl",
         "--identities", "eq1_3,eq2_3_liu", "--n", "21..21", "--jobs", jobs,
@@ -293,7 +296,7 @@ def test_campaign_cap_error_exits_3(tmp_path, monkeypatch, capsys):
     def over_cap(n):
         raise CapExceededError(f"dimension {n} exceeds permanent cap 1")
 
-    monkeypatch.setattr(cyclosum.cli, "verify_eq1_3", over_cap)
+    monkeypatch.setattr(cyclosum.identities, "verify_eq1_3", over_cap)
     code, records = run_campaign(
         tmp_path, "capped.jsonl",
         "--identities", "eq1_2,eq1_3", "--n", "3", "--jobs", "1",
@@ -310,7 +313,7 @@ def test_campaign_timing_ends_every_record_with_elapsed(tmp_path, monkeypatch, c
     def broken(n):
         raise RuntimeError("broken")
 
-    monkeypatch.setattr(cyclosum.cli, "verify_eq2_3_liu", broken)
+    monkeypatch.setattr(cyclosum.identities, "verify_eq2_3_liu", broken)
     code, records = run_campaign(
         tmp_path, "timed.jsonl",
         "--identities", "eq1_3,eq2_3_liu", "--n", "3..4", "--timing", "--jobs", "2",
@@ -398,13 +401,70 @@ def test_library_and_campaign_agree_on_each_domain(identity):
     outside = [n for n in range(-1, statement.least + 2) if not statement.covers(n)]
     assert outside
     for n in outside:
-        assert _skip_reason(identity, n, cfg) == statement.note
+        assert statement.skip_reason(n, cfg) == statement.note
         if (identity, n) == ("lemma3_2", 2):
             assert _verify_outside(identity, n).verdict == "fail"
         else:
             note = "need l >= 2" if identity == "lemma3_2" else statement.note
             with pytest.raises(ValueError, match=re.escape(note)):
                 _verify_outside(identity, n)
+
+
+def test_campaign_looks_each_verify_function_up_when_it_runs(monkeypatch, tmp_path):
+    # The benchmark's tracer replaces the verify functions on the identities
+    # module, so the statement table must call them by name, not hold them.
+    calls = collections.Counter()
+    names = [name for name in vars(cyclosum.identities) if name.startswith("verify_")]
+    for name in names:
+        def counted(*args, _verify=getattr(cyclosum.identities, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _verify(*args, **kwargs)
+
+        monkeypatch.setattr(cyclosum.identities, name, counted)
+    out = str(tmp_path / "all.jsonl")
+    assert cmd_verify(CampaignConfig(IDENTITY_IDS, (2, 5), trials=1, jobs=1, output=out)) == 0
+    assert len(names) == 10
+    assert sorted(calls) == sorted(names)
+
+
+@pytest.mark.parametrize(
+    "identity,n,permanent_cap,enumeration_cap,note",
+    [
+        # eq1_1 takes the n x n permanent.
+        ("eq1_1", 8, 8, 1, None),
+        ("eq1_1", 8, 7, 1, "dimension 8 exceeds permanent cap 7"),
+        # eq1_2 takes the permanent of the (n-1)-minor.
+        ("eq1_2", 11, 10, 1, None),
+        ("eq1_2", 11, 9, 1, "dimension 10 exceeds permanent cap 9"),
+        # eq3_1 takes an l x l permanent and the subset DPs over l labels;
+        # past both caps the enumeration cap's note wins.
+        ("eq3_1", 7, 7, 7, None),
+        ("eq3_1", 7, 6, 7, "dimension 7 exceeds permanent cap 6"),
+        ("eq3_1", 7, 7, 6, "l=7 exceeds enumeration cap 6"),
+        ("eq3_1", 7, 6, 6, "l=7 exceeds enumeration cap 6"),
+        ("lemma3_2", 7, 1, 7, None),
+        ("lemma3_2", 7, 1, 6, "l=7 exceeds enumeration cap 6"),
+        # thm3_1 needs one deletion size k whose l = n - k has its parity and
+        # fits the cap: at n = 2 only k = 0, at n = 5 the least even l is 2.
+        ("thm3_1_even", 2, 2, 1, None),
+        ("thm3_1_even", 2, 1, 1, "no deletion size gives even l within the cap"),
+        ("thm3_1_even", 5, 2, 1, None),
+        ("thm3_1_even", 5, 1, 1, "no deletion size gives even l within the cap"),
+        ("thm3_1_odd", 4, 1, 1, None),
+        ("thm3_1_odd", 2, 16, 11, "no deletion size gives odd l within the cap"),
+        # The other statements run no permanent and no subset DP.
+        ("eq1_3", 101, 1, 1, None),
+        ("eq2_3_liu", 101, 1, 1, None),
+        ("eq2_4", 101, 1, 1, None),
+        ("thm2_1", 101, 1, 1, None),
+        ("eei", 101, 1, 1, None),
+    ],
+)
+def test_skip_reason_at_each_cap_boundary(identity, n, permanent_cap, enumeration_cap, note):
+    cfg = CampaignConfig((identity,), (n, n), permanent_cap=permanent_cap,
+                         enumeration_cap=enumeration_cap)
+    assert STATEMENTS[identity].skip_reason(n, cfg) == note
 
 
 def _report(verdict, notes=""):
@@ -509,6 +569,14 @@ def test_campaign_rejects_bad_jobs_env(env, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "CYCLOSUM_JOBS must be a positive integer" in err
+
+
+def test_campaign_rejects_duplicate_identities(capsys):
+    argv = ["verify", "--identities", "eq1_3,eei,eq1_3", "--n", "3..3", "--jobs", "1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: duplicate identities: eq1_3\n"
 
 
 def test_campaign_unwritable_output(tmp_path):

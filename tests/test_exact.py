@@ -10,6 +10,7 @@ import pytest
 
 from cyclosum.exact import (
     ContextMismatchError,
+    CycElem,
     cp_minor_determinant,
     cyc_context,
     cyclotomic_polynomial,
@@ -198,6 +199,31 @@ def test_mixed_rational_arithmetic():
     assert (z + Fraction(1, 2)) - z == Fraction(1, 2)
     assert 3 * z == z + z + z
     assert (2 / (2 * z)) * z == 1
+
+
+def test_subtraction_builds_no_negated_element(monkeypatch):
+    # a - b comes from one pass over the numerators, on equal and on unequal
+    # denominators and with an int or Fraction on either side, and equals
+    # a + (-b), which is computed before negation is switched off.
+    rng = Random(7)
+    cases = []
+    for n in (2, 5, 12):
+        ctx = cyc_context(n)
+        for _ in range(20):
+            a, b = random_element(ctx, rng), random_element(ctx, rng)
+            for x, y in ((a, b), (a, b / 3), (a, Fraction(2, 7)), (5, a), (Fraction(-1, 4), b)):
+                cases.append((x, y, x + (-y)))
+
+    def no_negation(self):
+        raise AssertionError("subtraction negated an element")
+
+    monkeypatch.setattr(CycElem, "__neg__", no_negation)
+    for x, y, want in cases:
+        assert x - y == want
+    with pytest.raises(TypeError):
+        _ = cyc_context(5).one - "1"
+    with pytest.raises(TypeError):
+        _ = "1" - cyc_context(5).one
 
 
 def test_cross_context_operations_rejected():
