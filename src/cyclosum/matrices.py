@@ -8,11 +8,15 @@ raises CapExceededError rather than hanging.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .exact import ContextMismatchError, CycElem, CyclotomicContext, cyc_context, parse_elem
 
@@ -333,22 +337,23 @@ def _necklaces(d: int) -> Iterator[tuple[int, int]]:
     FKM algorithm (Ruskey, Savage and Wang, "Generating necklaces",
     J. Algorithms 13, 1992).  Letter j of the word (1-based) is bit d - j,
     so words come in increasing order and each is the least of its d
-    rotations; the period is the size of its rotation orbit."""
-    a = [0] * (d + 1)  # letters a[1..d]; a[0] = 0 stops the scan below
+    rotations; the period is the size of its rotation orbit.  Each step
+    takes the last letter 0, at bit z, sets it to 1 and repeats the first
+    i = d - z letters to length d, which multiplying the i-bit prefix by
+    the repunit 1 + 2^i + 2^(2i) + ... does on the whole word at once; the
+    word is a necklace when i divides d."""
+    full = (1 << d) - 1
+    repeat = [(0, 0)]  # repeat[i]: the repunit for i-letter blocks, and the excess bits
+    for i in range(1, d + 1):
+        blocks = -(-d // i)
+        repeat.append((((1 << blocks * i) - 1) // ((1 << i) - 1), blocks * i - d))
     word = 0
     yield word, 1
-    while True:
-        i = d
-        while a[i]:
-            i -= 1
-        if not i:
-            return
-        a[i] = 1
-        word |= 1 << (d - i)
-        for j in range(i + 1, d + 1):
-            if a[j] != a[j - i]:
-                a[j] = a[j - i]
-                word ^= 1 << (d - j)
+    while word != full:
+        z = (~word & (word + 1)).bit_length() - 1
+        i = d - z
+        repunit, excess = repeat[i]
+        word = ((word >> z) | 1) * repunit >> excess
         if d % i == 0:
             yield word, i
 
@@ -458,6 +463,140 @@ def _column_sums(
         yield word, weight, sums
 
 
+def _is_prime(m: int) -> bool:
+    """Trial division by the primes to 61, then Miller-Rabin to the bases
+    2, 7 and 61, which is exact for every m below 4,759,123,141, the least
+    strong pseudoprime to all three (Jaeschke, Math. Comp. 61, 1993);
+    every caller asks below 2^31."""
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+    if m < 2 or math.gcd(m, math.prod(small)) != 1:
+        return m in small
+    odd, twos = m - 1, 0
+    while not odd & 1:
+        odd >>= 1
+        twos += 1
+    for a in (2, 7, 61):
+        x = pow(a, odd, m)
+        if x == 1:
+            continue
+        for _ in range(twos):
+            if x == m - 1:
+                break
+            x = x * x % m
+        else:
+            return False
+    return True
+
+
+def _prime_images(n: int) -> Iterator[tuple[int, int]]:
+    """(p, r) for the primes p = 1 (mod n) below 2^31, largest first, with
+    r a primitive n-th root of unity mod p.  F_p^* is cyclic of order
+    p - 1, a multiple of n, so g^((p-1)/n) has order dividing n, and it is
+    primitive unless its (n/q)-th power is 1 for a prime q | n.  Then
+    Phi_n(r) = 0 in F_p (p does not divide n), so zeta -> r is a ring map
+    Z[zeta_n] -> F_p (Washington, Introduction to Cyclotomic Fields,
+    ch. 2)."""
+    primes_of_n = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
+    step = math.lcm(2, n)  # p is odd
+    for p in range((2**31 - 2) // step * step + 1, 1, -step):
+        if not _is_prime(p):
+            continue
+        for g in range(2, p):
+            r = pow(g, (p - 1) // n, p)
+            if all(pow(r, n // q, p) != 1 for q in primes_of_n):
+                yield p, r
+                break
+
+
+# Necklaces per block of the modular walk; it bounds the walk's arrays.
+_BLOCK = 1 << 8
+
+
+def _value_bound(nums: Sequence[Sequence[int]], dim: int) -> int:
+    """The bound on |V| of _rational_circulant_permanent: L^N for the
+    circulant, N L^(N-1) for a minor, L = sum_j ||D t_j||_1."""
+    order, norm = len(nums), sum(map(_l1, nums))
+    return order * norm ** (order - 1) if order > dim else norm**order
+
+
+def _rational_circulant_permanent(
+    ctx: CyclotomicContext, nums: Sequence[Sequence[int]], den: int, dim: int
+) -> CycElem:
+    """per(M) as in _circulant_permanent, when the row's Galois symmetries
+    are every unit mod n, so that the permanent is rational.  Let
+    V = D^dim per(C) for the circulant and V = [x^1] per(DC + xI) =
+    N D^dim per(minor) for a minor: V lies in Z[zeta_n] and is rational,
+    so it is a rational integer.
+
+    Bound.  Under any complex embedding |per(A)| <= prod_i sum_j |a_ij|,
+    and each row of DC has absolute sum at most L = sum_j ||D t_j||_1, a
+    row of the minor at most the same.  V is rational, so it equals its
+    image under every embedding: |V| <= L^N, and |V| <= N L^(N-1) on a
+    minor, whose N principal minors each take at most L^(N-1).
+
+    Residues.  For each (p, r) of _prime_images, zeta -> r maps V to
+    V mod p.  The walk runs Ryser over the binary necklaces weighted by
+    their period, as the packed walk does with H = {1}, on the images of
+    the entries D t_j in int64, one block of _BLOCK necklaces at a time
+    for every prime at once.  A block reads its column sums from tables of
+    the sums over each byte of columns: a sum is below N p < 2^36 for
+    N <= 32, and a product of two residues below 2^62.  The primes are
+    taken until their product P exceeds twice the bound, and the symmetric
+    residue of V mod P (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 5) is V."""
+    order = len(nums)
+    minor = order > dim
+    bound = _value_bound(nums, dim)
+    images = _prime_images(ctx.n)
+    primes, modulus = [], 1
+    while modulus <= 2 * bound:
+        primes.append(next(images))
+        modulus *= primes[-1][0]
+    ps = np.array([p for p, _ in primes], dtype=np.int64)[:, None]
+    # col[q, i, c]: entry (i, c) of D C, D t_((c - i) mod N), at r_q mod p_q
+    entry = np.array([[functools.reduce(lambda acc, v: (acc * r + v) % p, reversed(vs), 0)
+                       for vs in nums] for p, r in primes], dtype=np.int64)
+    col = entry[:, (np.arange(order) - np.arange(order)[:, None]) % order]
+    # (base, table) with table[q, i, b] = sum of col[q, i, base + c] over
+    # the bits c of the byte b
+    tables = []
+    for base in range(0, order, 8):
+        width = min(8, order - base)
+        bits = np.arange(1 << width) >> np.arange(width)[:, None] & 1
+        tables.append((base, col[:, :, base:base + width] @ bits))
+    totals = np.zeros(len(primes), dtype=object)
+    necklaces = _necklaces(order)
+    while block := list(itertools.islice(necklaces, _BLOCK)):
+        words = np.array([w for w, _ in block], dtype=np.int64)
+        # (-1)^|S| times the period
+        weights = np.array([-k if w.bit_count() & 1 else k for w, k in block], dtype=np.int64)
+        sums = tables[0][1][:, :, words & 255]
+        for base, table in tables[1:]:
+            sums += table[:, :, words >> base & 255]
+        sums %= ps[:, :, None]
+        if minor:  # (a, b) stands for a + b x modulo x^2
+            a, b = np.ones_like(sums[:, 0]), np.zeros_like(sums[:, 0])
+            for i in range(order):
+                s = sums[:, i]
+                b = (b * s + a * (words >> i & 1)) % ps
+                a = a * s % ps
+            prod = b
+        else:
+            prod = np.ones_like(sums[:, 0])
+            for i in range(order):
+                prod = prod * sums[:, i] % ps
+        totals += (prod * weights).sum(axis=1).tolist()
+    value, modulus = 0, 1
+    for (p, _), x in zip(primes, totals.tolist()):
+        value += modulus * ((x - value) * pow(modulus, -1, p) % p)
+        modulus *= p
+    if value > modulus // 2:
+        value -= modulus
+    if order & 1:
+        value = -value
+    return ctx.from_rational(Fraction(value, order**minor * den**dim))
+
+
 def _circulant_permanent(ctx: CyclotomicContext, t: Sequence[CycElem], dim: int) -> CycElem:
     """per(M) for the dim x dim matrix M that _circulant_row(M) == t
     describes: the order-N circulant C with row 0 t, N = len(t), or a
@@ -469,6 +608,8 @@ def _circulant_permanent(ctx: CyclotomicContext, t: Sequence[CycElem], dim: int)
     if not norm:
         return ctx.zero
     units = _galois_symmetries(ctx, nums)
+    if len(units) == ctx.basis_degree:
+        return _rational_circulant_permanent(ctx, nums, den, dim)
     # on a minor, each factor's norm grows by the 1 of x [i in S]
     bits = ((1 << order) * (norm + minor) ** order).bit_length() + 1
     pack, fold = ctx.pack, ctx.fold
@@ -504,33 +645,36 @@ def permanent_ryser(m: ExactMatrix, cap: int = PERMANENT_CAP) -> CycElem:
     per(M) = (-1)^dim * sum_S (-1)^|S| prod_i (sum_{j in S} m_ij).
 
     A circulant C of order N (m[r][c] == t[(c - r) mod N] on every entry,
-    checked exactly by _circulant_row) takes one orbit walk.  Rotating S
-    keeps Ryser's term T(S) and |S|.  When N == n and its row satisfies
-    sigma_u(t_c) = t_(uc) for every u in a group H of units mod n (checked
-    exactly; the sun matrix has every unit), T(uS) = sigma_u(T(S)) as
-    well.  So the walk takes one S per orbit of {c -> uc + s} (_orbits),
-    weighted by the orbit's size, and applies (1/|H|) sum_{u in H} sigma_u
-    once to the sum; for the sun matrix that is the field trace over
-    |H|.  That is about 2^N / (N |H|) products; H = {1} gives the
-    necklaces.
+    checked exactly by _circulant_row) takes one walk over the binary
+    necklaces.  Rotating S keeps Ryser's term T(S) and |S|.  A principal
+    (N-1)-minor of C takes the same walk on C + xI, which is circulant
+    with the same symmetries: per(minor) = (1/N) [x^1] per(C + xI), since
+    d/dx per(C + xI) at 0 sums the N equal principal minors.  Each factor
+    s_i + x [i in S] is multiplied into a pair (a, b) standing for
+    a + b x modulo x^2.  Let H be the group of units u mod n whose
+    sigma_u maps the row onto itself, sigma_u(t_c) = t_(uc) for every c
+    (checked exactly by _galois_symmetries).
 
-    A principal (N-1)-minor of C takes the same walk on C + xI, which is
-    circulant with the same symmetries:
-    per(minor) = (1/N) [x^1] per(C + xI), since d/dx per(C + xI) at 0 sums
-    the N equal principal minors.  Each factor s_i + x [i in S] is
-    multiplied into a pair (a, b) standing for a + b x modulo x^2, two
-    packed products.
+    When H is every unit mod n (N == n, as for the sun and cotangent
+    rows; or n == 2, where the field is Q), the permanent is rational,
+    and the walk runs modulo primes in int64 with the Chinese remainder
+    theorem at the end (_rational_circulant_permanent).
+
+    Otherwise T(uS) = sigma_u(T(S)) for u in H, so the walk takes one S
+    per orbit of {c -> uc + s} (_orbits), weighted by the orbit's size,
+    and applies (1/|H|) sum_{u in H} sigma_u once to the sum: about
+    2^N / (N |H|) products; H = {1} gives the necklaces.  It runs on D * M
+    packed into integers (per(M) = per(D M) / D^dim).  A product has l1
+    norm at most prod_i sum_j ||D m_ij||_1, and the orbit weights add up
+    to the 2^N subsets they stand for, so 2^N times that norm bounds every
+    coefficient and fixes the digit width; on a minor each factor's norm
+    grows by the 1 of x [i in S].  The running product is folded modulo
+    x^n - 1 after every factor, which keeps it at n digits and within
+    that norm.
 
     Any other matrix walks all subsets in Gray-code order, one column
-    update per step, and that walk is also the orbit route's oracle.
-
-    Every route runs on D * M packed into integers (per(M) = per(D M) /
-    D^dim).  A product has l1 norm at most prod_i sum_j ||D m_ij||_1, and
-    the orbit weights add up to the 2^N subsets they stand for, so 2^N
-    times that norm bounds every coefficient and fixes the digit width; on
-    a minor each factor's norm grows by the 1 of x [i in S].  The running
-    product is folded modulo x^n - 1 after every factor, which keeps it at
-    n digits and within that norm.
+    update per step, on the same packed integers and digit width; that
+    walk is also the circulant routes' oracle in the tests.
     """
     d = m.dim
     if d > cap:

@@ -1,0 +1,166 @@
+"""Mutation check of the fast paths.  Each mutant replaces one piece of
+text in a temporary copy of src/, and every test it names must then fail.
+The named tests must first pass on an unmutated copy, so that a mutant
+cannot pass by a test that fails anyway.
+
+Run it from anywhere, with the interpreter that runs the tests:
+
+    python tests/mutants.py
+
+It needs the standard library and pytest, and exits 0 when every check
+holds and 1 otherwise.  pytest does not collect this file (its name has no
+test_ prefix), so Tier-1 does not run it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/cyclosum
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # The modular route for permanents of rows with every Galois symmetry.
+    Mutant(
+        "one prime fewer than the bound asks for",
+        "matrices.py",
+        "        modulus *= primes[-1][0]\n",
+        "        modulus *= primes[-1][0]\n    primes = primes[:-1] if len(primes) > 1 else primes\n",
+        ("tests/test_kernels.py::test_modular_route_takes_every_prime_the_bound_asks_for",),
+    ),
+    Mutant(
+        "a root of unity of order n/q for the least prime q | n",
+        "matrices.py",
+        "                yield p, r\n",
+        "                yield p, pow(r, primes_of_n[0], p)\n",
+        ("tests/test_kernels.py::test_prime_images_are_primes_with_primitive_roots[12]",
+         "tests/test_kernels.py::test_necklace_route_matches_gray_code_on_sun_matrix[6]"),
+    ),
+    Mutant(
+        "the necklace period weight dropped",
+        "matrices.py",
+        "[-k if w.bit_count() & 1 else k for w, k in block]",
+        "[-1 if w.bit_count() & 1 else 1 for w, k in block]",
+        ("tests/test_kernels.py::test_necklace_route_matches_gray_code_on_sun_matrix[8]",
+         "tests/test_kernels.py::test_modular_route_matches_the_packed_walk_on_sun_matrices[9]"),
+    ),
+    Mutant(
+        "the factor N of a minor dropped",
+        "matrices.py",
+        "Fraction(value, order**minor * den**dim)",
+        "Fraction(value, den**dim)",
+        ("tests/test_kernels.py::test_modular_route_matches_the_packed_walk_on_sun_matrices[7]",
+         "tests/test_acceptance.py::test_c02_minor_permanent_closed_form_odd_orders"),
+    ),
+    # The packed orbit walk, which rows with a proper subgroup of
+    # symmetries still take.
+    Mutant(
+        "the 1/|H| of the orbit walk dropped",
+        "matrices.py",
+        "CycElem(ctx, trace, len(units) * (order if minor else 1) * den**dim)",
+        "CycElem(ctx, trace, (order if minor else 1) * den**dim)",
+        ("tests/test_kernels.py::test_orbit_route_on_a_row_symmetric_under_conjugation_only[7]",),
+    ),
+    Mutant(
+        "the necklace period used as the orbit weight",
+        "matrices.py",
+        "yield word, period * len(units) // fixed",
+        "yield word, period",
+        ("tests/test_kernels.py::test_orbit_route_on_a_row_symmetric_under_conjugation_only[7]",
+         "tests/test_kernels.py::test_orbits_yield_each_affine_orbit_once_at_its_size[7]"),
+    ),
+    Mutant(
+        "the x [i in S] of a minor's factor dropped in the orbit walk",
+        "matrices.py",
+        "b = fold(b * s + a if word >> i & 1 else b * s, bits)",
+        "b = fold(b * s, bits)",
+        ("tests/test_kernels.py::test_orbit_route_on_a_row_symmetric_under_conjugation_only[7]",),
+    ),
+    # The sun entries as Galois images, and the rational multiply path.
+    Mutant(
+        "the Galois image by u^-1 in place of u",
+        "matrices.py",
+        "CycElem(ctx, ctx._galois(base.nums, u), base.den)",
+        "CycElem(ctx, ctx._galois(base.nums, pow(u, -1, n)), base.den)",
+        ("tests/test_kernels.py::test_sun_entries_are_galois_images_of_one_inverse_per_divisor[5]",),
+    ),
+    Mutant(
+        "the denominator of the general factor dropped on a rational factor",
+        "exact.py",
+        "            nums = [b[0] * v for v in a]\n",
+        "            return CycElem(self.context, [b[0] * v for v in a], o.den)\n",
+        ("tests/test_kernels.py::test_rational_factor_scales_without_a_packed_product[5]",),
+    ),
+    Mutant(
+        "an identity-only circulance check",
+        "matrices.py",
+        "e is t[(c - r) % order] or e == t[(c - r) % order]",
+        "e is t[(c - r) % order]",
+        ("tests/test_kernels.py::test_circulance_is_exact_on_entries_that_are_not_shared",),
+    ),
+)
+
+
+def failing(src: Path, tests: tuple[str, ...]) -> set[str]:
+    """The ids among tests that fail or error with the package under src."""
+    # No bytecode cache: two mutants of one file can share its size and
+    # modification second, which is all a cached .pyc is checked against.
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    where = subprocess.run(
+        [sys.executable, "-c", "import cyclosum; print(cyclosum.__file__)"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    if not Path(where).is_relative_to(src):
+        raise RuntimeError(f"cyclosum imported from {where}, not from {src}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    return {line.split()[1] for line in proc.stdout.splitlines()
+            if line.startswith(("FAILED ", "ERROR "))}
+
+
+def main() -> int:
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        named = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        broken = failing(src, named)
+        for test in sorted(broken):
+            problems.append(f"unmutated: {test} fails")
+        for m in MUTANTS:
+            path = src / "cyclosum" / m.path
+            text = path.read_text(encoding="utf-8")
+            if text.count(m.old) != 1:
+                problems.append(f"{m.name}: the text to replace occurs {text.count(m.old)} times")
+                continue
+            path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+            try:
+                survived = [t for t in m.tests if t not in failing(src, m.tests)]
+            finally:
+                path.write_text(text, encoding="utf-8")
+            status = f"survived, {', '.join(survived)} passing" if survived else "killed"
+            print(f"{m.name}: {status}", flush=True)
+            problems += [f"{m.name}: {t} passes" for t in survived]
+    for p in problems:
+        print("PROBLEM", p)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -57,16 +57,16 @@ def criterion(number: int, label: str, budget: float | None = None):
 
 
 def test_c01_full_permanent_closed_form_even_orders():
-    with criterion(1, "permanent of full matrix, even n 2..20, exact", 600):
-        for n in range(2, 21, 2):
+    with criterion(1, "permanent of full matrix, even n 2..22, exact", 600):
+        for n in range(2, 23, 2):
             report = verify_eq1_1(n)
             assert report.verdict == "pass", f"n={n}: {report.notes}"
             assert report.lhs == report.rhs
 
 
 def test_c02_minor_permanent_closed_form_odd_orders():
-    with criterion(2, "permanent of minor, odd n 3..19, exact", 600):
-        for n in range(3, 20, 2):
+    with criterion(2, "permanent of minor, odd n 3..21, exact", 600):
+        for n in range(3, 22, 2):
             report = verify_eq1_2(n)
             assert report.verdict == "pass", f"n={n}: {report.notes}"
             assert report.parameters["deletions_agree"] is True

@@ -1,10 +1,12 @@
 """Oracle tests for the integer kernels: the norm-based inverse, the Galois
 maps, the sun entries as Galois images of one inverse per divisor,
-Kronecker packing, the rational multiply path, the packed permanent on
-both its routes (Gray code, and the orbit walk over a circulant or a minor
-of one), matrix product and characteristic polynomial, the necklace and
-orbit generators, the exact spectrum of a circulant, and the determinant
-on both its routes (Gaussian elimination and that spectrum).
+Kronecker packing, the rational multiply path, the permanent on its three
+routes (Gray code; the packed orbit walk over a circulant or a minor of
+one; and, for a row with every Galois symmetry, the necklace walk modulo
+primes), its primes and roots of unity, matrix product and characteristic
+polynomial, the necklace and orbit generators, the exact spectrum of a
+circulant, and the determinant on both its routes (Gaussian elimination
+and that spectrum).
 
 Each packed kernel is compared with an implementation that does every step
 in CycElem arithmetic: the naive permanent, the Leibniz determinant and
@@ -14,6 +16,7 @@ product and element-wise Faddeev-LeVerrier recurrence below.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -294,9 +297,9 @@ def with_minors(ctx, first) -> list[ExactMatrix]:
 @pytest.mark.parametrize("n", range(2, 15))
 def test_necklace_route_matches_gray_code_on_sun_matrix(n):
     # The sun matrix's row has every unit mod n as a symmetry, and C + xI
-    # keeps them, so the full matrix and its minor both take the largest
-    # orbits.  The 2 x 2 matrices stay circulant under a row swap and are
-    # compared with the naive permanent instead.
+    # keeps them, so the full matrix and its minor both take the necklace
+    # walk modulo primes.  The 2 x 2 matrices stay circulant under a row
+    # swap and are compared with the naive permanent instead.
     sun = build_sun_matrix(cyc_context(n))
     minor = delete_rows_cols(sun, {n})
     assert symmetries(sun) == units(n)
@@ -313,19 +316,33 @@ def test_necklace_route_matches_gray_code_on_sun_matrix(n):
         assert permanent_ryser(sun) == full_permanent(n)
 
 
-@pytest.mark.parametrize("n", (15, 16))
-def test_orbit_route_matches_necklaces_on_larger_sun_matrices(n, monkeypatch):
-    # Past the Gray-code walk's reach, the same walk with H = {1} (the
-    # plain necklace sum, weighted by period) is the oracle.
+@pytest.mark.parametrize("n", range(3, 17))
+def test_modular_route_matches_the_packed_walk_on_sun_matrices(n, monkeypatch):
+    # The packed walk with H = {1} (the plain necklace sum over Z[zeta_n],
+    # weighted by period) is the oracle, past the Gray-code walk's reach
+    # too; the cotangent rows, 2/(1 - zeta^d), have every unit as well.
+    # At n = 2 the field is Q, so H = {1} is every unit and no packed walk
+    # runs.
     sun = build_sun_matrix(cyc_context(n))
-    matrices = (sun, delete_rows_cols(sun, {n}))
+    matrices = [sun, delete_rows_cols(sun, {n})]
+    if n <= 12:
+        cp = build_cp_matrix(cyc_context(n))
+        matrices += [cp, delete_rows_cols(cp, {n})]
+    assert all(symmetries(m) == units(n) for m in matrices)
     fast = [permanent_ryser(m, cap=m.dim) for m in matrices]
     monkeypatch.setattr(cyclosum.matrices, "_galois_symmetries", lambda ctx, nums: [1])
+    monkeypatch.setattr(cyclosum.matrices, "_rational_circulant_permanent", refuse_modular)
     assert fast == [permanent_ryser(m, cap=m.dim) for m in matrices]
+
+
+def refuse_modular(*args):
+    raise AssertionError("the modular route ran where the packed walk was asked for")
 
 
 @pytest.mark.parametrize("n", (3, 5, 6, 8, 9, 12))
 def test_orbit_route_on_random_galois_symmetric_rows(n):
+    # These rows have every unit as a symmetry, so they take the modular
+    # route; the Gray walk and the naive permanent are its oracles.
     rng = Random(12_000 + n)
     ctx = cyc_context(n)
     for _ in range(2):
@@ -337,14 +354,18 @@ def test_orbit_route_on_random_galois_symmetric_rows(n):
                 assert got == permanent_naive(m), f"n={n} dim={m.dim}"
 
 
+def conjugation_row(ctx) -> list:
+    """t_c = zeta^c + zeta^-c + r_c with r_c = r_-c but r_1 != r_u for every
+    other unit u: only sigma_(-1) maps the row onto itself."""
+    n = ctx.n
+    r = [Fraction(min(c, n - c) ** 2, 3) for c in range(n)]
+    return [ctx.zeta_pow(c) + ctx.zeta_pow(-c) + r[c] for c in range(n)]
+
+
 @pytest.mark.parametrize("n", (5, 7, 8))
 def test_orbit_route_on_a_row_symmetric_under_conjugation_only(n):
-    # t_c = zeta^c + zeta^-c + r_c with r_c = r_-c but r_1 != r_u for every
-    # other unit u: only sigma_(-1) maps the row onto itself.
     ctx = cyc_context(n)
-    r = [Fraction(min(c, n - c) ** 2, 3) for c in range(n)]
-    first = [ctx.zeta_pow(c) + ctx.zeta_pow(-c) + r[c] for c in range(n)]
-    for m in with_minors(ctx, first):
+    for m in with_minors(ctx, conjugation_row(ctx)):
         assert symmetries(m) == [1, n - 1]
         got = permanent_ryser(m)
         assert got == gray_walk(m) == permanent_naive(m), f"n={n} dim={m.dim}"
@@ -416,6 +437,136 @@ def test_a_perturbed_sun_matrix_falls_back_to_the_gray_code_walk(monkeypatch):
     assert permanent_ryser(twisted) == want[1]
     monkeypatch.setattr(cyclosum.matrices, "_orbits", refuse)
     assert permanent_ryser(near) == want[0]
+
+
+def test_rows_with_every_unit_skip_the_orbit_walk(monkeypatch):
+    # The sun row at n = 7 and its minor take the modular route, which
+    # lists plain necklaces; a row symmetric under conjugation only still
+    # takes the packed orbit walk, once for the circulant and once for its
+    # minor.
+    calls = []
+    orbits = cyclosum.matrices._orbits
+
+    def counted(d, group):
+        calls.append((d, list(group)))
+        return orbits(d, group)
+
+    monkeypatch.setattr(cyclosum.matrices, "_orbits", counted)
+    ctx = cyc_context(7)
+    sun = build_sun_matrix(ctx)
+    assert permanent_ryser(sun) == gray_walk(sun)
+    assert permanent_ryser(delete_rows_cols(sun, {7})) == minor_permanent(7)
+    assert calls == []
+    for m in with_minors(ctx, conjugation_row(ctx)):
+        permanent_ryser(m)
+    assert calls == [(7, [1, 6]), (7, [1, 6])]
+
+
+def primes_asked(n: int, bound: int) -> list[int]:
+    """The primes of _prime_images(n) whose product first exceeds 2 bound."""
+    out, product = [], 1
+    for p, _ in cyclosum.matrices._prime_images(n):
+        if product > 2 * bound:
+            return out
+        out.append(p)
+        product *= p
+
+
+def test_modular_route_takes_every_prime_the_bound_asks_for():
+    # The constant row q = -(2^20 + 1)/3 at n = 5: per = 5! q^5, so
+    # V = D^5 per = -120 (2^20 + 1)^5 with D = 3.  The bound L^5 =
+    # (5 (2^20 + 1))^5 asks for four primes, and the first three multiply to
+    # less than 2 |V|, so stopping one prime early gives a wrong residue.
+    ctx = cyc_context(5)
+    q = Fraction(-(2**20 + 1), 3)
+    m = make_matrix(ctx, [[q] * 5] * 5)
+    value = -120 * (2**20 + 1) ** 5
+    _, (nums,) = cyclosum.matrices._cleared((cyclosum.matrices._circulant_row(m),))
+    bound = cyclosum.matrices._value_bound(nums, 5)
+    assert bound == (5 * (2**20 + 1)) ** 5 >= abs(value)
+    primes = primes_asked(5, bound)
+    assert len(primes) == 4 and math.prod(primes[:-1]) < 2 * abs(value)
+    assert permanent_ryser(m) == math.factorial(5) * q**5
+
+
+def test_value_bound_holds_on_sun_rows_and_minors(monkeypatch):
+    # V from the closed forms (full matrices at even n, minors at odd n)
+    # up to n = 22, and from the packed walk for the other parity up to 12.
+    monkeypatch.setattr(cyclosum.matrices, "_galois_symmetries", lambda ctx, nums: [1])
+    for n in range(2, 23):
+        sun = build_sun_matrix(cyc_context(n))
+        den, (nums,) = cyclosum.matrices._cleared((cyclosum.matrices._circulant_row(sun),))
+        values = {}
+        if n % 2 == 0:
+            values[n] = den**n * full_permanent(n)
+        elif n > 2:
+            values[n - 1] = n * den ** (n - 1) * minor_permanent(n)
+        if n <= 12:
+            for m in (sun, delete_rows_cols(sun, {n})):
+                per = permanent_ryser(m, cap=m.dim)
+                assert not any(per.nums[1:])
+                per = Fraction(per.nums[0], per.den)
+                values.setdefault(m.dim, (n if m.dim < n else 1) * den**m.dim * per)
+        for dim, value in values.items():
+            assert value.denominator == 1, (n, dim)
+            assert abs(value) <= cyclosum.matrices._value_bound(nums, dim), (n, dim)
+
+
+@pytest.mark.parametrize("n, q", ((6, 2), (6, 3), (8, 2), (9, 3), (12, 2)))
+def test_a_root_of_lower_order_gives_a_wrong_permanent(n, q, monkeypatch):
+    # r^q has order n/q: zeta -> r^q is no ring map from Z[zeta_n], and
+    # the walk must then miss the closed form.
+    sun = build_sun_matrix(cyc_context(n))
+    m = delete_rows_cols(sun, {n}) if n % 2 else sun
+    want = minor_permanent(n) if n % 2 else full_permanent(n)
+    assert permanent_ryser(m) == want
+    images = cyclosum.matrices._prime_images
+    monkeypatch.setattr(cyclosum.matrices, "_prime_images",
+                        lambda n: ((p, pow(r, q, p)) for p, r in images(n)))
+    assert permanent_ryser(m) != want
+
+
+def test_modular_walk_in_tiny_blocks_gives_the_same_permanents(monkeypatch):
+    rng = Random(13_000)
+    matrices = []
+    for n in (7, 8, 10):
+        ctx = cyc_context(n)
+        sun = build_sun_matrix(ctx)
+        matrices += [sun, delete_rows_cols(sun, {n})] + with_minors(ctx, galois_row(ctx, rng))
+    want = [permanent_ryser(m) for m in matrices]
+    for block in (1, 3):
+        monkeypatch.setattr(cyclosum.matrices, "_BLOCK", block)
+        assert [permanent_ryser(m) for m in matrices] == want, block
+
+
+def trial_division_primes(limit: int) -> list[int]:
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(sieve[i * i::i]))
+    return [i for i in range(limit) if sieve[i]]
+
+
+def test_miller_rabin_agrees_with_a_sieve():
+    small = trial_division_primes(1 << 16)  # every prime to sqrt(2^31) and past
+    assert [m for m in range(1 << 16) if cyclosum.matrices._is_prime(m)] == small
+    rng = Random(14_000)
+    for m in [rng.randrange(1 << 30, 1 << 31) for _ in range(300)] + [2**31 - 1]:
+        want = all(m % p for p in small if p * p <= m)
+        assert cyclosum.matrices._is_prime(m) == want, m
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 12, 22, 24))
+def test_prime_images_are_primes_with_primitive_roots(n):
+    images = list(itertools.islice(cyclosum.matrices._prime_images(n), 12))
+    primes = [p for p, _ in images]
+    assert primes == sorted(set(primes), reverse=True) and primes[0] < 2**31
+    small = trial_division_primes(1 << 16)
+    for p, r in images:
+        assert p % n == 1 and all(p % s for s in small if s * s <= p), p
+        assert pow(r, n, p) == 1
+        assert all(pow(r, k, p) != 1 for k in range(1, n)), (p, r)
 
 
 def test_circulance_is_checked_on_every_entry():
