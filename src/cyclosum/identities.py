@@ -18,8 +18,6 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .exact import (
     cp_minor_determinant,
     cyc_context,
@@ -39,8 +37,9 @@ from .matrices import (
     make_matrix,
     permanent_ryser,
 )
-# Eigensolves go through spectral.herm_eigen, looked up at call time, so that
-# a replacement on the spectral module (a tracer, a counting test) sees them.
+# Eigensolves go through spectral.herm_eigen and spectral.minor_spectra,
+# looked up at call time, so that a replacement on the spectral module (a
+# tracer, a counting test) sees them.
 from . import spectral
 from .spectral import (
     HermMatrix,
@@ -519,13 +518,11 @@ def verify_eei(
         raise ValueError(f"matrix dimension {matrix.dim} != n {n}")
     worst = 0.0
     inconclusive = 0
-    # d + 1 eigensolves: the full matrix once, then each minor once for the
-    # d pairs that share it.
+    # The full matrix once with eigenvectors, then the spectra of all d
+    # minors from one stacked solve without them; each minor's spectrum
+    # serves the d pairs that share it.
     dec = spectral.herm_eigen(matrix)
-    for j in range(1, n + 1):
-        minor_lam = (
-            spectral.herm_eigen(matrix.minor(j)).eigenvalues if n > 1 else np.empty(0)
-        )
+    for j, minor_lam in enumerate(spectral.minor_spectra(matrix), 1):
         for i in range(1, n + 1):
             r = _eei_pair(dec, minor_lam, i, j)
             if not r.conclusive:

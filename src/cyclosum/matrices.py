@@ -488,7 +488,7 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-def _prime_images(n: int) -> Iterator[tuple[int, int]]:
+def _search_prime_images(n: int) -> Iterator[tuple[int, int]]:
     """(p, r) for the primes p = 1 (mod n) below 2^31, largest first, with
     r a primitive n-th root of unity mod p.  F_p^* is cyclic of order
     p - 1, a multiple of n, so g^((p-1)/n) has order dividing n, and it is
@@ -506,6 +506,21 @@ def _prime_images(n: int) -> Iterator[tuple[int, int]]:
             if all(pow(r, n // q, p) != 1 for q in primes_of_n):
                 yield p, r
                 break
+
+
+# n -> (the images found so far, the search that finds the next ones)
+_PRIME_IMAGES: dict[int, tuple[list[tuple[int, int]], Iterator[tuple[int, int]]]] = {}
+
+
+def _prime_images(n: int) -> Iterator[tuple[int, int]]:
+    """The images of _search_prime_images(n) in its order.  Each is found
+    once per process: the ones found so far are kept for each n, and the
+    search resumes where it stopped when a caller asks for more."""
+    found, search = _PRIME_IMAGES.setdefault(n, ([], _search_prime_images(n)))
+    for k in itertools.count():
+        if k == len(found):
+            found.append(next(search))
+        yield found[k]
 
 
 # Necklaces per block of the modular walk; it bounds the walk's arrays.

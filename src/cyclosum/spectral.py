@@ -6,8 +6,11 @@ polynomial, and the exact spectrum check for the scaled minor.
 The eigensolver runs complex Jacobi sweeps on the d x d Hermitian matrix
 itself, with no LAPACK call.  A sweep is the round-robin ordering of the
 index pairs: each round's rotations touch disjoint pairs, so the round is
-one d x d unitary, applied as two matrix products to the matrix and one to
-the eigenvectors.  It is the one float kernel here: the
+one d x d unitary J, applied as a <- J^H a J, and as v <- v J only when the
+eigenvectors are asked for.  One kernel sweeps a whole stack of same-size
+matrices at once: herm_eigen is a stack of one with eigenvectors, and
+minor_spectra solves the d principal minors of a matrix in one stack,
+eigenvalues only.  It is the one float kernel here: the
 eigenvector-eigenvalue identity is the only statement checked in floating
 point.  The cotangent matrix's eigenpairs are checked exactly in
 Q(zeta_n), and the scaled minor's spectrum is settled exactly through its
@@ -16,6 +19,7 @@ characteristic polynomial.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,10 +85,11 @@ def embed_matrix(m: ExactMatrix) -> HermMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues ascending; eigenvector column i pairs with eigenvalue i."""
+    """Eigenvalues ascending; eigenvector column i pairs with eigenvalue i
+    (None when the solve was asked for eigenvalues only)."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
 
 def _round_robin(d: int) -> list[list[tuple[int, int]]]:
@@ -104,62 +109,136 @@ def _round_robin(d: int) -> list[list[tuple[int, int]]]:
     return rounds
 
 
-def herm_eigen(m: HermMatrix) -> SpectralDecomposition:
-    """Full eigen-decomposition of a Hermitian matrix by complex Jacobi
-    sweeps (Golub and Van Loan, Matrix Computations, section 8.5) in the
-    round-robin ordering of Brent and Luk (SIAM J. Sci. Stat. Comput. 6,
-    1985), which converges like the cyclic-by-rows ordering (Luk and Park,
-    1989).
+@functools.cache
+def _round_tables(d: int) -> list[tuple]:
+    """Per round of _round_robin(d): its pairs, the (row, column) indices
+    of its a_pq followed by the diagonal, which the round reads, and the
+    flat indices of J's entries (p, p), (q, q), (p, q) and (q, p), which it
+    writes, with their values 1, 1, 0, 0 in the identity."""
+    tables = []
+    for pairs in _round_robin(d):
+        ps = np.array([p for p, _ in pairs], dtype=np.intp)
+        qs = np.array([q for _, q in pairs], dtype=np.intp)
+        read = (np.concatenate([ps, np.arange(d)]), np.concatenate([qs, np.arange(d)]))
+        write = np.concatenate([ps * (d + 1), qs * (d + 1), ps * d + qs, qs * d + ps])
+        reset = np.repeat([1.0, 1.0, 0.0, 0.0], len(pairs))
+        tables.append((pairs, read, write, reset))
+    return tables
+
+
+def _jacobi(mats: np.ndarray, vectors: bool) -> list[SpectralDecomposition]:
+    """Eigen-decompositions of a stack of same-size Hermitian matrices by
+    complex Jacobi sweeps (Golub and Van Loan, Matrix Computations, section
+    8.5) in the round-robin ordering of Brent and Luk (SIAM J. Sci. Stat.
+    Comput. 6, 1985), which converges like the cyclic-by-rows ordering (Luk
+    and Park, 1989).  Eigenvectors only when vectors is set; otherwise the
+    eigenvectors field of each result is None.
 
     Each rotation first turns the phase of a_pq onto the real axis, then
     zeroes it with the real rotation (c, s).  The pairs of one round are
-    disjoint, so the round's rotations make one unitary J, applied as
-    a <- J^H a J and v <- v J.  The entries are first divided by a power of
-    two near their largest modulus, exact for every entry that stays a
-    normal number, which keeps tiny and huge matrices inside the range the
-    stop test needs; the eigenvalues are scaled back.  Deterministic for a fixed input; an entry that is not
-    finite raises ValueError.
+    disjoint, so a member's rotations in that round make one unitary J, and
+    the round applies a <- J^H a J to every member by one stacked product
+    (and v <- v J when vectors is set).  A round reads only the members'
+    pair entries and diagonals.  Each member's entries are first divided by
+    a power of two near its own largest modulus, exact for every entry that
+    stays a normal number, which keeps tiny and huge matrices inside the
+    range the stop test needs; its eigenvalues are scaled back.  A member
+    leaves the stack at the first sweep that finds it converged, and a
+    stacked product gives each member the bits of its own 2-D product, so
+    every result is bit for bit the one its matrix gets alone.
+    Deterministic for a fixed input; an entry that is not finite raises
+    ValueError, and a member still not converged after MAX_SWEEPS sweeps
+    raises ConvergenceError.
     """
-    d = m.dim
+    count, d = mats.shape[:2]
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    scale = float(np.max(np.abs(m.entries)))
-    if not math.isfinite(scale):
+    scale = np.abs(mats).max(axis=(1, 2))
+    if not np.isfinite(scale).all():
         raise ValueError("matrix entries must be finite")
     # scale = frac * 2**e with 0.5 <= frac < 1; frexp(0.0) is (0.0, 0), so
-    # the zero matrix is left as it is.
-    frac, e = math.frexp(scale)
-    parts = np.ascontiguousarray(m.entries, dtype=np.complex128).view(np.float64)
-    a = np.ldexp(parts, -e).view(np.complex128)
+    # a zero matrix is left as it is.
+    frac, e = np.frexp(scale)
+    parts = np.ascontiguousarray(mats, dtype=np.complex128).view(np.float64)
+    a = np.ldexp(parts, -e[:, None, None]).view(np.complex128)
     stop = 1e-14 * frac
-    eye = np.eye(d, dtype=np.complex128)
-    v = eye
-    rounds = _round_robin(d)
+    # J of each member, reset to the identity after every round; its
+    # conjugate and J^H a reuse their buffers round after round.
+    j = np.broadcast_to(np.eye(d, dtype=np.complex128), a.shape).copy()
+    jc, half = np.empty_like(a), np.empty_like(a)
+    v = j.copy() if vectors else None
+    live = np.arange(count)  # the input index of each member still in the stack
+    out: list[SpectralDecomposition] = [None] * count
+    rounds = _round_tables(d)
     for _ in range(MAX_SWEEPS):
         off = np.abs(a)
-        np.fill_diagonal(off, 0.0)
-        if off.max() <= stop:
-            lam = a.diagonal().real
-            order = np.argsort(lam, kind="stable")
-            return SpectralDecomposition(np.ldexp(lam[order], e), v[:, order])
-        for pairs in rounds:
-            rows = a.tolist()
-            j = eye.copy()
-            for p, q in pairs:
-                r = abs(rows[p][q])
-                if r <= stop * 1e-2:
-                    continue
-                phase = rows[p][q] / r
-                tau = (rows[q][q].real - rows[p][p].real) / (2.0 * r)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c * phase
-                j[p, p] = j[q, q] = c
-                j[p, q] = s
-                j[q, p] = -s.conjugate()
-            a = j.conj().T @ a @ j
-            v = v @ j
+        off[:, range(d), range(d)] = 0.0
+        done = off.max(axis=(1, 2)) <= stop
+        if done.any():
+            lam = a.diagonal(axis1=1, axis2=2).real
+            for k in np.flatnonzero(done).tolist():
+                order = np.argsort(lam[k], kind="stable")
+                out[live[k]] = SpectralDecomposition(
+                    np.ldexp(lam[k][order], e[k]), v[k][:, order] if vectors else None
+                )
+            if done.all():
+                return out
+            keep = ~done
+            a, stop, e, live = a[keep], stop[keep], e[keep], live[keep]
+            if vectors:
+                v = v[keep]
+        size = len(a)
+        js, jcs, halfs = j[:size], jc[:size], half[:size]
+        flat = js.reshape(size, d * d)
+        floors = (stop * 1e-2).tolist()
+        for pairs, read, write, reset in rounds:
+            rows = []
+            for row, floor in zip(a[:, read[0], read[1]].tolist(), floors):
+                diag = row[len(pairs):]
+                cs, ss, sq = [], [], []
+                for (p, q), z in zip(pairs, row):
+                    r = abs(z)
+                    if r <= floor:
+                        cs.append(1.0)
+                        ss.append(0j)
+                        sq.append(0j)
+                        continue
+                    phase = z / r
+                    tau = (diag[q].real - diag[p].real) / (2.0 * r)
+                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
+                    c = 1.0 / math.hypot(t, 1.0)
+                    s = t * c * phase
+                    cs.append(c)
+                    ss.append(s)
+                    sq.append(-s.conjugate())
+                rows.append(cs + cs + ss + sq)
+            flat[:, write] = rows
+            np.conjugate(js, out=jcs)
+            np.matmul(jcs.transpose(0, 2, 1), a, out=halfs)
+            np.matmul(halfs, js, out=a)
+            if vectors:
+                v = v @ js
+            flat[:, write] = reset
     raise ConvergenceError(f"Jacobi sweeps did not converge within {MAX_SWEEPS}")
+
+
+def herm_eigen(m: HermMatrix) -> SpectralDecomposition:
+    """Full eigen-decomposition of a Hermitian matrix: _jacobi on a stack
+    of one, with eigenvectors."""
+    return _jacobi(m.entries[None], vectors=True)[0]
+
+
+def minor_spectra(m: HermMatrix) -> list[np.ndarray]:
+    """The eigenvalues of the d principal minors of m, item j - 1 for the
+    minor without row and column j: one _jacobi call on the stack of all
+    d minors, without eigenvectors.  Each spectrum is bit for bit the one
+    herm_eigen(m.minor(j)) returns.  At dimension 1 the one minor is empty."""
+    d = m.dim
+    if d == 1:
+        return [np.empty(0)]
+    keep = np.array([[r for r in range(d) if r != j] for j in range(d)])
+    minors = m.entries[keep[:, :, None], keep[:, None, :]]
+    return [dec.eigenvalues for dec in _jacobi(minors, vectors=False)]
 
 
 def random_hermitian(dim: int, rng: Random) -> HermMatrix:
@@ -252,8 +331,9 @@ def eei_residual(m: HermMatrix, i: int, j: int) -> EeiResult:
     When lam_i is within GAP_THRESHOLD of another eigenvalue the component
     |v_ij|^2 depends on the basis chosen inside the eigenspace, so the check
     is flagged inconclusive rather than pass/fail; so is a residual that is
-    not finite.  One pair from two eigensolves; verify_eei judges all d^2
-    pairs from d + 1.
+    not finite.  One pair from two herm_eigen solves, the matrix and its
+    minor j, each with eigenvectors; verify_eei judges all d^2 pairs from
+    one herm_eigen solve and one minor_spectra call.
     """
     d = m.dim
     if not (1 <= i <= d and 1 <= j <= d):

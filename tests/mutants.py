@@ -113,6 +113,36 @@ MUTANTS = (
         "e is t[(c - r) % order]",
         ("tests/test_kernels.py::test_circulance_is_exact_on_entries_that_are_not_shared",),
     ),
+    # The Jacobi eigensolver, its stacked minors, and the EEI verdict.
+    Mutant(
+        "a Jacobi round's J[q, p] with its sign flipped",
+        "spectral.py",
+        "sq.append(-s.conjugate())",
+        "sq.append(s.conjugate())",
+        ("tests/test_spectral.py::test_eigenvalues_of_swap",
+         "tests/test_spectral.py::test_eigensolver_repeated_eigenvalue_off_diagonal"),
+    ),
+    Mutant(
+        "a converged member of the stack keeps rotating",
+        "spectral.py",
+        "            keep = ~done\n",
+        "            keep = done | ~done\n",
+        ("tests/test_spectral.py::test_minor_spectra_members_that_converge_in_different_sweeps",),
+    ),
+    Mutant(
+        "the stack shares one scale",
+        "spectral.py",
+        "scale = np.abs(mats).max(axis=(1, 2))",
+        "scale = np.abs(mats).max(axis=(1, 2)).max(keepdims=True).repeat(len(mats))",
+        ("tests/test_spectral.py::test_minor_spectra_with_subnormal_entries",),
+    ),
+    Mutant(
+        "_eei_pair's gap test with >= in place of >",
+        "spectral.py",
+        "conclusive = gap > GAP_THRESHOLD and",
+        "conclusive = gap >= GAP_THRESHOLD and",
+        ("tests/test_spectral.py::test_a_gap_equal_to_the_threshold_is_inconclusive",),
+    ),
 )
 
 

@@ -593,21 +593,25 @@ def test_minor_spectra_identity_equals_per_pair_oracle():
 
 
 def test_minor_spectra_identity_solves_each_spectrum_once(monkeypatch):
+    # Spectra per kernel call: verify_eei solves the full matrix once with
+    # eigenvectors, then the d minors in one stacked call without them, so
+    # each of its d + 1 spectra is solved exactly once; eei_residual solves
+    # its two spectra afresh, one call each.
     calls = []
-    solve = cyclosum.spectral.herm_eigen
+    solve = cyclosum.spectral._jacobi
 
-    def counting(m, *args, **kwargs):
-        calls.append(m.dim)
-        return solve(m, *args, **kwargs)
+    def counting(mats, vectors):
+        calls.append((len(mats), mats.shape[1], vectors))
+        return solve(mats, vectors)
 
-    monkeypatch.setattr(cyclosum.spectral, "herm_eigen", counting)
+    monkeypatch.setattr(cyclosum.spectral, "_jacobi", counting)
     for d in range(1, 7):
         calls.clear()
         verify_eei(d, rng=Random(d))
-        assert len(calls) == (d + 1 if d >= 2 else 1)
+        assert calls == [(1, d, True)] + ([(d, d - 1, False)] if d >= 2 else [])
         calls.clear()
         eei_residual(random_hermitian(d, Random(d)), 1, d)
-        assert len(calls) == (2 if d >= 2 else 1)
+        assert calls == [(1, d, True)] + ([(1, d - 1, True)] if d >= 2 else [])
 
 
 def test_product_spectrum_reports():

@@ -557,6 +557,24 @@ def test_miller_rabin_agrees_with_a_sieve():
         assert cyclosum.matrices._is_prime(m) == want, m
 
 
+@pytest.mark.parametrize("n", (2, 5))
+def test_prime_images_are_found_once_per_order(n, monkeypatch):
+    # A second permanent at the same n reuses the kept images: no primality
+    # test, and the same primes and roots as a fresh search, in its order.
+    sun = build_sun_matrix(cyc_context(n))
+    m = delete_rows_cols(sun, {n}) if n % 2 else sun
+    first = permanent_ryser(m)
+    calls = []
+    is_prime = cyclosum.matrices._is_prime
+    monkeypatch.setattr(cyclosum.matrices, "_is_prime", lambda q: calls.append(q) or is_prime(q))
+    assert permanent_ryser(m) == first == (minor_permanent(n) if n % 2 else full_permanent(n))
+    assert calls == []
+    count = len(cyclosum.matrices._PRIME_IMAGES[n][0]) + 3  # three past the kept ones
+    kept = list(itertools.islice(cyclosum.matrices._prime_images(n), count))
+    assert kept == list(itertools.islice(cyclosum.matrices._search_prime_images(n), count))
+    assert cyclosum.matrices._PRIME_IMAGES[n][0] == kept
+
+
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 12, 22, 24))
 def test_prime_images_are_primes_with_primitive_roots(n):
     images = list(itertools.islice(cyclosum.matrices._prime_images(n), 12))

@@ -24,6 +24,8 @@ from cyclosum.matrices import (
     matmul,
 )
 from cyclosum.spectral import (
+    GAP_THRESHOLD,
+    ConvergenceError,
     HermMatrix,
     _round_robin,
     charpoly_lagrange,
@@ -33,6 +35,7 @@ from cyclosum.spectral import (
     embed_matrix,
     herm_eigen,
     liu_spectrum_check,
+    minor_spectra,
     random_hermitian,
 )
 from oracles import charpoly_lagrange_naive, cp_eigenvectors
@@ -208,6 +211,115 @@ def test_random_hermitian_is_deterministic():
     b = random_hermitian(5, Random(4))
     assert np.array_equal(a.entries, b.entries)
     assert np.allclose(a.entries, a.entries.conj().T)
+
+
+# --- stacked minor spectra ----------------------------------------------------------
+
+
+def assert_minor_spectra_match_herm_eigen(h: HermMatrix) -> list[np.ndarray]:
+    """The stacked solve of the d minors against herm_eigen on each minor
+    alone, bit for bit; returns the stacked spectra."""
+    spectra = minor_spectra(h)
+    assert len(spectra) == h.dim
+    for j, lam in enumerate(spectra, 1):
+        alone = herm_eigen(h.minor(j)).eigenvalues
+        assert np.array_equal(lam, alone), j
+        assert np.array_equal(np.signbit(lam), np.signbit(alone)), j
+    return spectra
+
+
+def test_minor_spectra_are_bit_identical_to_each_minor_alone():
+    for dim in range(2, 17):
+        for seed in range(2):
+            h = random_hermitian(dim, Random(900 + 10 * dim + seed))
+            assert_minor_spectra_match_herm_eigen(h)
+    for n in range(2, 13):
+        assert_minor_spectra_match_herm_eigen(embed_matrix(build_cp_matrix(cyc_context(n))))
+
+
+def test_minor_spectra_of_dimension_one_is_one_empty_spectrum():
+    spectra = minor_spectra(HermMatrix.from_rows([[3.0]]))
+    assert len(spectra) == 1 and spectra[0].shape == (0,)
+
+
+def test_minor_spectra_members_that_converge_in_different_sweeps():
+    # Minor 3 is [[1, e], [e, 1]] with e below its stop but above the
+    # rotation floor: alone it is converged before the first sweep, and one
+    # more rotation would split its double eigenvalue 1.  Minors 1 and 2
+    # need sweeps.  In the second matrix minor 1 is diagonal.
+    e = 3e-15
+    h = HermMatrix.from_rows([[1, e, 0.5], [e, 1, 0.25j], [0.5, -0.25j, -1]])
+    spectra = assert_minor_spectra_match_herm_eigen(h)
+    assert np.array_equal(spectra[2], [1.0, 1.0])
+    a = np.diag([4.0, 3.0, -1.0, 2.0, 0.5]).astype(complex)
+    a[0, 1:] = [1, 1j, -2, 0.5 - 0.5j]
+    h = HermMatrix.from_rows(a + np.triu(a, 1).conj().T)
+    diagonal = assert_minor_spectra_match_herm_eigen(h)
+    assert np.array_equal(diagonal[0], [-1.0, 0.5, 2.0, 3.0])
+
+
+def test_minor_spectra_with_a_zero_minor():
+    # Only row and column 1 are nonzero, so minor 1 is zero (scale 0).
+    a = np.zeros((5, 5), dtype=complex)
+    a[0, 1:] = [1, 2j, -1, 0.5]
+    spectra = assert_minor_spectra_match_herm_eigen(HermMatrix.from_rows(a + a.conj().T))
+    assert np.array_equal(spectra[0], np.zeros(4))
+
+
+def test_minor_spectra_with_subnormal_entries():
+    # Minor 1 is all subnormal; the other minors also hold row 1's normal
+    # entries.  Each member is scaled by its own power of two.
+    b = random_hermitian(6, Random(21)).entries
+    a = np.ldexp(b.real, -1040) + 1j * np.ldexp(b.imag, -1040)
+    a[0, :] = [2.0, 1, -1j, 0.5, 1 + 1j, -0.25]
+    a[:, 0] = a[0, :].conj()
+    h = HermMatrix.from_rows(a)
+    spectra = assert_minor_spectra_match_herm_eigen(h)
+    ref = np.linalg.eigvalsh(h.minor(1).entries)
+    assert np.allclose(spectra[0], ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+    assert np.max(np.abs(spectra[0])) < 1e-300
+
+
+def test_minor_spectra_with_a_degenerate_spectrum():
+    u, _ = np.linalg.qr(random_hermitian(6, Random(4)).entries)
+    h = HermMatrix.from_rows(u @ np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 3.0]) @ u.conj().T)
+    for j, lam in enumerate(assert_minor_spectra_match_herm_eigen(h), 1):
+        assert np.allclose(lam, np.linalg.eigvalsh(h.minor(j).entries), rtol=0, atol=1e-12)
+    assert_minor_spectra_match_herm_eigen(HermMatrix.from_rows(np.eye(5) * 2.5))
+
+
+def test_minor_spectra_reject_non_finite_entries():
+    inf, nan = math.inf, math.nan
+    bad = [
+        [[1, 0, inf], [0, 2, 0], [inf, 0, 3]],
+        [[1, inf, 0], [inf, nan, 1], [0, 1, -inf]],
+    ]
+    for rows in bad:
+        with np.errstate(invalid="ignore"):
+            h = HermMatrix.from_rows(rows)
+        with pytest.raises(ValueError, match="finite"):
+            minor_spectra(h)
+
+
+def test_minor_spectra_raise_at_the_sweep_cap(monkeypatch):
+    monkeypatch.setattr(cyclosum.spectral, "MAX_SWEEPS", 1)
+    h = random_hermitian(6, Random(5))
+    with pytest.raises(ConvergenceError):
+        minor_spectra(h)
+    with pytest.raises(ConvergenceError):
+        herm_eigen(h)
+
+
+def test_a_gap_equal_to_the_threshold_is_inconclusive():
+    # diag(0, GAP_THRESHOLD) is solved exactly, so both gaps equal the
+    # threshold; only a gap above it makes a pair conclusive.
+    h = HermMatrix.from_rows(np.diag([0.0, GAP_THRESHOLD]))
+    assert np.array_equal(herm_eigen(h).eigenvalues, [0.0, GAP_THRESHOLD])
+    for i in (1, 2):
+        for j in (1, 2):
+            r = eei_residual(h, i, j)
+            assert r.gap == GAP_THRESHOLD and not r.conclusive
+    assert verify_eei(2, matrix=h).verdict == "inconclusive"
 
 
 # --- closed-form spectrum -----------------------------------------------------------
