@@ -43,6 +43,7 @@ from .matrices import (
 from . import spectral
 from .spectral import (
     HermMatrix,
+    _eei_gap,
     _eei_pair,
     charpoly_lagrange,
     cp_eigenpair_failures,
@@ -522,9 +523,15 @@ def verify_eei(
     # minors from one stacked solve without them; each minor's spectrum
     # serves the d pairs that share it.
     dec = spectral.herm_eigen(matrix)
-    for j, minor_lam in enumerate(spectral.minor_spectra(matrix), 1):
-        for i in range(1, n + 1):
-            r = _eei_pair(dec, minor_lam, i, j)
+    lam = dec.eigenvalues.tolist()
+    gaps = [_eei_gap(lam, i) for i in range(n)]
+    # weights[j][i] = |v_i(j)|^2.  Python's complex abs gives the bits of
+    # numpy's scalar abs; numpy's abs of a whole array does not always.
+    weights = [[abs(v) ** 2 for v in row] for row in dec.eigenvectors.tolist()]
+    for minor_lam, weight in zip(spectral.minor_spectra(matrix), weights):
+        minor_lam = minor_lam.tolist()
+        for i in range(n):
+            r = _eei_pair(lam, i, gaps[i], weight[i], minor_lam)
             if not r.conclusive:
                 inconclusive += 1
             else:

@@ -154,6 +154,7 @@ def delete_rows_cols(m: ExactMatrix, deleted: Iterable[int]) -> ExactMatrix:
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The product a b, each entry a sum of field products."""
     if a.context.n != b.context.n:
         raise ContextMismatchError(
             f"mixed cyclotomic orders {a.context.n} and {b.context.n}"
@@ -161,18 +162,17 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch {a.dim} vs {b.dim}")
     ctx = a.context
-    da, ia = _cleared(a.entries)
-    db, ib = _cleared(b.entries)
-    den = da * db
+    cols = list(zip(*b.entries))
     rows = tuple(
-        tuple(CycElem(ctx, nums, den) for nums in row) for row in _matmul_ints(ctx, ia, ib)
+        tuple(sum((x * y for x, y in zip(row, col)), ctx.zero) for col in cols)
+        for row in a.entries
     )
     return ExactMatrix(ctx, a.dim, rows)
 
 
 # -- integer kernels ----------------------------------------------------------
 #
-# permanent_ryser, matmul and charpoly_exact clear denominators once and run
+# permanent_ryser and the circulant spectrum clear denominators once and run
 # on integer coefficient vectors over Z[zeta_n], Kronecker-packed into one
 # Python integer per entry (CyclotomicContext.pack); the digit width comes
 # from a proven bound on the coefficients of everything the kernel packs.
@@ -193,28 +193,6 @@ def _cleared(
         for row in entries
     ]
     return den, rows
-
-
-def _matmul_ints(ctx: CyclotomicContext, a: list, b: list) -> list[list[list[int]]]:
-    """Product of two square matrices of integer vectors, reduced mod Phi_n.
-    Entry (r, c) is sum_k a_rk b_kc, each of whose coefficients (unreduced
-    or modulo x^n - 1) is at most sum_k ||a_rk||_1 ||b_kc||_inf, so one digit
-    width from the largest row l1 norm of a times the largest entry of b
-    serves them all."""
-    d = len(a)
-    bound = max(sum(map(_l1, row)) for row in a) * max(
-        max(map(abs, nums)) for row in b for nums in row
-    )
-    if not bound:
-        return [[[0] * ctx.basis_degree for _ in range(d)] for _ in range(d)]
-    bits = bound.bit_length() + 1
-    pack, unpack = ctx.pack, ctx.unpack
-    cols = [[pack(b[k][c], bits) for k in range(d)] for c in range(d)]
-    out = []
-    for row in a:
-        terms = [(k, pack(nums, bits)) for k, nums in enumerate(row) if any(nums)]
-        out.append([unpack(sum(x * col[k] for k, x in terms), bits) for col in cols])
-    return out
 
 
 # -- exact kernels ----------------------------------------------------------
@@ -440,15 +418,37 @@ def _orbits(d: int, units: Sequence[int]) -> Iterator[tuple[int, int]]:
             yield word, period * len(units) // fixed
 
 
-def _column_sums(
-    cols: Sequence[Sequence[int]], words: Iterable[tuple[int, int]]
-) -> Iterator[tuple[int, int, list[int]]]:
-    """(word, weight, sums) for each (word, weight) of words, where sums[i]
-    is the sum of cols[c][i] over the bits c of word.  Each step updates the
-    running sums by the columns whose membership changed: one for a Gray
-    step, a few from one kept orbit to the next."""
-    sums = [0] * len(cols[0])
-    prev = 0
+def _packed_ryser(
+    ctx: CyclotomicContext,
+    rows: Sequence[Sequence[Sequence[int]]],
+    words: Iterable[tuple[int, int]],
+    minor: bool = False,
+) -> list[int]:
+    """Ryser's sum (-1)^N sum_S w_S (-1)^|S| prod_i s_i(S), unpacked, over
+    the (word, weight) pairs of words, S the columns c of word (bit c) and
+    s_i(S) = sum_{c in S} a_ic for the N x N integer vectors a_ic =
+    rows[i][c].  With minor, factor i is s_i(S) + x [i in S], multiplied
+    into a pair (a, b) standing for a + b x modulo x^2, and the sum is of
+    the [x^1] coefficients.
+
+    The weights add up to at most the 2^N subsets, and a product has l1
+    norm at most prod_i (||row_i||_1 + minor), so 2^N times that bounds
+    every coefficient and fixes the digit width.  The running product is
+    folded modulo x^n - 1 after every factor, which keeps it at n digits
+    and within that norm.  The column sums are updated by the columns
+    whose membership changed: one for a Gray step, a few from one kept
+    orbit to the next."""
+    order = len(rows)
+    bound = 1 << order
+    for row in rows:
+        bound *= sum(map(_l1, row)) + minor
+    if not bound:
+        return [0] * ctx.basis_degree
+    bits = bound.bit_length() + 1
+    pack, fold = ctx.pack, ctx.fold
+    cols = [[pack(row[c], bits) for row in rows] for c in range(order)]
+    sums = [0] * order
+    total = prev = 0
     for word, weight in words:
         diff = word ^ prev
         prev = word
@@ -460,7 +460,25 @@ def _column_sums(
                 sums = [s + x for s, x in zip(sums, col)]
             else:
                 sums = [s - x for s, x in zip(sums, col)]
-        yield word, weight, sums
+        if minor:  # (a, b) stands for a + b x modulo x^2
+            a, b = weight, 0
+            for i, s in enumerate(sums):
+                b = fold(b * s + a if word >> i & 1 else b * s, bits)
+                a = fold(a * s, bits)
+            prod = b
+        else:
+            prod = weight
+            for s in sums:
+                prod = fold(prod * s, bits)
+                if not prod:
+                    break
+        if word.bit_count() & 1:
+            total -= prod
+        else:
+            total += prod
+    if order & 1:
+        total = -total
+    return ctx.unpack(total, bits)
 
 
 def _is_prime(m: int) -> bool:
@@ -619,38 +637,13 @@ def _circulant_permanent(ctx: CyclotomicContext, t: Sequence[CycElem], dim: int)
     order = len(t)
     minor = order > dim
     den, (nums,) = _cleared((t,))
-    norm = sum(map(_l1, nums))
-    if not norm:
+    if not any(map(any, nums)):
         return ctx.zero
     units = _galois_symmetries(ctx, nums)
     if len(units) == ctx.basis_degree:
         return _rational_circulant_permanent(ctx, nums, den, dim)
-    # on a minor, each factor's norm grows by the 1 of x [i in S]
-    bits = ((1 << order) * (norm + minor) ** order).bit_length() + 1
-    pack, fold = ctx.pack, ctx.fold
-    packed = [pack(v, bits) for v in nums]
-    cols = [[packed[(c - i) % order] for i in range(order)] for c in range(order)]
-    total = 0
-    for word, weight, sums in _column_sums(cols, _orbits(order, units)):
-        if minor:  # (a, b) stands for a + b x modulo x^2
-            a, b = weight, 0
-            for i, s in enumerate(sums):
-                b = fold(b * s + a if word >> i & 1 else b * s, bits)
-                a = fold(a * s, bits)
-            prod = b
-        else:
-            prod = weight
-            for s in sums:
-                prod = fold(prod * s, bits)
-                if not prod:
-                    break
-        if word.bit_count() & 1:
-            total -= prod
-        else:
-            total += prod
-    if order & 1:
-        total = -total
-    total = ctx.unpack(total, bits)
+    rows = [[nums[(c - i) % order] for c in range(order)] for i in range(order)]
+    total = _packed_ryser(ctx, rows, _orbits(order, units), minor)
     trace = [sum(cs) for cs in zip(*(ctx._galois(total, u) for u in units))]
     return CycElem(ctx, trace, len(units) * (order if minor else 1) * den**dim)
 
@@ -664,11 +657,10 @@ def permanent_ryser(m: ExactMatrix, cap: int = PERMANENT_CAP) -> CycElem:
     necklaces.  Rotating S keeps Ryser's term T(S) and |S|.  A principal
     (N-1)-minor of C takes the same walk on C + xI, which is circulant
     with the same symmetries: per(minor) = (1/N) [x^1] per(C + xI), since
-    d/dx per(C + xI) at 0 sums the N equal principal minors.  Each factor
-    s_i + x [i in S] is multiplied into a pair (a, b) standing for
-    a + b x modulo x^2.  Let H be the group of units u mod n whose
-    sigma_u maps the row onto itself, sigma_u(t_c) = t_(uc) for every c
-    (checked exactly by _galois_symmetries).
+    d/dx per(C + xI) at 0 sums the N equal principal minors.  Let H be the
+    group of units u mod n whose sigma_u maps the row onto itself,
+    sigma_u(t_c) = t_(uc) for every c (checked exactly by
+    _galois_symmetries).
 
     When H is every unit mod n (N == n, as for the sun and cotangent
     rows; or n == 2, where the field is Q), the permanent is rational,
@@ -678,18 +670,11 @@ def permanent_ryser(m: ExactMatrix, cap: int = PERMANENT_CAP) -> CycElem:
     Otherwise T(uS) = sigma_u(T(S)) for u in H, so the walk takes one S
     per orbit of {c -> uc + s} (_orbits), weighted by the orbit's size,
     and applies (1/|H|) sum_{u in H} sigma_u once to the sum: about
-    2^N / (N |H|) products; H = {1} gives the necklaces.  It runs on D * M
-    packed into integers (per(M) = per(D M) / D^dim).  A product has l1
-    norm at most prod_i sum_j ||D m_ij||_1, and the orbit weights add up
-    to the 2^N subsets they stand for, so 2^N times that norm bounds every
-    coefficient and fixes the digit width; on a minor each factor's norm
-    grows by the 1 of x [i in S].  The running product is folded modulo
-    x^n - 1 after every factor, which keeps it at n digits and within
-    that norm.
+    2^N / (N |H|) products; H = {1} gives the necklaces.
 
     Any other matrix walks all subsets in Gray-code order, one column
-    update per step, on the same packed integers and digit width; that
-    walk is also the circulant routes' oracle in the tests.
+    update per step.  Both of these walks run in _packed_ryser, on D * M
+    packed into integers (per(M) = per(D M) / D^dim).
     """
     d = m.dim
     if d > cap:
@@ -699,29 +684,8 @@ def permanent_ryser(m: ExactMatrix, cap: int = PERMANENT_CAP) -> CycElem:
     if t is not None:
         return _circulant_permanent(ctx, t, d)
     den, rows = _cleared(m.entries)
-    bound = 1 << d
-    for row in rows:
-        bound *= sum(map(_l1, row))
-    if not bound:
-        return ctx.zero
-    bits = bound.bit_length() + 1
-    cols = [[ctx.pack(row[c], bits) for row in rows] for c in range(d)]
-    fold = ctx.fold
-    total = 0
-    for word, _, sums in _column_sums(cols, ((g ^ (g >> 1), 1) for g in range(1, 1 << d))):
-        prod = 1
-        for s in sums:
-            if not s:
-                break
-            prod = fold(prod * s, bits)
-        else:
-            if word.bit_count() & 1:
-                total -= prod
-            else:
-                total += prod
-    if d & 1:
-        total = -total
-    return CycElem(ctx, ctx.unpack(total, bits), den**d)
+    gray = ((g ^ (g >> 1), 1) for g in range(1, 1 << d))
+    return CycElem(ctx, _packed_ryser(ctx, rows, gray), den**d)
 
 
 @dataclass(frozen=True)
@@ -751,46 +715,18 @@ def derangement_sums(
 
 def charpoly_exact(m: ExactMatrix) -> list[CycElem]:
     """Monic characteristic polynomial det(xI - M), as ascending
-    coefficients c with c[dim] = 1.
-
-    A circulant, or a principal minor of one with a single index deleted,
-    whose order N divides n takes the spectral route of det_exact with
-    every coefficient kept: _circulant_charpoly, about N^2 / 2 products in
-    the field.
-
-    Every other matrix takes the Faddeev-LeVerrier trace recurrence, run on
-    A = D * M over Z[zeta_n], which is also the spectral route's oracle in
-    the tests.  The coefficients of A's characteristic polynomial are
-    algebraic integers, so each division of a trace by k is exact on every
-    integer coordinate; a nonzero remainder raises ArithmeticError.
-    Coefficient j of M's polynomial is c_j(A) / D^(dim-j).
-    """
-    d = m.dim
-    ctx = m.context
+    coefficients c with c[dim] = 1, for a circulant, or a principal minor
+    of one with a single index deleted, whose order N divides n: the
+    spectral route of det_exact with every coefficient kept,
+    _circulant_charpoly, about N^2 / 2 products in the field.  Any other
+    matrix raises ValueError; every characteristic polynomial the
+    statements need is of this shape."""
     t = _circulant_row(m)
-    if t is not None and ctx.n % len(t) == 0:
-        return _circulant_charpoly(ctx, t, d)
-    den, a = _cleared(m.entries)
-    one = (1,) + (0,) * (ctx.basis_degree - 1)
-    zero = (0,) * ctx.basis_degree
-    coeffs = [zero] * d + [one]
-    b = [[one if r == c else zero for c in range(d)] for r in range(d)]
-    for k in range(1, d + 1):
-        if k > 1:
-            for r in range(d):
-                b[r][r] = [x + y for x, y in zip(b[r][r], coeffs[d - k + 1])]
-        b = _matmul_ints(ctx, a, b)
-        trace = [sum(col) for col in zip(*(b[r][r] for r in range(d)))]
-        quot = []
-        for t in trace:
-            q, rem = divmod(t, k)
-            if rem:
-                raise ArithmeticError(
-                    f"trace coefficient {t} is not divisible by {k}"
-                )
-            quot.append(-q)
-        coeffs[d - k] = quot
-    return [CycElem(ctx, nums, den ** (d - j)) for j, nums in enumerate(coeffs)]
+    if t is None or m.context.n % len(t):
+        raise ValueError(
+            "charpoly_exact needs a circulant, or a minor of one, whose order divides n"
+        )
+    return _circulant_charpoly(m.context, t, m.dim)
 
 
 # -- file format ------------------------------------------------------------

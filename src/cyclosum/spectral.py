@@ -297,25 +297,28 @@ class EeiResult:
     conclusive: bool
 
 
+def _eei_gap(lam: list[float], i: int) -> float:
+    """The distance from eigenvalue i (0-based) of lam to the nearest other
+    one; inf at dimension 1."""
+    li = lam[i]
+    return min((abs(li - lk) for k, lk in enumerate(lam) if k != i), default=math.inf)
+
+
 def _eei_pair(
-    dec: SpectralDecomposition, minor_lam: np.ndarray, i: int, j: int
+    lam: list[float], i: int, gap: float, weight: float, minor_lam: list[float]
 ) -> EeiResult:
-    """The identity for one pair (i, j), given the decomposition of the full
-    matrix and the eigenvalues of its minor j (empty at dimension 1).
+    """The identity for one pair (i, j), i 0-based, given the full matrix's
+    eigenvalues lam, gap = _eei_gap(lam, i), weight = |v_i(j)|^2 and the
+    eigenvalues of its minor j (empty at dimension 1), all Python floats.
     Both verify_eei and eei_residual judge every pair through here.  The
     pair is conclusive only when its gap clears GAP_THRESHOLD and its
     residual is finite: products that overflow give inf or NaN, which must
     not become a verdict."""
-    lam = dec.eigenvalues
-    d = len(lam)
-    li = lam[i - 1]
-    gap = min(
-        (abs(li - lam[k]) for k in range(d) if k != i - 1), default=math.inf
-    )
-    lhs = abs(dec.eigenvectors[j - 1, i - 1]) ** 2
-    for k in range(d):
-        if k != i - 1:
-            lhs *= li - lam[k]
+    li = lam[i]
+    lhs = weight
+    for k, lk in enumerate(lam):
+        if k != i:
+            lhs *= li - lk
     rhs = 1.0
     for mk in minor_lam:
         rhs *= li - mk
@@ -339,8 +342,10 @@ def eei_residual(m: HermMatrix, i: int, j: int) -> EeiResult:
     if not (1 <= i <= d and 1 <= j <= d):
         raise IndexError(f"indices ({i},{j}) outside 1..{d}")
     dec = herm_eigen(m)
-    minor_lam = herm_eigen(m.minor(j)).eigenvalues if d > 1 else np.empty(0)
-    return _eei_pair(dec, minor_lam, i, j)
+    minor_lam = herm_eigen(m.minor(j)).eigenvalues.tolist() if d > 1 else []
+    lam = dec.eigenvalues.tolist()
+    weight = abs(dec.eigenvectors[j - 1, i - 1].item()) ** 2
+    return _eei_pair(lam, i - 1, _eei_gap(lam, i - 1), weight, minor_lam)
 
 
 def charpoly_lagrange(n: int) -> list[Fraction]:

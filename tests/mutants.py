@@ -24,6 +24,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# Seconds one pytest run may take.  A mutant that makes a test hang (an
+# unpack loop that never ends) is killed when the run is stopped here.
+TIMEOUT = 90
+
 
 @dataclass(frozen=True)
 class Mutant:
@@ -91,6 +95,52 @@ MUTANTS = (
         "b = fold(b * s, bits)",
         ("tests/test_kernels.py::test_orbit_route_on_a_row_symmetric_under_conjugation_only[7]",),
     ),
+    # The packed Ryser body that the Gray walk and the orbit walk share.
+    Mutant(
+        "the (-1)^N sign of the packed Ryser sum dropped",
+        "matrices.py",
+        "    if order & 1:\n        total = -total\n",
+        "",
+        ("tests/test_kernels.py::test_ryser_matches_naive_permanent[3]",),
+    ),
+    # Kronecker packing: the carry of a negative low part, and signed digits.
+    Mutant(
+        "fold's carry from a negative low part dropped",
+        "exact.py",
+        "            high += 1\n",
+        "            pass\n",
+        ("tests/test_kernels.py::test_packed_kernels_carry_large_negative_coefficients[16]",),
+    ),
+    Mutant(
+        "unpack's borrow for a negative digit dropped",
+        "exact.py",
+        "                value += 1\n",
+        "                pass\n",
+        ("tests/test_kernels.py::test_packed_kernels_carry_large_negative_coefficients[16]",),
+    ),
+    # The circulant spectrum behind thm2_1, det_exact and charpoly_exact.
+    Mutant(
+        "thm2_1's eigenvalue read at index i, not -i",
+        "spectral.py",
+        "mu[-i % n]",
+        "mu[i % n]",
+        ("tests/test_spectral.py::test_closed_form_spectrum_order_four",),
+    ),
+    Mutant(
+        "the 1/N of a minor's characteristic polynomial dropped",
+        "matrices.py",
+        "order * c.den)",
+        "c.den)",
+        ("tests/test_kernels.py::test_circulant_charpoly_on_random_circulants_and_minors[6]",),
+    ),
+    Mutant(
+        "the twisted product's polynomial taken as p(x), not (p(x) - p(0)) / x",
+        "spectral.py",
+        "_circulant_charpoly(ctx, t, c.dim)[1:]",
+        "_circulant_charpoly(ctx, t, c.dim)",
+        ("tests/test_kernels.py::test_twisted_charpoly_on_random_circulants[5]",
+         "tests/test_kernels.py::test_twisted_charpoly_on_the_sun_matrix[5]"),
+    ),
     # The sun entries as Galois images, and the rational multiply path.
     Mutant(
         "the Galois image by u^-1 in place of u",
@@ -147,7 +197,8 @@ MUTANTS = (
 
 
 def failing(src: Path, tests: tuple[str, ...]) -> set[str]:
-    """The ids among tests that fail or error with the package under src."""
+    """The ids among tests that fail or error with the package under src:
+    all of them when the run takes longer than TIMEOUT."""
     # No bytecode cache: two mutants of one file can share its size and
     # modification second, which is all a cached .pyc is checked against.
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
@@ -157,9 +208,13 @@ def failing(src: Path, tests: tuple[str, ...]) -> set[str]:
         env=env, capture_output=True, text=True, check=True).stdout.strip()
     if not Path(where).is_relative_to(src):
         raise RuntimeError(f"cyclosum imported from {where}, not from {src}")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
-        cwd=ROOT, env=env, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        print(f"pytest stopped after {TIMEOUT} s", flush=True)
+        return set(tests)
     return {line.split()[1] for line in proc.stdout.splitlines()
             if line.startswith(("FAILED ", "ERROR "))}
 

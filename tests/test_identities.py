@@ -678,22 +678,6 @@ def test_product_check_fails_when_the_sun_matrix_is_not_circulant(monkeypatch):
     assert report.parameters["max_spectrum_deviation"] is None
 
 
-def test_characteristic_polynomials_make_no_matrix_product(monkeypatch):
-    # eq2_4 and eq2_3_liu read their polynomials off the circulant
-    # spectrum; Faddeev-LeVerrier would call the packed product d times.
-    calls = []
-    packed = cyclosum.matrices._matmul_ints
-
-    def counting(ctx, a, b):
-        calls.append(len(a))
-        return packed(ctx, a, b)
-
-    monkeypatch.setattr(cyclosum.matrices, "_matmul_ints", counting)
-    assert verify_eq2_4(15).verdict == "pass"
-    assert verify_eq2_3_liu(19).verdict == "pass"
-    assert calls == []
-
-
 def test_interpolation_report_records_factor_discrepancy():
     report = verify_eq2_4(7)
     assert report.verdict == "pass"

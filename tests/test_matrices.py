@@ -382,15 +382,30 @@ def test_derangement_sums_ignore_diagonal():
 # --- characteristic polynomials ------------------------------------------------------
 
 
+def random_circulants(n: int, orders, rng: Random, max_numerator: int = 3):
+    """A random circulant over Q(zeta_n) of each order N in orders, each
+    followed by its minor without index N from N = 3 on: the shapes
+    charpoly_exact takes when N divides n."""
+    ctx = cyc_context(n)
+    out = []
+    for order in orders:
+        t = [random_element(ctx, rng, max_numerator=max_numerator, max_denominator=3)
+             for _ in range(order)]
+        full = make_matrix(ctx, [[t[(c - r) % order] for c in range(order)]
+                                 for r in range(order)])
+        out += [full] + ([delete_rows_cols(full, {order})] if order >= 3 else [])
+    return out
+
+
 def test_charpoly_of_identity():
-    coeffs = charpoly_exact(identity_matrix(cyc_context(3), 2))
+    coeffs = charpoly_exact(identity_matrix(cyc_context(4), 2))
     assert [c.as_rational() for c in coeffs] == [1, -2, 1]
 
 
 def test_charpoly_degree_and_normalization():
     rng = Random(90)
-    for dim in (1, 3, 4):
-        m = random_matrix(5, dim, rng, max_numerator=2)
+    for m in random_circulants(12, (1, 3, 4), rng, max_numerator=2):
+        dim = m.dim
         coeffs = charpoly_exact(m)
         assert len(coeffs) == dim + 1
         assert coeffs[dim] == 1
@@ -399,14 +414,15 @@ def test_charpoly_degree_and_normalization():
             trace = trace + m.entry(j, j)
         assert coeffs[dim - 1] == -trace
         sign = 1 if dim % 2 == 0 else -1
-        assert coeffs[0] == sign * det_exact(m)
+        assert coeffs[0] == sign * leibniz_det(m)
 
 
 def test_charpoly_evaluates_to_shifted_determinant():
-    # p(c) must equal det(cI - M) for any scalar c.
+    # p(c) must equal det(cI - M) for any scalar c; the Leibniz determinant
+    # shares no code with the spectral route.
     rng = Random(91)
-    for dim in (2, 3, 4):
-        m = random_matrix(4, dim, rng, max_numerator=2)
+    for m in random_circulants(4, (2, 4), rng, max_numerator=2):
+        dim = m.dim
         coeffs = charpoly_exact(m)
         for c in (0, 1, -2, Fraction(1, 3)):
             shifted_rows = [
@@ -420,7 +436,7 @@ def test_charpoly_evaluates_to_shifted_determinant():
             value = m.context.zero
             for power, coeff in enumerate(coeffs):
                 value = value + coeff * (m.context.from_rational(c) ** power)
-            assert value == det_exact(shifted)
+            assert value == leibniz_det(shifted)
 
 
 # --- serialization ---------------------------------------------------------------------
