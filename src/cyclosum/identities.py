@@ -16,7 +16,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exact import (
     cp_minor_determinant,
@@ -272,9 +272,10 @@ def verify_eq1_3(n: int) -> VerificationReport:
 # -- cycle-sum and partition identities ---------------------------------------
 
 
-def _block_cycle_sums(xs: Sequence) -> dict[int, object]:
-    """f(Y) for every subset Y of the labels with |Y| >= 2, keyed by bitmask
-    (bit i stands for xs[i]): the sum over the full cycles tau of Y of
+def _block_cycle_sums(xs: Sequence, roots: Iterable[int]) -> dict[int, object]:
+    """f(Y) for every subset Y of the labels with |Y| >= 2 and min(Y) in
+    roots (all of them for roots range(len(xs))), keyed by bitmask (bit i
+    stands for xs[i]): the sum over the full cycles tau of Y of
     prod_{j in Y} 1/(x_{tau(j)} - x_j).
 
     One Held-Karp pass (Held and Karp, 1962): each full cycle of Y is read
@@ -286,7 +287,7 @@ def _block_cycle_sums(xs: Sequence) -> dict[int, object]:
     w = [[Fraction(1) / (xb - xa) if a != b else None for b, xb in enumerate(xs)]
          for a, xa in enumerate(xs)]
     f: dict[int, object] = {}
-    for r in range(l):
+    for r in roots:
         step = 1 << (r + 1)
         dp: dict[int, dict[int, object]] = {}
         for m in range(step, 1 << l, step):
@@ -339,9 +340,9 @@ def verify_lemma3_2(l: int, xs: Sequence) -> VerificationReport:
     """Sum of prod 1/(x_{tau(j)} - x_j) over all full cycles is exactly zero
     for l > 2, and already vanishes inside each insertion class.
 
-    The sum is the full set's entry of _block_cycle_sums; the (l-2)!
-    classes are covered at once by _insertion_classes_vanish.  l = 2 is
-    accepted but reported as the counterexample it is: the sum is
+    The sum is the full set's entry of _block_cycle_sums from root 0 alone;
+    the (l-2)! classes are covered at once by _insertion_classes_vanish.
+    l = 2 is accepted but reported as the counterexample it is: the sum is
     -1/(x_1-x_2)^2 != 0, so the verdict says fail with a note, showing why
     the statement needs l > 2.
     """
@@ -350,7 +351,7 @@ def verify_lemma3_2(l: int, xs: Sequence) -> VerificationReport:
     _check_distinct(xs)
     if len(xs) != l:
         raise ValueError(f"expected {l} scalars, got {len(xs)}")
-    total = _block_cycle_sums(xs)[(1 << l) - 1]
+    total = _block_cycle_sums(xs, (0,))[(1 << l) - 1]
     classes = math.factorial(l - 2)
     params = {"xs": [str(x) for x in xs], "classes": classes}
     if l == 2:
@@ -418,7 +419,7 @@ def verify_eq3_1(l: int, xs: Sequence) -> VerificationReport:
         [[Fraction(1) / (xk - xj) if xk != xj else 0 for xk in xs] for xj in xs],
     )
     lhs = derangement_sums(w, permanent_cap=w.dim).even_class
-    rhs, count = _odd_partition_sum(_block_cycle_sums(xs), l)
+    rhs, count = _odd_partition_sum(_block_cycle_sums(xs, range(l)), l)
     ok = lhs == rhs and not lhs
     return VerificationReport(
         "eq3_1",

@@ -96,7 +96,7 @@ def build_sun_matrix(ctx: CyclotomicContext) -> ExactMatrix:
 def build_cp_matrix(ctx: CyclotomicContext) -> ExactMatrix:
     """The cotangent matrix with entries (1-delta_jk)(1 + i cot((j-k)pi/n)),
     held exactly as 2/(1 - zeta^(j-k)); Hermitian under the embedding."""
-    return build_sun_and_cp_matrices(ctx)[1]
+    return _by_difference(ctx, {d: v + v for d, v in _sun_entries(ctx).items()})
 
 
 def build_sun_and_cp_matrices(ctx: CyclotomicContext) -> tuple[ExactMatrix, ExactMatrix]:
@@ -132,13 +132,11 @@ def _sun_entries(ctx: CyclotomicContext) -> dict[int, CycElem]:
 
 def _by_difference(ctx: CyclotomicContext, values: dict[int, CycElem]) -> ExactMatrix:
     """The n x n matrix with entry (j,k) = values[(j-k) mod n] off the
-    diagonal and 0 on it."""
+    diagonal and 0 on it: row j is row 0 turned j places to the right, so
+    every row holds the same entry objects."""
     n = ctx.n
-    zero = ctx.zero
-    rows = tuple(
-        tuple(zero if j == k else values[(j - k) % n] for k in range(n)) for j in range(n)
-    )
-    return ExactMatrix(ctx, n, rows)
+    row = (ctx.zero,) + tuple(values[n - k] for k in range(1, n))
+    return ExactMatrix(ctx, n, tuple(row[n - j:] + row[:n - j] for j in range(n)))
 
 
 def delete_rows_cols(m: ExactMatrix, deleted: Iterable[int]) -> ExactMatrix:

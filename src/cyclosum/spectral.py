@@ -13,8 +13,9 @@ minor_spectra solves the d principal minors of a matrix in one stack,
 eigenvalues only.  It is the one float kernel here: the
 eigenvector-eigenvalue identity is the only statement checked in floating
 point.  The cotangent matrix's eigenpairs are checked exactly in
-Q(zeta_n), and the scaled minor's spectrum is settled exactly through its
-characteristic polynomial.
+Q(zeta_n), against the matrix they imply, an inverse DFT of integers, and
+the scaled minor's spectrum is settled exactly through its characteristic
+polynomial.
 """
 
 from __future__ import annotations
@@ -264,25 +265,44 @@ def cp_eigenvalues(n: int) -> list[int]:
 
 
 def cp_eigenpair_failures(n: int) -> list[int]:
-    """The columns i (1-based) where C v_i != (2i - n - 1) v_i in Q(zeta_n)
-    for the cotangent matrix C and v_i = (zeta^(-ij))_j, j = 1..n.
+    """The columns i (1-based) where C v_i != mu_i v_i in Q(zeta_n) for the
+    cotangent matrix C, mu = cp_eigenvalues(n) and v_i = (zeta^(-ij))_j.
 
     C must be circulant, checked exactly on every entry, or every column
-    fails.  With row 0 t, (C v_i)_j = sum_m t_m zeta^(-i(j+m)), so
-    C v_i = mu_i v_i with mu_i = lambda_(-i mod n) of _circulant_eigenvalues,
-    and v_i != 0, so column i fails exactly when mu_i != 2i - n - 1.  The
-    v_i form the Vandermonde matrix V on the n distinct roots zeta^(-i),
-    which is invertible, so an empty result means C = V diag(2i - n - 1) V^-1
-    exactly: it proves the whole spectrum, with multiplicities, and every
-    eigenvector, with no eigensolve and no tolerance."""
+    fails.  The v_i form the Vandermonde matrix V on the n distinct roots
+    zeta^(-i), so V^-1 = (zeta^(ij)) / n, and V diag(mu) V^-1 is the
+    circulant whose row 0 s has n s_m = sum_i mu_i zeta^(im): integers
+    placed at the powers im mod n and reduced once modulo Phi_n.  If
+    n s = n t for C's row 0 t, then C = V diag(mu) V^-1 exactly, which
+    proves the whole spectrum and every eigenvector, and no column fails.
+    Otherwise C v_i = lambda_(-i mod n) v_i, lambda from
+    _circulant_eigenvalues, names the failing columns; if it names none,
+    the two routes disagree and the call raises RuntimeError."""
     if n < 2:
         raise ValueError("n must be >= 2")
     ctx = cyc_context(n)
     t = _circulant_row(build_cp_matrix(ctx))
     if t is None or len(t) != n:
         return list(range(1, n + 1))
-    mu = _circulant_eigenvalues(ctx, t)
-    return [i for i, want in enumerate(cp_eigenvalues(n), 1) if mu[-i % n] != want]
+    mu = cp_eigenvalues(n)
+    for m, tm in enumerate(t):
+        powers = [0] * n
+        for i, mi in enumerate(mu, 1):
+            powers[i * m % n] += mi
+        synth = [0] * ctx.basis_degree
+        for k, c in enumerate(powers):
+            if c:
+                for idx, r in ctx._reduction[k]:
+                    synth[idx] += c * r
+        if [v * tm.den for v in synth] != [n * v for v in tm.nums]:
+            break
+    else:
+        return []
+    lam = _circulant_eigenvalues(ctx, t)
+    failing = [i for i, want in enumerate(mu, 1) if lam[-i % n] != want]
+    if not failing:
+        raise RuntimeError(f"n={n}: the rebuilt matrix and C's eigenvalues disagree")
+    return failing
 
 
 @dataclass(frozen=True)

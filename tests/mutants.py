@@ -118,13 +118,36 @@ MUTANTS = (
         "                pass\n",
         ("tests/test_kernels.py::test_packed_kernels_carry_large_negative_coefficients[16]",),
     ),
-    # The circulant spectrum behind thm2_1, det_exact and charpoly_exact.
+    # thm2_1: the matrix its claimed eigenpairs imply, and the failing
+    # columns from the circulant spectrum behind det_exact and
+    # charpoly_exact.
     Mutant(
         "thm2_1's eigenvalue read at index i, not -i",
         "spectral.py",
-        "mu[-i % n]",
-        "mu[i % n]",
+        "lam[-i % n]",
+        "lam[i % n]",
+        ("tests/test_identities.py::test_integer_spectrum_fails_on_an_eigenvalue_off_by_one",),
+    ),
+    Mutant(
+        "thm2_1's rebuilt row summed at zeta^(-im), not zeta^(im)",
+        "spectral.py",
+        "powers[i * m % n]",
+        "powers[-i * m % n]",
         ("tests/test_spectral.py::test_closed_form_spectrum_order_four",),
+    ),
+    Mutant(
+        "thm2_1's rebuilt row compared without its factor n",
+        "spectral.py",
+        "[n * v for v in tm.nums]",
+        "list(tm.nums)",
+        ("tests/test_spectral.py::test_closed_form_spectrum_order_four",),
+    ),
+    Mutant(
+        "thm2_1's rebuilt row never compared",
+        "spectral.py",
+        "        if [v * tm.den for v in synth] != [n * v for v in tm.nums]:\n",
+        "        if False:\n",
+        ("tests/test_identities.py::test_integer_spectrum_fails_on_an_eigenvalue_off_by_one",),
     ),
     Mutant(
         "the 1/N of a minor's characteristic polynomial dropped",

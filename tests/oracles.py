@@ -8,7 +8,8 @@ derangement stream, the Leibniz determinant sums signed permutation
 products with the sign read off the cycle structure, the circulant
 eigenvalues are plain field sums of the row times powers of zeta, the
 cotangent matrix's eigenvectors are written out as the matrix V that the
-tests multiply by, and the interpolated polynomial multiplies out every
+tests multiply by, the product by such a V turns coefficient arrays and
+divides by Phi_n, and the interpolated polynomial multiplies out every
 Lagrange basis polynomial in Fractions.
 """
 
@@ -18,6 +19,8 @@ import math
 from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
+
+import numpy as np
 
 from cyclosum.combinatorics import derangements
 from cyclosum.exact import CycElem, CyclotomicContext
@@ -109,19 +112,44 @@ def circulant_eigenvalues_naive(ctx: CyclotomicContext, t: Sequence[CycElem]) ->
     ]
 
 
+def cp_eigenvector_exponents(n: int) -> list[list[int]]:
+    """The exponents -ij of cp_eigenvectors' entries, row j and column i
+    in 1..n."""
+    return [[-i * j for i in range(1, n + 1)] for j in range(1, n + 1)]
+
+
 def cp_eigenvectors(ctx: CyclotomicContext) -> ExactMatrix:
     """The closed-form eigenvectors as the columns of V, V_ji = zeta^(-ij)
     for rows j and columns i in 1..n; column i pairs with eigenvalue
     2i - n - 1."""
-    n = ctx.n
-    return ExactMatrix(
-        ctx,
-        n,
-        tuple(
-            tuple(ctx.zeta_pow(-i * j) for i in range(1, n + 1))
-            for j in range(1, n + 1)
-        ),
-    )
+    return ExactMatrix(ctx, ctx.n, tuple(
+        tuple(map(ctx.zeta_pow, row)) for row in cp_eigenvector_exponents(ctx.n)))
+
+
+def root_power_product(a: ExactMatrix, exponents: Sequence[Sequence[int]]) -> ExactMatrix:
+    """The exact product a V for V_ki = zeta^exponents[k][i].  Over the
+    common denominator D of a, each entry is an integer coefficient array
+    of length n, and a_jk zeta^e is that array turned e places modulo
+    x^n - 1, so the product is one gather and one sum of integer arrays.
+    Each sum is then reduced modulo Phi_n by long division from the top
+    power down.  It makes no field product, and it shares no code with
+    the eigenpair check of the cotangent matrix."""
+    ctx, d, n = a.context, a.dim, a.context.n
+    den = math.lcm(*(e.den for row in a.entries for e in row))
+    coeffs = np.zeros((d, d, n), dtype=object)
+    for j, row in enumerate(a.entries):
+        for k, e in enumerate(row):
+            coeffs[j, k, : len(e.nums)] = [v * (den // e.den) for v in e.nums]
+    # turned[j, k, i, p] = coeffs[j, k, (p - exponents[k][i]) mod n]
+    turn = (np.arange(n) - np.array(exponents, dtype=np.int64)[:, :, None]) % n
+    sums = coeffs[:, np.arange(d)[:, None, None], turn].sum(axis=1)
+    deg, phi = ctx.basis_degree, ctx.modulus
+    for p in range(n - 1, deg - 1, -1):  # x^p = x^(p-deg) (x^deg - Phi_n)
+        for q in range(deg):
+            sums[:, :, p - deg + q] -= phi[q] * sums[:, :, p]
+    return ExactMatrix(ctx, d, tuple(
+        tuple(CycElem(ctx, sums[j, i, :deg].tolist(), den) for i in range(d))
+        for j in range(d)))
 
 
 def charpoly_lagrange_naive(n: int) -> list[Fraction]:

@@ -241,12 +241,17 @@ def test_block_cycle_sums_equal_full_cycle_enumeration():
     cases += [random_distinct_rationals(l, rng) for l in range(2, 9)]
     for xs in cases:
         l = len(xs)
-        sums = _block_cycle_sums(xs)
-        assert sorted(sums) == [m for m in range(1 << l) if m.bit_count() >= 2]
-        for mask, value in sums.items():
-            ys = [x for i, x in enumerate(xs) if mask >> i & 1]
-            assert value == _full_cycle_sum(ys), (xs, mask)
-    assert _block_cycle_sums(cases[0]) == {0b11: Fraction(-1)}
+        # Every root, as eq3_1 walks, and root 0 alone, as lemma3_2 does:
+        # the subsets whose least label is a root.
+        for roots in (range(l), (0,)):
+            sums = _block_cycle_sums(xs, roots)
+            assert sorted(sums) == [m for m in range(1 << l)
+                                    if m.bit_count() >= 2 and (m & -m).bit_length() - 1 in roots]
+            for mask, value in sums.items():
+                ys = [x for i, x in enumerate(xs) if mask >> i & 1]
+                assert value == _full_cycle_sum(ys), (xs, mask)
+    for roots in (range(2), (0,)):
+        assert _block_cycle_sums(cases[0], roots) == {0b11: Fraction(-1)}
 
 
 def test_insertion_class_sums_equal_scaled_table_sums():
@@ -458,7 +463,7 @@ def test_integer_spectrum_fails_on_an_eigenvalue_off_by_one(monkeypatch):
 def test_integer_spectrum_fails_on_a_wrong_eigenvector(monkeypatch):
     # Mutations of the route: eigenvalues paired with the wrong
     # eigenvectors, and a matrix that is no longer circulant.
-    real_eigenvalues = cyclosum.spectral._circulant_eigenvalues
+    real_eigenvalues = cyclosum.spectral.cp_eigenvalues
     real_matrix = cyclosum.spectral.build_cp_matrix
 
     def check(failing):
@@ -468,16 +473,15 @@ def test_integer_spectrum_fails_on_a_wrong_eigenvector(monkeypatch):
         assert report.parameters["eigenvector_residual"] is None
         assert f"failing columns {failing}" in report.notes
 
-    def swapped(ctx, t):
-        # Column i reads lambda_(-i mod 5): columns 1 and 2 then meet each
-        # other's eigenvalue.
-        lam = real_eigenvalues(ctx, t)
-        lam[4], lam[3] = lam[3], lam[4]
+    def swapped(n):
+        # Columns 1 and 2 claim each other's eigenvalue.
+        lam = real_eigenvalues(n)
+        lam[0], lam[1] = lam[1], lam[0]
         return lam
 
-    monkeypatch.setattr(cyclosum.spectral, "_circulant_eigenvalues", swapped)
+    monkeypatch.setattr(cyclosum.spectral, "cp_eigenvalues", swapped)
     check([1, 2])
-    monkeypatch.setattr(cyclosum.spectral, "_circulant_eigenvalues", real_eigenvalues)
+    monkeypatch.setattr(cyclosum.spectral, "cp_eigenvalues", real_eigenvalues)
 
     def one_entry(ctx):
         # Off row 0, so row 0 still holds the true cotangent row.
@@ -488,6 +492,27 @@ def test_integer_spectrum_fails_on_a_wrong_eigenvector(monkeypatch):
 
     monkeypatch.setattr(cyclosum.spectral, "build_cp_matrix", one_entry)
     check([1, 2, 3, 4, 5])
+
+
+def test_integer_spectrum_raises_when_its_two_routes_disagree(monkeypatch):
+    # A claim off by one fails the rebuilt matrix; C's eigenvalues, patched
+    # to echo the claim, then find no failing column, and the call raises
+    # rather than pass or fail on one route's word.
+    real = cyclosum.spectral.cp_eigenvalues
+
+    def off_by_one(n):
+        lam = real(n)
+        lam[2] += 1
+        return lam
+
+    def echo(ctx, t):
+        claimed = off_by_one(ctx.n)
+        return [ctx.from_rational(claimed[-k % ctx.n - 1]) for k in range(ctx.n)]
+
+    monkeypatch.setattr(cyclosum.spectral, "cp_eigenvalues", off_by_one)
+    monkeypatch.setattr(cyclosum.spectral, "_circulant_eigenvalues", echo)
+    with pytest.raises(RuntimeError, match="disagree"):
+        cyclosum.spectral.cp_eigenpair_failures(6)
 
 
 def test_integer_spectrum_makes_no_matrix_product(monkeypatch):

@@ -38,7 +38,13 @@ from cyclosum.spectral import (
     minor_spectra,
     random_hermitian,
 )
-from oracles import charpoly_lagrange_naive, cp_eigenvectors
+from oracles import (
+    charpoly_lagrange_naive,
+    cp_eigenvector_exponents,
+    cp_eigenvectors,
+    random_element,
+    root_power_product,
+)
 
 
 # --- embedding ------------------------------------------------------------------
@@ -362,6 +368,20 @@ def test_closed_form_vectors_diagonalize_the_matrix():
         assert np.allclose(a @ vecs, vecs * lam, rtol=0, atol=1e-9)
 
 
+def test_root_power_product_matches_matmul():
+    # The oracle's product against the field triple loop, on random entries
+    # and random exponents, negative ones included.
+    rng = Random(41)
+    for n in (2, 3, 4, 6, 9, 12):
+        ctx = cyc_context(n)
+        for dim in (1, 3, 5):
+            a = make_matrix(ctx, [[random_element(ctx, rng) for _ in range(dim)]
+                                  for _ in range(dim)])
+            exps = [[rng.randint(-2 * n, 2 * n) for _ in range(dim)] for _ in range(dim)]
+            v = make_matrix(ctx, [[ctx.zeta_pow(e) for e in row] for row in exps])
+            assert root_power_product(a, exps) == matmul(a, v), (n, dim)
+
+
 def test_eigenpair_failures_agree_with_the_fourier_product(monkeypatch):
     # The oracle route: C V against V diag(claimed), column by column, for
     # the true spectrum and for the reversed one, which pairs column i with
@@ -369,7 +389,7 @@ def test_eigenpair_failures_agree_with_the_fourier_product(monkeypatch):
     for n in range(2, 33):
         ctx = cyc_context(n)
         v = cp_eigenvectors(ctx)
-        cv = matmul(build_cp_matrix(ctx), v)
+        cv = root_power_product(build_cp_matrix(ctx), cp_eigenvector_exponents(n))
         for claimed in (cp_eigenvalues(n), cp_eigenvalues(n)[::-1]):
             failing = [
                 i + 1
