@@ -197,11 +197,13 @@ class CyclotomicContext:
         """Reduce a packed polynomial modulo x^n - 1 (x^n = 1 modulo Phi_n)
         by adding its digits from position n up onto the low n.  Each
         coefficient of the result is a sum of coefficients of the input, so
-        a digit width that bounds the input's l1 norm stays valid."""
+        a digit width that bounds the input's l1 norm stays valid.  A value
+        in [-2^(width-1), 2^width), width = n * bits, is returned as it is,
+        which is what the carry below would give back for it."""
         width = bits * self.n
-        high = value >> width
-        if not high:
+        if -1 <= value >> (width - 1) <= 1:
             return value
+        high = value >> width
         low = value - (high << width)
         if low >> (width - 1):  # the low n digits are negative
             low -= 1 << width

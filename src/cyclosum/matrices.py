@@ -182,15 +182,17 @@ def _l1(nums: Sequence[int]) -> int:
 
 def _cleared(
     entries: Sequence[Sequence[CycElem]],
-) -> tuple[int, list[list[Sequence[int]]]]:
-    """The lcm D of the denominators of the rows of elements, and the
-    integer coefficient vectors of D times each, which lie in Z[zeta_n]."""
-    den = math.lcm(*(e.den for row in entries for e in row))
+) -> tuple[list[int], list[list[Sequence[int]]]]:
+    """For each row of elements, the lcm D_i of its denominators and the
+    integer coefficient vectors of D_i times each entry, which lie in
+    Z[zeta_n].  A kernel that is linear in each row, as the permanent is,
+    divides by the product of the D_i at the end."""
+    dens = [math.lcm(*(e.den for e in row)) for row in entries]
     rows = [
         [e.nums if e.den == den else [v * (den // e.den) for v in e.nums] for e in row]
-        for row in entries
+        for den, row in zip(dens, entries)
     ]
-    return den, rows
+    return dens, rows
 
 
 # -- exact kernels ----------------------------------------------------------
@@ -228,7 +230,7 @@ def _circulant_eigenvalues(ctx: CyclotomicContext, t: Sequence[CycElem]) -> list
     the digits; each coefficient of D lambda_k, before and after unpack
     folds it modulo x^n - 1, is at most L = sum_j ||D t_j||_1, which fixes
     the digit width."""
-    den, (nums,) = _cleared((t,))
+    (den,), (nums,) = _cleared((t,))
     bits = sum(map(_l1, nums)).bit_length() + 1
     packed = [ctx.pack(v, bits) for v in nums]
     n, step = ctx.n, ctx.n // len(t)
@@ -252,11 +254,29 @@ def _circulant_charpoly(
     polynomials of the principal (N-1)-minors of C, is its trace
     d/dx det(xI - C) = p'(x) over N.  That is the eigenvector-eigenvalue
     identity with |v_k(j)|^2 = 1/N for every eigenvector of C, and it
-    holds whether or not the lambda_k are distinct or nonzero."""
+    holds whether or not the lambda_k are distinct or nonzero.
+
+    When every lambda_k is rational, as for the sun and cotangent rows
+    (Theorem 2.1), p is multiplied out over Z: with B the lcm of their
+    denominators and a_k = B lambda_k, prod_k (y - a_k) = sum_i P_i y^i has
+    integer P_i, and y = Bx gives p_i = P_i / B^(N-i).  Each coefficient
+    becomes an element once, at the end.  Otherwise the product runs in
+    the field, about N^2 / 2 products when every coefficient is kept."""
     order = len(t)
     keep = (dim + 1 if terms is None else terms) + order - dim
+    lams = _circulant_eigenvalues(ctx, t)
+    if all(lam.is_rational() for lam in lams):
+        den = math.lcm(*(lam.den for lam in lams))
+        q = [1]
+        for lam in lams:
+            a = lam.nums[0] * (den // lam.den)
+            q = ([-a * q[0]] + [hi - a * lo for hi, lo in zip(q, q[1:])] + q[-1:])[:keep]
+        if order == dim:
+            return [ctx.from_rational(Fraction(c, den ** (order - i))) for i, c in enumerate(q)]
+        return [ctx.from_rational(Fraction(j * c, order * den ** (order - j)))
+                for j, c in enumerate(q[1:], 1)]
     p = [ctx.one]
-    for lam in _circulant_eigenvalues(ctx, t):
+    for lam in lams:
         # p * (x - lam): coefficient i is p[i-1] - lam p[i]
         p = ([-(lam * p[0])] + [hi - lam * lo for hi, lo in zip(p, p[1:])] + p[-1:])[:keep]
     if order == dim:
@@ -271,8 +291,10 @@ def det_exact(m: ExactMatrix) -> CycElem:
     zeta^(n/N) is a primitive N-th root of unity in the field, takes the
     spectral route: det M = (-1)^dim c_0, where c_0 is the constant
     coefficient of _circulant_charpoly, the lowest coefficient only (modulo
-    x for a circulant, x^2 for a minor), from the N exact eigenvalues in
-    about N or 2N products in the field, with no inverse.
+    x for a circulant, x^2 for a minor), from the N exact eigenvalues with
+    no inverse: about N or 2N integer products when they are all rational,
+    as for the sun and cotangent matrices, and as many products in the
+    field otherwise.
 
     Every other matrix takes Gaussian elimination over the field, which is
     also the spectral route's oracle in the tests; the pivot is the first
@@ -634,7 +656,7 @@ def _circulant_permanent(ctx: CyclotomicContext, t: Sequence[CycElem], dim: int)
     principal (N-1)-minor of it.  See permanent_ryser."""
     order = len(t)
     minor = order > dim
-    den, (nums,) = _cleared((t,))
+    (den,), (nums,) = _cleared((t,))
     if not any(map(any, nums)):
         return ctx.zero
     units = _galois_symmetries(ctx, nums)
@@ -671,8 +693,10 @@ def permanent_ryser(m: ExactMatrix, cap: int = PERMANENT_CAP) -> CycElem:
     2^N / (N |H|) products; H = {1} gives the necklaces.
 
     Any other matrix walks all subsets in Gray-code order, one column
-    update per step.  Both of these walks run in _packed_ryser, on D * M
-    packed into integers (per(M) = per(D M) / D^dim).
+    update per step.  Both of these walks run in _packed_ryser, on the
+    matrix cleared of denominators and packed into integers: D M for a
+    circulant's one row, and diag(D_i) M for the Gray walk, D_i the lcm of
+    row i alone, with per(M) = per(diag(D_i) M) / prod_i D_i.
     """
     d = m.dim
     if d > cap:
@@ -681,9 +705,9 @@ def permanent_ryser(m: ExactMatrix, cap: int = PERMANENT_CAP) -> CycElem:
     t = _circulant_row(m)
     if t is not None:
         return _circulant_permanent(ctx, t, d)
-    den, rows = _cleared(m.entries)
+    dens, rows = _cleared(m.entries)
     gray = ((g ^ (g >> 1), 1) for g in range(1, 1 << d))
-    return CycElem(ctx, _packed_ryser(ctx, rows, gray), den**d)
+    return CycElem(ctx, _packed_ryser(ctx, rows, gray), math.prod(dens))
 
 
 @dataclass(frozen=True)
@@ -716,8 +740,10 @@ def charpoly_exact(m: ExactMatrix) -> list[CycElem]:
     coefficients c with c[dim] = 1, for a circulant, or a principal minor
     of one with a single index deleted, whose order N divides n: the
     spectral route of det_exact with every coefficient kept,
-    _circulant_charpoly, about N^2 / 2 products in the field.  Any other
-    matrix raises ValueError; every characteristic polynomial the
+    _circulant_charpoly.  That is about N^2 / 2 integer steps when every
+    eigenvalue is rational, as for the sun and cotangent matrices and
+    their minors, and about N^2 / 2 products in the field otherwise.  Any
+    other matrix raises ValueError; every characteristic polynomial the
     statements need is of this shape."""
     t = _circulant_row(m)
     if t is None or m.context.n % len(t):

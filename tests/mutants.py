@@ -25,7 +25,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # Seconds one pytest run may take.  A mutant that makes a test hang (an
-# unpack loop that never ends) is killed when the run is stopped here.
+# unpack loop without its borrow, on a negative packed value) is killed
+# when the run is stopped here, though every mutant below names a test
+# that fails without hanging.
 TIMEOUT = 90
 
 
@@ -103,6 +105,14 @@ MUTANTS = (
         "",
         ("tests/test_kernels.py::test_ryser_matches_naive_permanent[3]",),
     ),
+    # The Gray walk's denominators, one per row.
+    Mutant(
+        "one row's denominator dropped from the Gray walk's product",
+        "matrices.py",
+        "math.prod(dens))",
+        "math.prod(dens[1:]))",
+        ("tests/test_kernels.py::test_ryser_matches_naive_permanent[3]",),
+    ),
     # Kronecker packing: the carry of a negative low part, and signed digits.
     Mutant(
         "fold's carry from a negative low part dropped",
@@ -116,7 +126,8 @@ MUTANTS = (
         "exact.py",
         "                value += 1\n",
         "                pass\n",
-        ("tests/test_kernels.py::test_packed_kernels_carry_large_negative_coefficients[16]",),
+        ("tests/test_kernels.py::"
+         "test_unpack_borrows_for_a_negative_digit_below_a_positive_top_digit[16]",),
     ),
     # thm2_1: the matrix its claimed eigenpairs imply, and the failing
     # columns from the circulant spectrum behind det_exact and
@@ -155,6 +166,29 @@ MUTANTS = (
         "order * c.den)",
         "c.den)",
         ("tests/test_kernels.py::test_circulant_charpoly_on_random_circulants_and_minors[6]",),
+    ),
+    # The integer product of a rational spectrum.
+    Mutant(
+        "the integer route's power B^(N-i) off by one",
+        "matrices.py",
+        "den ** (order - i))",
+        "den ** (order - i - 1))",
+        ("tests/test_kernels.py::test_rational_spectra_take_the_integer_product[4]",),
+    ),
+    Mutant(
+        "the 1/N of a minor dropped on the integer route",
+        "matrices.py",
+        "Fraction(j * c, order * den",
+        "Fraction(j * c, den",
+        ("tests/test_kernels.py::test_rational_spectra_take_the_integer_product[5]",),
+    ),
+    Mutant(
+        "the integer route taken when any eigenvalue, not all, is rational",
+        "matrices.py",
+        "if all(lam.is_rational() for lam in lams)",
+        "if any(lam.is_rational() for lam in lams)",
+        ("tests/test_kernels.py::"
+         "test_spectra_with_an_irrational_eigenvalue_take_the_field_product[6]",),
     ),
     Mutant(
         "the twisted product's polynomial taken as p(x), not (p(x) - p(0)) / x",

@@ -171,6 +171,19 @@ def test_pack_round_trip_with_negative_digits(n):
         assert ctx.unpack(ctx.pack(nums, 62), 62) == nums
 
 
+@pytest.mark.parametrize("n", ORDERS[1:])
+def test_unpack_borrows_for_a_negative_digit_below_a_positive_top_digit(n):
+    # A negative digit reads as its value minus 2^bits, so the next digit
+    # up must take back one.  The top digit is positive, so the packed value
+    # is too, and an unpack without that borrow ends with a wrong vector.
+    ctx = cyc_context(n)
+    deg = ctx.basis_degree
+    for low in ([-1, 1], [-7, 0, 3], [5, -2, 1], [-(2**40), -(2**40), 2**40]):
+        nums = (low + [0] * deg)[:deg]
+        nums[-1] = nums[-1] or 1
+        assert ctx.unpack(ctx.pack(nums, 62), 62) == nums, f"n={n} {low}"
+
+
 @pytest.mark.parametrize("n", ORDERS)
 def test_multiply_with_large_negative_coefficients(n):
     ctx = cyc_context(n)
@@ -477,7 +490,7 @@ def test_value_bound_holds_on_sun_rows_and_minors(monkeypatch):
     monkeypatch.setattr(cyclosum.matrices, "_galois_symmetries", lambda ctx, nums: [1])
     for n in range(2, 23):
         sun = build_sun_matrix(cyc_context(n))
-        den, (nums,) = cyclosum.matrices._cleared((cyclosum.matrices._circulant_row(sun),))
+        (den,), (nums,) = cyclosum.matrices._cleared((cyclosum.matrices._circulant_row(sun),))
         values = {}
         if n % 2 == 0:
             values[n] = den**n * full_permanent(n)
@@ -646,16 +659,16 @@ def test_orbits_yield_each_affine_orbit_once_at_its_size(d):
 # --- determinants ------------------------------------------------------------
 
 
-def count_inverses(monkeypatch) -> list[int]:
-    """Patch CycElem.inverse to count its calls into the returned cell."""
+def count_calls(monkeypatch, method: str) -> list[int]:
+    """Patch CycElem.<method> to count its calls into the returned cell."""
     calls = [0]
-    inverse = CycElem.inverse
+    original = getattr(CycElem, method)
 
-    def counted(self):
+    def counted(self, *args):
         calls[0] += 1
-        return inverse(self)
+        return original(self, *args)
 
-    monkeypatch.setattr(CycElem, "inverse", counted)
+    monkeypatch.setattr(CycElem, method, counted)
     return calls
 
 
@@ -793,7 +806,7 @@ def test_det_falls_back_when_the_order_does_not_divide_n(monkeypatch):
     ctx = cyc_context(4)
     m = circulant(ctx, random_row(ctx, 3, rng))
     assert circulant_order(m) == 3
-    calls = count_inverses(monkeypatch)
+    calls = count_calls(monkeypatch, "inverse")
     assert det_exact(m) == leibniz_det(m)
     assert calls[0] > 0
 
@@ -817,7 +830,7 @@ def test_sun_minor_determinant_takes_no_inverse(monkeypatch):
     # A silent fall-back to elimination inverts every pivot.
     n = 25
     minor = delete_rows_cols(build_sun_matrix(cyc_context(n)), {n})
-    calls = count_inverses(monkeypatch)
+    calls = count_calls(monkeypatch, "inverse")
     assert det_exact(minor) == minor_determinant(n)
     assert calls[0] == 0
 
@@ -832,7 +845,7 @@ def divisor_count(n: int) -> int:
 @pytest.mark.parametrize("n", [*range(2, 65), 101, 105])
 def test_sun_entries_are_galois_images_of_one_inverse_per_divisor(n, monkeypatch):
     ctx = cyc_context(n)
-    calls = count_inverses(monkeypatch)
+    calls = count_calls(monkeypatch, "inverse")
     got = cyclosum.matrices._sun_entries(ctx)
     assert calls[0] == divisor_count(n) - 1  # every divisor g < n
     assert sorted(got) == list(range(1, n))
@@ -843,7 +856,7 @@ def test_sun_entries_are_galois_images_of_one_inverse_per_divisor(n, monkeypatch
 def test_circulance_is_exact_on_entries_that_are_not_shared(monkeypatch):
     # The builders share one object per difference; a matrix read back from
     # JSON shares none, and must take the same routes.
-    calls = count_inverses(monkeypatch)
+    calls = count_calls(monkeypatch, "inverse")
     for n in (9, 15):
         ctx = cyc_context(n)
         sun = build_sun_matrix(ctx)
@@ -891,11 +904,75 @@ def test_circulant_charpoly_on_sun_and_cotangent_matrices(n):
             assert charpoly_exact(m) == charpoly_reference(m), f"n={n} dim={m.dim}"
 
 
+@pytest.mark.parametrize("n", range(2, 26))
+def test_rational_spectra_take_the_integer_product(n, monkeypatch):
+    # The sun and cotangent circulants and their minors have rational
+    # spectra (Theorem 2.1), half-integers for the sun matrix at even n, so
+    # their characteristic polynomials are multiplied out over Z, with no
+    # product in the field.  The oracles: Faddeev-LeVerrier while it is
+    # cheap, the field product on the same spectrum at every n, and the
+    # Leibniz determinant at small n.
+    ctx = cyc_context(n)
+    shapes = [m for full in (build_sun_matrix(ctx), build_cp_matrix(ctx))
+              for m in (full, delete_rows_cols(full, {n}))]
+    want = [charpoly_reference(m) for m in shapes] if n <= 12 else None
+    products = count_calls(monkeypatch, "__mul__")
+    got = [charpoly_exact(m) for m in shapes]
+    dets = [det_exact(m) for m in shapes]
+    assert products[0] == 0
+    if want is not None:
+        assert got == want
+    if n <= 6:
+        assert dets == [leibniz_det(m) for m in shapes]
+    assert dets == [(-1) ** m.dim * c[0] for m, c in zip(shapes, got)]
+    monkeypatch.setattr(CycElem, "is_rational", lambda self: False)
+    assert [charpoly_exact(m) for m in shapes] == got
+    assert products[0] > 0
+
+
+def spectrum_row(ctx, lams: list) -> list:
+    """Row 0 of the order-N circulant with eigenvalues lams, N = len(lams)
+    dividing n: t_j = (1/N) sum_k lambda_k w^(-jk), w = zeta^(n/N)."""
+    order = len(lams)
+    step = ctx.n // order
+    return [sum((lam * ctx.zeta_pow(-step * j * k) for k, lam in enumerate(lams)), ctx.zero)
+            / order for j in range(order)]
+
+
+@pytest.mark.parametrize("n", (5, 6, 12))
+def test_spectra_with_an_irrational_eigenvalue_take_the_field_product(n, monkeypatch):
+    # One spectrum rational but for its last eigenvalue, and one with a
+    # single rational eigenvalue: a route that took the integer product
+    # when any eigenvalue, or only the first, is rational reads the
+    # irrational ones by their constant coefficient and is wrong here.
+    ctx = cyc_context(n)
+    order = max(k for k in range(1, 7) if n % k == 0)
+    zeta = ctx.zeta_pow(1)
+    rational = [ctx.from_rational(Fraction(k - 2, 3)) for k in range(order - 1)]
+    spectra = {
+        "all rational but one": rational + [1 + zeta],
+        "one rational": [ctx.from_rational(Fraction(-5, 2))]
+                        + [zeta + k for k in range(1, order)],
+    }
+    for kind, lams in spectra.items():
+        t = spectrum_row(ctx, lams)
+        assert cyclosum.matrices._circulant_eigenvalues(ctx, t) == lams, kind
+        full = circulant(ctx, t)
+        for m in (full, delete_rows_cols(full, {order})):
+            products = count_calls(monkeypatch, "__mul__")
+            got = charpoly_exact(m)
+            assert products[0] > 0, f"{kind} dim={m.dim}"
+            assert got == charpoly_reference(m), f"{kind} dim={m.dim}"
+            assert det_exact(m) == leibniz_det(m), f"{kind} dim={m.dim}"
+
+
 @pytest.mark.parametrize("n", (4, 5, 6, 7, 9, 12))
 def test_circulant_charpoly_on_random_circulants_and_minors(n):
     # Every order N dividing n, random and singular rows, with no zero
     # entry.  p'(x) / N for a minor: a
-    # route that dropped the 1/N would return N times the answer.
+    # route that dropped the 1/N would return N times the answer.  Each
+    # row of order >= 2 has an irrational eigenvalue, so this is the field
+    # product.
     rng = Random(18_000 + n)
     ctx = cyc_context(n)
     for order in (k for k in range(1, n + 1) if n % k == 0 and k <= 9):
@@ -903,6 +980,8 @@ def test_circulant_charpoly_on_random_circulants_and_minors(n):
         if order >= 3:
             rows.append(singular_row(ctx, order, rng, 1))
         for t in rows:
+            lams = cyclosum.matrices._circulant_eigenvalues(ctx, t)
+            assert order < 2 or not all(lam.is_rational() for lam in lams), f"n={n} N={order}"
             full = circulant(ctx, t)
             shapes = [full] if order < 3 else [full, delete_rows_cols(full, {order})]
             for m in shapes:
