@@ -79,6 +79,11 @@ class CyclotomicContext:
     of Q(zeta_n) = Q[x]/(Phi_n), plus the sparse power-reduction table all
     integer arithmetic relies on.
 
+    ``_psi`` lists the nonzero (index, coefficient) pairs of
+    Psi_n = (x^n - 1) / Phi_n, monic with Psi_n(0) = -1 since Phi_n(0) = 1;
+    a polynomial s is 0 modulo Phi_n exactly when s Psi_n is 0 modulo
+    x^n - 1.
+
     ``_reduction[k]`` lists the nonzero (index, coefficient) pairs of
     x^k mod Phi_n for 0 <= k < n; since x^n = 1 modulo Phi_n, any power
     x^m reduces through ``_reduction[m % n]``.  The same table serves
@@ -86,7 +91,8 @@ class CyclotomicContext:
     integers (see ``pack``)."""
 
     __slots__ = (
-        "n", "basis_degree", "modulus", "_reduction", "_norm_steps", "_root", "_zero", "_one"
+        "n", "basis_degree", "modulus", "_reduction", "_psi", "_norm_steps", "_root", "_zero",
+        "_one",
     )
 
     def __init__(self, n: int):
@@ -107,6 +113,14 @@ class CyclotomicContext:
                     dense[i] -= lead * self.modulus[i]
             rows.append(tuple((i, c) for i, c in enumerate(dense) if c))
         self._reduction = tuple(rows)
+        rest = [-1] + [0] * (n - 1) + [1]  # x^n - 1, divided by the monic Phi_n
+        psi = [0] * (n - deg + 1)
+        for i in range(n - deg, -1, -1):
+            psi[i] = c = rest[i + deg]
+            if c:
+                for j, m in enumerate(self.modulus):
+                    rest[i + j] -= c * m
+        self._psi = tuple((i, c) for i, c in enumerate(psi) if c)
         self._root = cmath.exp(2j * math.pi / n)
         self._zero = CycElem(self, (0,) * deg, 1, _normalized=True)
         self._one = CycElem(self, (1,) + (0,) * (deg - 1), 1, _normalized=True)
@@ -197,11 +211,13 @@ class CyclotomicContext:
         """Reduce a packed polynomial modulo x^n - 1 (x^n = 1 modulo Phi_n)
         by adding its digits from position n up onto the low n.  Each
         coefficient of the result is a sum of coefficients of the input, so
-        a digit width that bounds the input's l1 norm stays valid.  A value
-        in [-2^(width-1), 2^width), width = n * bits, is returned as it is,
-        which is what the carry below would give back for it."""
+        a digit width that bounds the input's l1 norm stays valid, and the
+        result is then the packed folded polynomial itself, n signed digits
+        in [-2^(width-1), 2^(width-1)), width = n * bits.  A value already in
+        that range is returned as it is, which is what the carry below
+        would give back for it."""
         width = bits * self.n
-        if -1 <= value >> (width - 1) <= 1:
+        if -1 <= value >> (width - 1) <= 0:
             return value
         high = value >> width
         low = value - (high << width)

@@ -13,7 +13,7 @@ range) comes back "inconclusive" or "fail" with an explanatory note, not
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Sequence
@@ -163,7 +163,16 @@ class VerificationReport:
     notes: str = ""
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The fields in declaration order, with a copy of parameters."""
+        return {
+            "identity_id": self.identity_id,
+            "n": self.n,
+            "parameters": dict(self.parameters),
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "verdict": self.verdict,
+            "notes": self.notes,
+        }
 
 
 def random_distinct_rationals(l: int, rng: Random) -> tuple[Fraction, ...]:

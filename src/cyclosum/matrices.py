@@ -227,16 +227,48 @@ def _circulant_eigenvalues(ctx: CyclotomicContext, t: Sequence[CycElem]) -> list
     k = 0..N-1, of the order-N circulant with row 0 t, N = len(t) dividing
     n; lambda_k belongs to the eigenvector (w^(jk))_j.  They are summed on
     D t packed into integers, where multiplying by a power of zeta rotates
-    the digits; each coefficient of D lambda_k, before and after unpack
-    folds it modulo x^n - 1, is at most L = sum_j ||D t_j||_1, which fixes
-    the digit width."""
+    the digits, and folded modulo x^n - 1 to s_k, of degree below n, with
+    D lambda_k = s_k modulo Phi_n and ||s_k||_1 <= L = sum_j ||D t_j||_1.
+
+    A rational eigenvalue is read with no reduction modulo Phi_n.  Let
+    P = s_k Psi_n modulo x^n - 1, Psi_n = (x^n - 1) / Phi_n (ctx._psi).
+    For an integer c, P = c Psi_n iff (s_k - c) Psi_n is 0 modulo x^n - 1
+    iff Phi_n divides s_k - c iff D lambda_k = c.  Psi_n(0) = -1, so the
+    only candidate is c = -P_0.  A rational D lambda_k is at most L in
+    absolute value under the embedding, so a candidate beyond L is not
+    tested.  Only an eigenvalue that fails the test is unpacked through
+    the Phi_n table.
+
+    Width.  The sums and s_k Psi_n have degree below 2n, so one fold
+    reduces each.  Every coefficient of s_k Psi_n, before the fold and
+    after it, is at most ||s_k||_1 ||Psi_n||_inf <= L ||Psi_n||_inf; so is
+    every coefficient of c Psi_n for |c| <= L, and of the sums, since
+    ||Psi_n||_inf >= 1 (Psi_n is monic).  Below 2^(bits-1), two such
+    polynomials are equal exactly when their packed integers are, and the
+    low digit of P is P_0.  ||Psi_n||_inf is 1 for every n < 561 and 2 at
+    n = 561.  The products by Psi_n are one shifted copy of s_k, or of c,
+    per nonzero coefficient: 2 of them for prime n, 26 at n = 105."""
     (den,), (nums,) = _cleared((t,))
-    bits = sum(map(_l1, nums)).bit_length() + 1
+    norm = sum(map(_l1, nums))
+    bits = (norm * max(abs(a) for _, a in ctx._psi)).bit_length() + 1
+    shifts = [(bits * i, a) for i, a in ctx._psi]
+    fold = ctx.fold
     packed = [ctx.pack(v, bits) for v in nums]
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    zeros = (0,) * (ctx.basis_degree - 1)
     n, step = ctx.n, ctx.n // len(t)
-    sums = (sum(p << bits * (step * j * k % n) for j, p in enumerate(packed))
-            for k in range(len(t)))
-    return [CycElem(ctx, ctx.unpack(s, bits), den) for s in sums]
+    out = []
+    for k in range(len(t)):
+        s = fold(sum(p << bits * (step * j * k % n) for j, p in enumerate(packed)), bits)
+        prod = fold(sum(a * (s << shift) for shift, a in shifts), bits)
+        low = prod & mask
+        c = mask + 1 - low if low >= half else -low  # -P_0
+        if -norm <= c <= norm and prod == sum((c * a) << shift for shift, a in shifts):
+            g = math.gcd(c, den)
+            out.append(CycElem(ctx, (c // g,) + zeros, den // g, _normalized=True))
+        else:
+            out.append(CycElem(ctx, ctx.unpack(s, bits), den))
+    return out
 
 
 def _circulant_charpoly(
@@ -294,7 +326,9 @@ def det_exact(m: ExactMatrix) -> CycElem:
     x for a circulant, x^2 for a minor), from the N exact eigenvalues with
     no inverse: about N or 2N integer products when they are all rational,
     as for the sun and cotangent matrices, and as many products in the
-    field otherwise.
+    field otherwise.  A rational eigenvalue is read by one divisibility
+    test by Phi_n on packed integers, with no reduction modulo Phi_n
+    (_circulant_eigenvalues).
 
     Every other matrix takes Gaussian elimination over the field, which is
     also the spectral route's oracle in the tests; the pivot is the first
@@ -360,13 +394,22 @@ def _galois_symmetries(ctx: CyclotomicContext, nums: Sequence[Sequence[int]]) ->
     """The group H of units u mod n with sigma_u(t_c) = t_(uc mod N) for
     every c, checked exactly on the integer vectors nums of D t, N =
     len(nums); sigma_u is zeta -> zeta^u.  H = {1} unless N == n, where
-    multiplying an index by a unit mod n permutes Z/N."""
+    multiplying an index by a unit mod n permutes Z/N.  H is closed under
+    products, sigma_uv(t_c) = sigma_u(t_(vc)) = t_(uvc), so it is every
+    unit when it holds the generators g of ctx._norm_steps, which are
+    tested first; otherwise each unit is tested."""
     order = len(nums)
     if order != ctx.n:
         return [1]
     rows = [list(v) for v in nums]
-    return [u for u in range(1, order) if math.gcd(u, order) == 1
-            and all(ctx._galois(v, u) == rows[u * c % order] for c, v in enumerate(rows))]
+
+    def symmetric(u: int) -> bool:
+        return all(ctx._galois(v, u) == rows[u * c % order] for c, v in enumerate(rows))
+
+    units = [u for u in range(1, order) if math.gcd(u, order) == 1]
+    if all(symmetric(g) for g, _ in ctx._norm_steps):
+        return units
+    return [u for u in units if symmetric(u)]
 
 
 def _rotation_order(image: int, word: int, d: int) -> int:
@@ -680,7 +723,8 @@ def permanent_ryser(m: ExactMatrix, cap: int = PERMANENT_CAP) -> CycElem:
     d/dx per(C + xI) at 0 sums the N equal principal minors.  Let H be the
     group of units u mod n whose sigma_u maps the row onto itself,
     sigma_u(t_c) = t_(uc) for every c (checked exactly by
-    _galois_symmetries).
+    _galois_symmetries, on the generators of the unit group first, so a
+    row with every symmetry costs a few unit checks, not phi(n)).
 
     When H is every unit mod n (N == n, as for the sun and cotangent
     rows; or n == 2, where the field is Q), the permanent is rational,
@@ -742,9 +786,10 @@ def charpoly_exact(m: ExactMatrix) -> list[CycElem]:
     spectral route of det_exact with every coefficient kept,
     _circulant_charpoly.  That is about N^2 / 2 integer steps when every
     eigenvalue is rational, as for the sun and cotangent matrices and
-    their minors, and about N^2 / 2 products in the field otherwise.  Any
-    other matrix raises ValueError; every characteristic polynomial the
-    statements need is of this shape."""
+    their minors, each eigenvalue read by one divisibility test by Phi_n
+    on packed integers, and about N^2 / 2 products in the field
+    otherwise.  Any other matrix raises ValueError; every characteristic
+    polynomial the statements need is of this shape."""
     t = _circulant_row(m)
     if t is None or m.context.n % len(t):
         raise ValueError(

@@ -368,31 +368,42 @@ def eei_residual(m: HermMatrix, i: int, j: int) -> EeiResult:
     return _eei_pair(lam, i - 1, _eei_gap(lam, i - 1), weight, minor_lam)
 
 
+def _lagrange_nodes(n: int) -> tuple[list[int], list[Fraction], list[Fraction]]:
+    """The nodes x_i = n+1-2i, i = 1..n, of charpoly_lagrange, their
+    closed-form values y_i = (2^(n-1)/n) prod_{k!=i}(k-i), and the weights
+    y_i / prod_{k!=i}(x_i - x_k).  Both products come from one factorial
+    table: prod_{k!=i}(k-i) = (-1)^(i-1) (i-1)! (n-i)!, and
+    x_i - x_k = 2(k-i) makes the second 2^(n-1) times the first, so every
+    weight is 1/n."""
+    nodes = [n + 1 - 2 * i for i in range(1, n + 1)]
+    fact = [1]
+    for k in range(1, n):
+        fact.append(fact[-1] * k)
+    power = 2 ** (n - 1)
+    gaps = [-fact[i - 1] * fact[n - i] if i % 2 == 0 else fact[i - 1] * fact[n - i]
+            for i in range(1, n + 1)]
+    values = [Fraction(power * g, n) for g in gaps]
+    return nodes, values, [y / (power * g) for y, g in zip(values, gaps)]
+
+
 def charpoly_lagrange(n: int) -> list[Fraction]:
     """The cotangent minor's characteristic polynomial, reconstructed from
     closed forms alone: the exact ascending coefficients of the Lagrange
     interpolation through the n nodes n+1-2i with values
-    (2^(n-1)/n) prod_{k!=i}(k-i).  Monic of degree n-1 by construction (the
-    node values are |v|^2-weighted spectral gap products, one degree below
-    the node count).
+    (2^(n-1)/n) prod_{k!=i}(k-i) (_lagrange_nodes).  Monic of degree n-1
+    by construction (the node values are |v|^2-weighted spectral gap
+    products, one degree below the node count).
 
     The nodes are integers, so the node polynomial w(x) = prod_k (x - x_k)
     and each basis numerator w(x) / (x - x_i), by synthetic division, have
-    integer coefficients; the weights y_i / prod_{k!=i} (x_i - x_k) are
-    brought to one denominator, so the sum runs on integers in O(n^2)."""
+    integer coefficients; the weights are brought to one denominator, so
+    the sum runs on integers in O(n^2)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    nodes = [n + 1 - 2 * i for i in range(1, n + 1)]
-    values = [
-        Fraction(2) ** (n - 1) / n * math.prod(k - i for k in range(1, n + 1) if k != i)
-        for i in range(1, n + 1)
-    ]
+    nodes, _, weights = _lagrange_nodes(n)
     node_poly = [1]  # ascending coefficients of w(x)
     for xk in nodes:
         node_poly = [lo - xk * hi for lo, hi in zip([0] + node_poly, node_poly + [0])]
-    weights = [
-        yi / math.prod(xi - xk for xk in nodes if xk != xi) for xi, yi in zip(nodes, values)
-    ]
     den = math.lcm(*(w.denominator for w in weights))
     acc = [0] * n
     for xi, w in zip(nodes, weights):

@@ -198,6 +198,44 @@ MUTANTS = (
         ("tests/test_kernels.py::test_twisted_charpoly_on_random_circulants[5]",
          "tests/test_kernels.py::test_twisted_charpoly_on_the_sun_matrix[5]"),
     ),
+    # The circulant spectrum: rational eigenvalues read by the Psi_n test,
+    # and the fold that test relies on.
+    Mutant(
+        "the Psi_n comparison skipped",
+        "matrices.py",
+        "if -norm <= c <= norm and prod == sum((c * a) << shift for shift, a in shifts):",
+        "if -norm <= c <= norm:",
+        ("tests/test_kernels.py::test_psi_read_matches_the_full_unpack[12]",),
+    ),
+    Mutant(
+        "the sign of c = -P_0 flipped",
+        "matrices.py",
+        "c = mask + 1 - low if low >= half else -low",
+        "c = low - mask - 1 if low >= half else low",
+        ("tests/test_kernels.py::test_sun_and_cotangent_spectra_take_no_unpack[9]",),
+    ),
+    Mutant(
+        "the digit width of the Psi_n test without ||Psi_n||_inf",
+        "matrices.py",
+        "bits = (norm * max(abs(a) for _, a in ctx._psi)).bit_length() + 1",
+        "bits = norm.bit_length() + 1",
+        ("tests/test_kernels.py::test_psi_read_width_holds_a_row_that_reaches_its_bound[561]",),
+    ),
+    Mutant(
+        "fold returns a top digit in the upper half uncarried",
+        "exact.py",
+        "if -1 <= value >> (width - 1) <= 0:",
+        "if -1 <= value >> (width - 1) <= 1:",
+        ("tests/test_kernels.py::test_a_folded_top_digit_in_the_upper_half_is_carried",),
+    ),
+    # The Galois symmetries of a row, tested on generators first.
+    Mutant(
+        "only the first generator of the unit group tested",
+        "matrices.py",
+        "if all(symmetric(g) for g, _ in ctx._norm_steps):",
+        "if all(symmetric(g) for g, _ in ctx._norm_steps[:1]):",
+        ("tests/test_kernels.py::test_galois_generators_give_the_per_unit_scan[12]",),
+    ),
     # The sun entries as Galois images, and the rational multiply path.
     Mutant(
         "the Galois image by u^-1 in place of u",

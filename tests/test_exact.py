@@ -94,6 +94,24 @@ def test_cyclotomic_polynomial_degree_and_product():
         assert prod == expected
 
 
+def test_psi_is_the_cofactor_of_phi_in_x_n_minus_one():
+    # Psi_n (the context's sparse _psi) times Phi_n is x^n - 1, multiplied
+    # out here; Psi_n(0) = -1 and ||Psi_n||_inf = 1 below n = 561, which the
+    # digit width of the circulant spectrum's rational read relies on.
+    for n in [*range(2, 65), 105, 210, 561]:
+        ctx = cyc_context(n)
+        psi = [0] * (n - ctx.basis_degree + 1)
+        for i, c in ctx._psi:
+            psi[i] = c
+        prod = [0] * (n + 1)
+        for i, a in enumerate(psi):
+            for j, b in enumerate(ctx.modulus):
+                prod[i + j] += a * b
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+        assert psi[0] == -1 and psi[-1] == 1
+        assert max(map(abs, psi)) == (2 if n == 561 else 1), n
+
+
 # --- powers of the root -----------------------------------------------------
 
 

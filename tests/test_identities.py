@@ -753,6 +753,16 @@ def test_report_serialization_field_order():
     ]
 
 
+def test_report_record_is_the_dataclass_dict():
+    # The same keys in the same order as dataclasses.asdict, with a
+    # parameters dict of the record's own.
+    for report in (verify_eq1_2(3), verify_thm3_1(5, (1,)), verify_lemma3_2(3, (1, 2, 3)),
+                   verify_eei(3, rng=Random(0))):
+        record = report.to_json_dict()
+        assert list(record.items()) == list(dataclasses.asdict(report).items())
+        assert record["parameters"] is not report.parameters
+
+
 def test_report_is_immutable():
     report = verify_eq1_2(3)
     with pytest.raises(Exception):

@@ -4,9 +4,9 @@ Kronecker packing, the rational multiply path, the permanent on its three
 routes (Gray code; the packed orbit walk over a circulant or a minor of
 one; and, for a row with every Galois symmetry, the necklace walk modulo
 primes), its primes and roots of unity, the necklace and orbit
-generators, the exact spectrum of a circulant, the characteristic
-polynomial read off it, and the determinant on both its routes (Gaussian
-elimination and that spectrum).
+generators, the exact spectrum of a circulant with the Psi_n read of its
+rational eigenvalues, the characteristic polynomial read off it, and the
+determinant on both its routes (Gaussian elimination and that spectrum).
 
 Each packed kernel is compared with an implementation that does every step
 in CycElem arithmetic: the naive permanent, the Leibniz determinant and
@@ -27,6 +27,7 @@ import cyclosum.matrices
 import cyclosum.spectral
 from cyclosum.exact import (
     CycElem,
+    CyclotomicContext,
     cp_minor_determinant,
     cyc_context,
     full_permanent,
@@ -36,6 +37,7 @@ from cyclosum.exact import (
 from cyclosum.matrices import (
     ExactMatrix,
     build_cp_matrix,
+    build_sun_and_cp_matrices,
     build_sun_matrix,
     charpoly_exact,
     delete_rows_cols,
@@ -407,6 +409,40 @@ def test_necklace_route_on_zero_and_sparse_first_rows():
             assert got == permanent_naive(m) == gray_walk(m), (n, classes, m.dim)
 
 
+def subgroup_row(ctx, group: list[int], rng: Random) -> list:
+    """t_c = sum_{h in group} sigma_h(b_(h^-1 c)) for random elements b_c:
+    sigma_u(t_c) = t_(uc) for every u in the group, since uH = H, and for
+    no other unit unless the b_c happen to be special."""
+    n = ctx.n
+    b = [ctx.element(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                     for _ in range(ctx.basis_degree)) for _ in range(n)]
+    return [sum((CycElem(ctx, ctx._galois(e.nums, h), e.den)
+                 for h in group for e in [b[pow(h, -1, n) * c % n]]), ctx.zero)
+            for c in range(n)]
+
+
+@pytest.mark.parametrize("n", (12, 15, 21, 24))
+def test_galois_generators_give_the_per_unit_scan(n):
+    # (Z/n)^* is not cyclic here.  Every subgroup generated by one or two
+    # units: when it holds the first generator of ctx._norm_steps but not
+    # the rest, a shortcut that tested only that generator would return
+    # every unit.
+    rng = Random(22_000 + n)
+    ctx = cyc_context(n)
+    every = units(n)
+    groups = {tuple(sorted({pow(a, i, n) * pow(b, j, n) % n for i in range(n) for j in range(n)}))
+              for a in every for b in every}
+    first = ctx._norm_steps[0][0]
+    assert any(first in h and len(h) < len(every) for h in groups)
+    for group in sorted(groups):
+        t = subgroup_row(ctx, list(group), rng)
+        _, (nums,) = cyclosum.matrices._cleared((t,))
+        rows = [list(v) for v in nums]
+        scan = [u for u in every
+                if all(ctx._galois(v, u) == rows[u * c % n] for c, v in enumerate(rows))]
+        assert cyclosum.matrices._galois_symmetries(ctx, nums) == scan == list(group), group
+
+
 def test_a_perturbed_sun_matrix_falls_back_to_the_gray_code_walk(monkeypatch):
     # One entry off breaks circulance: the orbit route must not run, and the
     # Gray-code walk must give the perturbed matrix's own permanent.  One
@@ -659,16 +695,16 @@ def test_orbits_yield_each_affine_orbit_once_at_its_size(d):
 # --- determinants ------------------------------------------------------------
 
 
-def count_calls(monkeypatch, method: str) -> list[int]:
-    """Patch CycElem.<method> to count its calls into the returned cell."""
+def count_calls(monkeypatch, method: str, owner: type = CycElem) -> list[int]:
+    """Patch owner.<method> to count its calls into the returned cell."""
     calls = [0]
-    original = getattr(CycElem, method)
+    original = getattr(owner, method)
 
     def counted(self, *args):
         calls[0] += 1
         return original(self, *args)
 
-    monkeypatch.setattr(CycElem, method, counted)
+    monkeypatch.setattr(owner, method, counted)
     return calls
 
 
@@ -710,6 +746,128 @@ def test_circulant_eigenvalues_match_naive_sums(n):
                 assert zeros == order
             elif kind.startswith("singular"):
                 assert not lam[0] and zeros >= int(kind[-1]), f"n={n} N={order} {kind}"
+
+
+def unpacked_eigenvalues(ctx, t) -> list:
+    """The eigenvalues of _circulant_eigenvalues, every one unpacked
+    through the Phi_n table at the width that L = sum_j ||D t_j||_1 alone
+    fixes: the read that the Psi_n test lets rational eigenvalues skip."""
+    (den,), (nums,) = cyclosum.matrices._cleared((t,))
+    bits = sum(abs(v) for vs in nums for v in vs).bit_length() + 1
+    packed = [ctx.pack(v, bits) for v in nums]
+    n, step = ctx.n, ctx.n // len(t)
+    return [CycElem(ctx, ctx.unpack(sum(p << bits * (step * j * k % n)
+                                        for j, p in enumerate(packed)), bits), den)
+            for k in range(len(t))]
+
+
+def class_row(ctx, order: int, rng: Random) -> list:
+    """Rationals constant on each class {c : gcd(c, N) = g}: the
+    eigenvalues are sums of Ramanujan sums, all rational."""
+    q = {g: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+         for g in range(1, order + 1) if order % g == 0}
+    return [ctx.from_rational(q[math.gcd(c, order)]) for c in range(order)]
+
+
+@pytest.mark.parametrize("n", range(2, 49))
+def test_psi_read_matches_the_full_unpack(n):
+    # Every order N dividing n.  Rational spectra: rows of rationals
+    # constant on gcd classes, rows with irrational entries built from a
+    # random rational spectrum, and at N = n the Galois-symmetric rows.
+    # Irrational spectra: random rows, and rows of 12-digit integer
+    # coefficients.
+    rng = Random(21_000 + n)
+    ctx = cyc_context(n)
+    for order in (k for k in range(1, n + 1) if n % k == 0):
+        rows = {
+            "class": (class_row(ctx, order, rng), True),
+            "random": ([ctx.element(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5)))
+                                    for _ in range(ctx.basis_degree)) for _ in range(order)],
+                       None),
+            "big": ([ctx.element(rng.randint(-10**12, 10**12) for _ in range(ctx.basis_degree))
+                     for _ in range(order)], False),
+        }
+        if order <= 24:
+            lams = [ctx.from_rational(Fraction(rng.randint(-30, 30), rng.randint(1, 4)))
+                    for _ in range(order)]
+            rows["spectrum"] = (spectrum_row(ctx, lams), True)
+        if order == n:
+            rows["galois"] = (galois_row(ctx, rng), True)
+        for kind, (t, rational) in rows.items():
+            got = cyclosum.matrices._circulant_eigenvalues(ctx, t)
+            assert got == unpacked_eigenvalues(ctx, t), f"n={n} N={order} {kind}"
+            if rational:
+                assert all(lam.is_rational() for lam in got), f"n={n} N={order} {kind}"
+            elif rational is False and ctx.basis_degree > 1:  # lambda_0 = sum_j t_j
+                assert not got[0].is_rational(), f"n={n} N={order} {kind}"
+
+
+@pytest.mark.parametrize("n", (9, 15, 561))
+def test_psi_read_width_holds_a_row_that_reaches_its_bound(n, monkeypatch):
+    # Row (a, a, a): lambda_0 = 3a and s_0 = 3a = L, so P = 3a Psi_n;
+    # row (a zeta, 0, 0): every s_k = a x and P = a x Psi_n.  Both reach the
+    # bound L ||Psi_n||_inf on P's coefficients, which the digit width must
+    # hold; at n = 561, the least n with ||Psi_n||_inf = 2, a width from L
+    # alone would not.
+    ctx = cyc_context(n)
+    psi = [0] * n
+    for i, c in ctx._psi:
+        psi[i] = c
+    a = 2**20 - 1
+    widths = []
+    pack = CyclotomicContext.pack
+
+    def spy(self, nums, bits):
+        widths.append(bits)
+        return pack(self, nums, bits)
+
+    rows = (([ctx.from_rational(a)] * 3, {0: 3 * a}),
+            ([ctx.zeta_pow(1) * a, ctx.zero, ctx.zero], {1: a}))
+    for t, s0 in rows:  # s0: the nonzero coefficients of s_0
+        want = unpacked_eigenvalues(ctx, t)
+        widths.clear()
+        with monkeypatch.context() as m:
+            m.setattr(CyclotomicContext, "pack", spy)
+            assert cyclosum.matrices._circulant_eigenvalues(ctx, t) == want
+        (bits,) = set(widths)
+        prod = [0] * n
+        for i, v in s0.items():
+            for j, w in enumerate(psi):
+                prod[(i + j) % n] += v * w
+        norm = sum(abs(v) for e in t for v in e.nums)
+        assert max(map(abs, prod)) == norm * max(map(abs, psi)) < 1 << (bits - 1)
+    assert max(map(abs, psi)) == (2 if n == 561 else 1)
+
+
+@pytest.mark.parametrize("n", range(2, 34))
+def test_sun_and_cotangent_spectra_take_no_unpack(n, monkeypatch):
+    # Theorem 2.1: every eigenvalue of these rows, and of their minors'
+    # rows, is rational, so the Psi_n test reads each one.
+    ctx = cyc_context(n)
+    rows = [cyclosum.matrices._circulant_row(m) for full in build_sun_and_cp_matrices(ctx)
+            for m in (full, delete_rows_cols(full, {n}))]
+    want = [unpacked_eigenvalues(ctx, t) for t in rows]
+    calls = count_calls(monkeypatch, "unpack", CyclotomicContext)
+    got = [cyclosum.matrices._circulant_eigenvalues(ctx, t) for t in rows]
+    assert calls[0] == 0
+    assert got == want
+
+
+def test_a_folded_top_digit_in_the_upper_half_is_carried(monkeypatch):
+    # Row (-4, 1, 1) at n = 3 has eigenvalues -2, -5, -5, and s_1 =
+    # -4 + x + x^2, so s_1 Psi_3 = x^3 - 5x + 4 packs into
+    # [2^(w-1), 2^w), w = 3 bits.  fold must carry it to -5x + 5 = -5 Psi_3
+    # for the test to read lambda_1.
+    ctx = cyc_context(3)
+    t = [ctx.from_rational(v) for v in (-4, 1, 1)]
+    calls = count_calls(monkeypatch, "unpack", CyclotomicContext)
+    got = cyclosum.matrices._circulant_eigenvalues(ctx, t)
+    assert calls[0] == 0
+    assert got == [ctx.from_rational(v) for v in (-2, -5, -5)]
+    bits = 5
+    value = ctx.pack([4, -5, 0, 1], bits)
+    assert 1 << 3 * bits - 1 <= value < 1 << 3 * bits
+    assert ctx.fold(value, bits) == ctx.pack([5, -5, 0], bits)
 
 
 @pytest.mark.parametrize("n", range(3, 26, 2))

@@ -27,6 +27,7 @@ from cyclosum.spectral import (
     GAP_THRESHOLD,
     ConvergenceError,
     HermMatrix,
+    _lagrange_nodes,
     _round_robin,
     charpoly_lagrange,
     cp_eigenpair_failures,
@@ -495,6 +496,21 @@ def test_interpolated_polynomial_is_monic():
         assert len(coeffs) == n
         assert coeffs[-1] == 1
         assert all(type(c) is Fraction for c in coeffs)
+
+
+def test_interpolated_polynomial_weights_are_one_over_n():
+    # The factorial table against the products it replaces, and the
+    # weights y_i / prod_{k!=i}(x_i - x_k) all equal to 1/n.
+    for n in range(2, 40):
+        nodes, values, weights = _lagrange_nodes(n)
+        assert nodes == [n + 1 - 2 * i for i in range(1, n + 1)]
+        assert values == [
+            Fraction(2) ** (n - 1) / n * math.prod(k - i for k in range(1, n + 1) if k != i)
+            for i in range(1, n + 1)
+        ]
+        assert weights == [
+            y / math.prod(x - xk for xk in nodes if xk != x) for x, y in zip(nodes, values)
+        ] == [Fraction(1, n)] * n, f"n={n}"
 
 
 def test_interpolated_polynomial_matches_basis_by_basis_oracle():
