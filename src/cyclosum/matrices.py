@@ -171,9 +171,10 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 # -- integer kernels ----------------------------------------------------------
 #
 # permanent_ryser and the circulant spectrum clear denominators once and run
-# on integer coefficient vectors over Z[zeta_n], Kronecker-packed into one
-# Python integer per entry (CyclotomicContext.pack); the digit width comes
-# from a proven bound on the coefficients of everything the kernel packs.
+# on integer coefficient vectors over Z[zeta_n]: Kronecker-packed into one
+# Python integer per entry (CyclotomicContext.pack), with the digit width
+# from a proven bound on the coefficients of everything the kernel packs, or
+# held in int64 numpy arrays under a proven bound below 2^63.
 
 
 def _l1(nums: Sequence[int]) -> int:
@@ -222,53 +223,116 @@ def _circulant_row(m: ExactMatrix) -> tuple[CycElem, ...] | None:
     return None
 
 
+# The DFT route below runs in int64 only under a proven bound below this.
+_INT64 = 1 << 63
+
+
+@functools.cache
+def _reduction_matrix(n: int) -> tuple[np.ndarray, int]:
+    """The dense (n - phi) x phi int64 matrix whose row m holds
+    x^(phi + m) modulo Phi_n, phi = deg Phi_n, read from the context's
+    power-reduction table, and the height h = max(||R||_inf, ||Psi_n||_inf)
+    (at least 1, since x^phi mod Phi_n has the constant -Phi_n(0) = -1)
+    that the int64 bounds of the DFT route take."""
+    ctx = cyc_context(n)
+    deg = ctx.basis_degree
+    reduction = np.zeros((n - deg, deg), dtype=np.int64)
+    for m in range(deg, n):
+        for i, c in ctx._reduction[m]:
+            reduction[m - deg, i] = c
+    height = max(int(np.abs(reduction).max()), max(abs(a) for _, a in ctx._psi))
+    return reduction, height
+
+
+@functools.cache
+def _dft_grid(n: int, order: int) -> np.ndarray:
+    """The order x order int64 grid of exponents -(n/N) j k mod n, N =
+    order dividing n: entry (j, k) is the power of zeta that term k of
+    an inverse DFT puts into row j, and the digit of row j that
+    eigenvalue k reads."""
+    js = np.arange(order, dtype=np.int64)
+    return np.outer(js, -(n // order) * js) % n
+
+
+def _inverse_dft(ctx: CyclotomicContext, c: np.ndarray, order: int) -> np.ndarray:
+    """Row j, j = 0..N-1, N = order dividing n, is the coefficient vector of
+    sum_k c_k zeta^(-(n/N) j k) modulo Phi_n, for the integers c: the c_k
+    are scattered to their powers of zeta through _dft_grid, and powers
+    from phi = deg Phi_n up are reduced by one product with
+    _reduction_matrix.  Every partial sum is at most ||c||_1 h in absolute
+    value, h the height of _reduction_matrix, which the caller keeps
+    below 2^63."""
+    n, deg = ctx.n, ctx.basis_degree
+    reduction, _ = _reduction_matrix(n)
+    powers = np.zeros((order, n), dtype=np.int64)
+    np.add.at(powers, (np.arange(order)[:, None], _dft_grid(n, order)), c)
+    return powers[:, :deg] + powers[:, deg:] @ reduction
+
+
 def _circulant_eigenvalues(ctx: CyclotomicContext, t: Sequence[CycElem]) -> list[CycElem]:
     """The eigenvalues lambda_k = sum_j t_j w^(jk), w = zeta^(n/N),
     k = 0..N-1, of the order-N circulant with row 0 t, N = len(t) dividing
-    n; lambda_k belongs to the eigenvector (w^(jk))_j.  They are summed on
-    D t packed into integers, where multiplying by a power of zeta rotates
-    the digits, and folded modulo x^n - 1 to s_k, of degree below n, with
-    D lambda_k = s_k modulo Phi_n and ||s_k||_1 <= L = sum_j ||D t_j||_1.
+    n; lambda_k belongs to the eigenvector (w^(jk))_j.  Let a_j be the
+    integer vector of D t_j, D the lcm of the row's denominators, and
+    s_k = sum_j x^((n/N) jk) a_j modulo x^n - 1, so D lambda_k = s_k(zeta)
+    and ||s_k||_1 <= L = sum_j ||a_j||_1.
 
-    A rational eigenvalue is read with no reduction modulo Phi_n.  Let
-    P = s_k Psi_n modulo x^n - 1, Psi_n = (x^n - 1) / Phi_n (ctx._psi).
-    For an integer c, P = c Psi_n iff (s_k - c) Psi_n is 0 modulo x^n - 1
-    iff Phi_n divides s_k - c iff D lambda_k = c.  Psi_n(0) = -1, so the
-    only candidate is c = -P_0.  A rational D lambda_k is at most L in
-    absolute value under the embedding, so a candidate beyond L is not
-    tested.  Only an eigenvalue that fails the test is unpacked through
-    the Phi_n table.
+    A spectrum that is all rational is read at once, with no reduction
+    modulo Phi_n of any s_k.
+    - Candidates.  With Psi_n = (x^n - 1) / Phi_n (ctx._psi), the only
+      integer c with Phi_n | s_k - c is c_k = -(s_k Psi_n)_0, taken modulo
+      x^n - 1, since (s_k - c) Psi_n is then 0 modulo x^n - 1 and
+      Psi_n(0) = -1.  All N are one gather from the products a_j Psi_n:
+      (x^r a_j Psi_n)_0 is digit -r mod n of a_j Psi_n.
+    - Certificate.  The row is rebuilt from them: sum_k c_k
+      w^(-jk) must equal N a_j modulo Phi_n for every j (_inverse_dft).
+      If it does, applying the length-N DFT gives, for every k,
+      N D lambda_k = sum_j N a_j(zeta) w^(jk)
+                   = sum_k' c_k' sum_j w^(j(k - k')) = N c_k,
+      since the inner sum is N when k' = k and 0 otherwise; so
+      D lambda_k = c_k, every eigenvalue is proved, and no candidate is
+      trusted on its own.  Conversely, when every D lambda_k is rational
+      it is an integer (an algebraic integer), the candidate c_k equals it
+      (Phi_n divides s_k - D lambda_k in Z[x], by Gauss's lemma), and the
+      inverse DFT of the spectrum is N D t: the certificate holds.  A
+      rational D lambda_k is at most L in absolute value under the
+      embedding, so a candidate beyond L fails at once.
+    - Bound.  Every number formed is at most L N h in absolute value, h the
+      height of _reduction_matrix: the products a_j Psi_n and the
+      candidates at most L ||Psi_n||_inf, the rebuilt rows at most
+      ||c||_1 h <= N L h, and N a_j at most N L.  The route runs in int64
+      only when L N h < 2^63.
 
-    Width.  The sums and s_k Psi_n have degree below 2n, so one fold
-    reduces each.  Every coefficient of s_k Psi_n, before the fold and
-    after it, is at most ||s_k||_1 ||Psi_n||_inf <= L ||Psi_n||_inf; so is
-    every coefficient of c Psi_n for |c| <= L, and of the sums, since
-    ||Psi_n||_inf >= 1 (Psi_n is monic).  Below 2^(bits-1), two such
-    polynomials are equal exactly when their packed integers are, and the
-    low digit of P is P_0.  ||Psi_n||_inf is 1 for every n < 561 and 2 at
-    n = 561.  The products by Psi_n are one shifted copy of s_k, or of c,
-    per nonzero coefficient: 2 of them for prime n, 26 at n = 105."""
+    A row whose spectrum has an irrational eigenvalue, so that the
+    certificate fails, or whose bound is 2^63 or more, unpacks every
+    eigenvalue:
+    the sums s_k of D t packed into integers, where multiplying by a power
+    of zeta rotates the digits, each folded modulo x^n - 1 and reduced
+    through the Phi_n table; every coefficient of a sum, before the fold
+    and after it, is at most L."""
     (den,), (nums,) = _cleared((t,))
+    order, n = len(t), ctx.n
     norm = sum(map(_l1, nums))
-    bits = (norm * max(abs(a) for _, a in ctx._psi)).bit_length() + 1
-    shifts = [(bits * i, a) for i, a in ctx._psi]
-    fold = ctx.fold
+    _, height = _reduction_matrix(n)
+    if norm * order * height < _INT64:
+        a = np.array(nums, dtype=np.int64)
+        products = np.zeros((order, n), dtype=np.int64)
+        for i, v in ctx._psi:
+            products[:, i:i + ctx.basis_degree] += v * a
+        c = -products[np.arange(order)[:, None], _dft_grid(n, order)].sum(axis=0)
+        if np.abs(c).max() <= norm and np.array_equal(_inverse_dft(ctx, c, order), order * a):
+            zeros = (0,) * (ctx.basis_degree - 1)
+            out = []
+            for v in c.tolist():
+                g = math.gcd(v, den)
+                out.append(CycElem(ctx, (v // g,) + zeros, den // g, _normalized=True))
+            return out
+    bits = norm.bit_length() + 1
     packed = [ctx.pack(v, bits) for v in nums]
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
-    zeros = (0,) * (ctx.basis_degree - 1)
-    n, step = ctx.n, ctx.n // len(t)
-    out = []
-    for k in range(len(t)):
-        s = fold(sum(p << bits * (step * j * k % n) for j, p in enumerate(packed)), bits)
-        prod = fold(sum(a * (s << shift) for shift, a in shifts), bits)
-        low = prod & mask
-        c = mask + 1 - low if low >= half else -low  # -P_0
-        if -norm <= c <= norm and prod == sum((c * a) << shift for shift, a in shifts):
-            g = math.gcd(c, den)
-            out.append(CycElem(ctx, (c // g,) + zeros, den // g, _normalized=True))
-        else:
-            out.append(CycElem(ctx, ctx.unpack(s, bits), den))
-    return out
+    step = n // order
+    return [CycElem(ctx, ctx.unpack(sum(p << bits * (step * j * k % n)
+                                        for j, p in enumerate(packed)), bits), den)
+            for k in range(order)]
 
 
 def _circulant_charpoly(
@@ -292,8 +356,10 @@ def _circulant_charpoly(
     (Theorem 2.1), p is multiplied out over Z: with B the lcm of their
     denominators and a_k = B lambda_k, prod_k (y - a_k) = sum_i P_i y^i has
     integer P_i, and y = Bx gives p_i = P_i / B^(N-i).  Each coefficient
-    becomes an element once, at the end.  Otherwise the product runs in
-    the field, about N^2 / 2 products when every coefficient is kept."""
+    becomes an element once, at the end.  _circulant_eigenvalues proves
+    such a spectrum all at once, by one inverse DFT of integers.
+    Otherwise the product runs in the field, about N^2 / 2 products when
+    every coefficient is kept."""
     order = len(t)
     keep = (dim + 1 if terms is None else terms) + order - dim
     lams = _circulant_eigenvalues(ctx, t)
@@ -326,9 +392,11 @@ def det_exact(m: ExactMatrix) -> CycElem:
     x for a circulant, x^2 for a minor), from the N exact eigenvalues with
     no inverse: about N or 2N integer products when they are all rational,
     as for the sun and cotangent matrices, and as many products in the
-    field otherwise.  A rational eigenvalue is read by one divisibility
-    test by Phi_n on packed integers, with no reduction modulo Phi_n
-    (_circulant_eigenvalues).
+    field otherwise.  A spectrum that is all rational is read as N integer
+    candidates and proved by one inverse DFT in int64, which must give
+    back N D t, with no reduction modulo Phi_n of any eigenvalue
+    (_circulant_eigenvalues); any other spectrum is unpacked eigenvalue by
+    eigenvalue.
 
     Every other matrix takes Gaussian elimination over the field, which is
     also the spectral route's oracle in the tests; the pivot is the first
@@ -786,10 +854,10 @@ def charpoly_exact(m: ExactMatrix) -> list[CycElem]:
     spectral route of det_exact with every coefficient kept,
     _circulant_charpoly.  That is about N^2 / 2 integer steps when every
     eigenvalue is rational, as for the sun and cotangent matrices and
-    their minors, each eigenvalue read by one divisibility test by Phi_n
-    on packed integers, and about N^2 / 2 products in the field
-    otherwise.  Any other matrix raises ValueError; every characteristic
-    polynomial the statements need is of this shape."""
+    their minors, where one inverse DFT in int64 proves the whole
+    spectrum, and about N^2 / 2 products in the field otherwise.  Any
+    other matrix raises ValueError; every characteristic polynomial the
+    statements need is of this shape."""
     t = _circulant_row(m)
     if t is None or m.context.n % len(t):
         raise ValueError(

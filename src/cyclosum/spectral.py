@@ -30,10 +30,15 @@ import numpy as np
 
 from .exact import CycElem, cyc_context, minor_determinant
 from .matrices import (
+    _INT64,
     ExactMatrix,
     _circulant_charpoly,
     _circulant_eigenvalues,
     _circulant_row,
+    _cleared,
+    _inverse_dft,
+    _l1,
+    _reduction_matrix,
     build_cp_matrix,
     build_sun_matrix,
 )
@@ -269,15 +274,20 @@ def cp_eigenpair_failures(n: int) -> list[int]:
     cotangent matrix C, mu = cp_eigenvalues(n) and v_i = (zeta^(-ij))_j.
 
     C must be circulant, checked exactly on every entry, or every column
-    fails.  The v_i form the Vandermonde matrix V on the n distinct roots
-    zeta^(-i), so V^-1 = (zeta^(ij)) / n, and V diag(mu) V^-1 is the
-    circulant whose row 0 s has n s_m = sum_i mu_i zeta^(im): integers
-    placed at the powers im mod n and reduced once modulo Phi_n.  If
-    n s = n t for C's row 0 t, then C = V diag(mu) V^-1 exactly, which
-    proves the whole spectrum and every eigenvector, and no column fails.
-    Otherwise C v_i = lambda_(-i mod n) v_i, lambda from
-    _circulant_eigenvalues, names the failing columns; if it names none,
-    the two routes disagree and the call raises RuntimeError."""
+    fails.  With C's row 0 t and D t = a over Z[zeta_n], v_i is the
+    eigenvector (zeta^(jk))_j, k = -i mod n, of the eigenvalue lambda_k of
+    _circulant_eigenvalues.  The claim is c_k = D mu_i for that k, and it
+    is checked by the certificate of that function: the row it implies,
+    sum_k c_k zeta^(-jk) modulo Phi_n, rebuilt by _inverse_dft, must equal
+    n a_j for every j.  If it does, the length-n DFT gives
+    D lambda_k = c_k for every k, which proves the whole spectrum and
+    every eigenvector (C = V diag(mu) V^-1 for the Vandermonde matrix V of
+    the v_i), and no column fails.  A claim beyond L = sum_j ||a_j||_1
+    fails at once; otherwise the certificate runs under that function's
+    int64 bound, L n h < 2^63, and OverflowError is raised when the bound
+    does not hold.  When the claim fails, C v_i = lambda_(-i mod n) v_i,
+    lambda from _circulant_eigenvalues, names the failing columns; if it
+    names none, the two routes disagree and the call raises RuntimeError."""
     if n < 2:
         raise ValueError("n must be >= 2")
     ctx = cyc_context(n)
@@ -285,18 +295,15 @@ def cp_eigenpair_failures(n: int) -> list[int]:
     if t is None or len(t) != n:
         return list(range(1, n + 1))
     mu = cp_eigenvalues(n)
-    for m, tm in enumerate(t):
-        powers = [0] * n
-        for i, mi in enumerate(mu, 1):
-            powers[i * m % n] += mi
-        synth = [0] * ctx.basis_degree
-        for k, c in enumerate(powers):
-            if c:
-                for idx, r in ctx._reduction[k]:
-                    synth[idx] += c * r
-        if [v * tm.den for v in synth] != [n * v for v in tm.nums]:
-            break
-    else:
+    (den,), (nums,) = _cleared((t,))
+    norm = sum(map(_l1, nums))
+    _, height = _reduction_matrix(n)
+    if norm * n * height >= _INT64:
+        raise OverflowError(f"n={n}: the certificate would not fit in int64")
+    claim = [den * mu[-k % n - 1] for k in range(n)]
+    if max(map(abs, claim)) <= norm and np.array_equal(
+        _inverse_dft(ctx, np.array(claim, dtype=np.int64), n), n * np.array(nums, dtype=np.int64)
+    ):
         return []
     lam = _circulant_eigenvalues(ctx, t)
     failing = [i for i, want in enumerate(mu, 1) if lam[-i % n] != want]

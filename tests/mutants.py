@@ -140,24 +140,24 @@ MUTANTS = (
         ("tests/test_identities.py::test_integer_spectrum_fails_on_an_eigenvalue_off_by_one",),
     ),
     Mutant(
-        "thm2_1's rebuilt row summed at zeta^(-im), not zeta^(im)",
+        "thm2_1's claim placed at k = i, not k = -i",
         "spectral.py",
-        "powers[i * m % n]",
-        "powers[-i * m % n]",
+        "mu[-k % n - 1]",
+        "mu[k % n - 1]",
         ("tests/test_spectral.py::test_closed_form_spectrum_order_four",),
     ),
     Mutant(
         "thm2_1's rebuilt row compared without its factor n",
         "spectral.py",
-        "[n * v for v in tm.nums]",
-        "list(tm.nums)",
+        "n * np.array(nums, dtype=np.int64)",
+        "np.array(nums, dtype=np.int64)",
         ("tests/test_spectral.py::test_closed_form_spectrum_order_four",),
     ),
     Mutant(
         "thm2_1's rebuilt row never compared",
         "spectral.py",
-        "        if [v * tm.den for v in synth] != [n * v for v in tm.nums]:\n",
-        "        if False:\n",
+        "if max(map(abs, claim)) <= norm and np.array_equal(",
+        "if True or np.array_equal(",
         ("tests/test_identities.py::test_integer_spectrum_fails_on_an_eigenvalue_off_by_one",),
     ),
     Mutant(
@@ -198,28 +198,52 @@ MUTANTS = (
         ("tests/test_kernels.py::test_twisted_charpoly_on_random_circulants[5]",
          "tests/test_kernels.py::test_twisted_charpoly_on_the_sun_matrix[5]"),
     ),
-    # The circulant spectrum: rational eigenvalues read by the Psi_n test,
-    # and the fold that test relies on.
-    Mutant(
-        "the Psi_n comparison skipped",
+    # The circulant spectrum: candidates read through Psi_n and proved by
+    # one inverse DFT in int64.  Each mutant is paired with the retired
+    # mutant of the per-eigenvalue Psi_n test that covered the same fault.
+    Mutant(  # replaces "the Psi_n comparison skipped"
+        "the certificate comparison skipped",
         "matrices.py",
-        "if -norm <= c <= norm and prod == sum((c * a) << shift for shift, a in shifts):",
-        "if -norm <= c <= norm:",
+        "if np.abs(c).max() <= norm and np.array_equal(_inverse_dft(ctx, c, order), order * a):",
+        "if np.abs(c).max() <= norm:",
         ("tests/test_kernels.py::test_psi_read_matches_the_full_unpack[12]",),
     ),
-    Mutant(
-        "the sign of c = -P_0 flipped",
+    Mutant(  # replaces "the sign of c = -P_0 flipped"
+        "the candidate sign flipped",
         "matrices.py",
-        "c = mask + 1 - low if low >= half else -low",
-        "c = low - mask - 1 if low >= half else low",
+        "c = -products[",
+        "c = products[",
         ("tests/test_kernels.py::test_sun_and_cotangent_spectra_take_no_unpack[9]",),
     ),
     Mutant(
-        "the digit width of the Psi_n test without ||Psi_n||_inf",
+        "the inverse DFT's exponent sign flipped",
         "matrices.py",
-        "bits = (norm * max(abs(a) for _, a in ctx._psi)).bit_length() + 1",
-        "bits = norm.bit_length() + 1",
-        ("tests/test_kernels.py::test_psi_read_width_holds_a_row_that_reaches_its_bound[561]",),
+        "(np.arange(order)[:, None], _dft_grid(n, order)), c)",
+        "(np.arange(order)[:, None], -_dft_grid(n, order) % n), c)",
+        ("tests/test_kernels.py::test_sun_and_cotangent_spectra_take_no_unpack[9]",
+         "tests/test_kernels.py::test_inverse_dft_rebuilds_the_row_of_a_spectrum[9]"),
+    ),
+    Mutant(
+        "the certificate's factor N dropped",
+        "matrices.py",
+        "_inverse_dft(ctx, c, order), order * a)",
+        "_inverse_dft(ctx, c, order), a)",
+        ("tests/test_kernels.py::test_sun_and_cotangent_spectra_take_no_unpack[9]",),
+    ),
+    Mutant(  # replaces "the digit width of the Psi_n test without ||Psi_n||_inf"
+        "the int64 guard dropped",
+        "matrices.py",
+        "if norm * order * height < _INT64:",
+        "if True:",
+        ("tests/test_kernels.py::test_dft_guard_is_exact_at_its_edge[9]",),
+    ),
+    Mutant(
+        "the powers from phi up left unreduced",
+        "matrices.py",
+        "powers[:, :deg] + powers[:, deg:] @ reduction",
+        "powers[:, :deg]",
+        ("tests/test_kernels.py::test_sun_and_cotangent_spectra_take_no_unpack[9]",
+         "tests/test_kernels.py::test_inverse_dft_rebuilds_the_row_of_a_spectrum[9]"),
     ),
     Mutant(
         "fold returns a top digit in the upper half uncarried",

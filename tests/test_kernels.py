@@ -4,8 +4,9 @@ Kronecker packing, the rational multiply path, the permanent on its three
 routes (Gray code; the packed orbit walk over a circulant or a minor of
 one; and, for a row with every Galois symmetry, the necklace walk modulo
 primes), its primes and roots of unity, the necklace and orbit
-generators, the exact spectrum of a circulant with the Psi_n read of its
-rational eigenvalues, the characteristic polynomial read off it, and the
+generators, the exact spectrum of a circulant with the inverse-DFT
+certificate of a rational spectrum and its int64 tables, the
+characteristic polynomial read off it, and the
 determinant on both its routes (Gaussian elimination and that spectrum).
 
 Each packed kernel is compared with an implementation that does every step
@@ -18,9 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 import cyclosum.matrices
@@ -751,7 +754,8 @@ def test_circulant_eigenvalues_match_naive_sums(n):
 def unpacked_eigenvalues(ctx, t) -> list:
     """The eigenvalues of _circulant_eigenvalues, every one unpacked
     through the Phi_n table at the width that L = sum_j ||D t_j||_1 alone
-    fixes: the read that the Psi_n test lets rational eigenvalues skip."""
+    fixes: the read that the inverse-DFT certificate lets a rational
+    spectrum skip."""
     (den,), (nums,) = cyclosum.matrices._cleared((t,))
     bits = sum(abs(v) for vs in nums for v in vs).bit_length() + 1
     packed = [ctx.pack(v, bits) for v in nums]
@@ -770,14 +774,19 @@ def class_row(ctx, order: int, rng: Random) -> list:
 
 
 @pytest.mark.parametrize("n", range(2, 49))
-def test_psi_read_matches_the_full_unpack(n):
-    # Every order N dividing n.  Rational spectra: rows of rationals
-    # constant on gcd classes, rows with irrational entries built from a
-    # random rational spectrum, and at N = n the Galois-symmetric rows.
-    # Irrational spectra: random rows, and rows of 12-digit integer
-    # coefficients.
+def test_psi_read_matches_the_full_unpack(n, monkeypatch):
+    # Every order N dividing n.  The candidates are read through Psi_n and
+    # proved by the inverse-DFT certificate, which a rational spectrum must
+    # pass with no unpack, and any other spectrum must fail, unpacking
+    # every eigenvalue.  Rational spectra: rows of rationals constant on
+    # gcd classes, rows with irrational entries built from a random
+    # rational spectrum, and at N = n the Galois-symmetric rows.
+    # Irrational spectra: rows of 12-digit integer coefficients, and rows
+    # built from a spectrum rational but for one eigenvalue.  Random rows
+    # may be either.
     rng = Random(21_000 + n)
     ctx = cyc_context(n)
+    irrational = ctx.basis_degree > 1
     for order in (k for k in range(1, n + 1) if n % k == 0):
         rows = {
             "class": (class_row(ctx, order, rng), True),
@@ -785,58 +794,102 @@ def test_psi_read_matches_the_full_unpack(n):
                                     for _ in range(ctx.basis_degree)) for _ in range(order)],
                        None),
             "big": ([ctx.element(rng.randint(-10**12, 10**12) for _ in range(ctx.basis_degree))
-                     for _ in range(order)], False),
+                     for _ in range(order)], not irrational),
         }
         if order <= 24:
             lams = [ctx.from_rational(Fraction(rng.randint(-30, 30), rng.randint(1, 4)))
                     for _ in range(order)]
             rows["spectrum"] = (spectrum_row(ctx, lams), True)
+            if order >= 2 and irrational:
+                lams[rng.randrange(order)] += ctx.zeta_pow(1)
+                rows["mixed"] = (spectrum_row(ctx, lams), False)
         if order == n:
             rows["galois"] = (galois_row(ctx, rng), True)
         for kind, (t, rational) in rows.items():
-            got = cyclosum.matrices._circulant_eigenvalues(ctx, t)
-            assert got == unpacked_eigenvalues(ctx, t), f"n={n} N={order} {kind}"
-            if rational:
-                assert all(lam.is_rational() for lam in got), f"n={n} N={order} {kind}"
-            elif rational is False and ctx.basis_degree > 1:  # lambda_0 = sum_j t_j
+            want = unpacked_eigenvalues(ctx, t)
+            with monkeypatch.context() as m:
+                calls = count_calls(m, "unpack", CyclotomicContext)
+                got = cyclosum.matrices._circulant_eigenvalues(ctx, t)
+            assert got == want, f"n={n} N={order} {kind}"
+            if rational is not None:
+                assert calls[0] == (0 if rational else order), f"n={n} N={order} {kind}"
+                assert all(lam.is_rational() for lam in got) == rational, f"n={n} N={order} {kind}"
+            if kind == "big" and irrational:  # lambda_0 = sum_j t_j
                 assert not got[0].is_rational(), f"n={n} N={order} {kind}"
 
 
-@pytest.mark.parametrize("n", (9, 15, 561))
-def test_psi_read_width_holds_a_row_that_reaches_its_bound(n, monkeypatch):
-    # Row (a, a, a): lambda_0 = 3a and s_0 = 3a = L, so P = 3a Psi_n;
-    # row (a zeta, 0, 0): every s_k = a x and P = a x Psi_n.  Both reach the
-    # bound L ||Psi_n||_inf on P's coefficients, which the digit width must
-    # hold; at n = 561, the least n with ||Psi_n||_inf = 2, a width from L
-    # alone would not.
+@pytest.mark.parametrize("n", (3, 9, 105, 561))
+def test_dft_guard_is_exact_at_its_edge(n, monkeypatch):
+    # Rows (v, 0, 0) and (v, 1, 1) of order 3 have the rational spectra
+    # {v, v, v} and {v + 2, v - 1, v - 1}.  With L = sum_j ||D t_j||_1 and
+    # h the height of the reduction table (2 at n = 105 and 561), the
+    # certificate runs in int64 exactly while L N h < 2^63: the largest
+    # such L reads every eigenvalue with no unpack, and L + 1 unpacks all
+    # three; both equal the full unpack.
     ctx = cyc_context(n)
-    psi = [0] * n
-    for i, c in ctx._psi:
-        psi[i] = c
-    a = 2**20 - 1
-    widths = []
-    pack = CyclotomicContext.pack
+    _, height = cyclosum.matrices._reduction_matrix(n)
+    assert height == (2 if n in (105, 561) else 1)
+    edge = (2**63 - 1) // (3 * height)  # the largest L with 3 L h < 2^63
+    assert 3 * edge * height < 2**63 <= 3 * (edge + 1) * height
+    for rest in (0, 1):
+        for sign in (1, -1):
+            for norm, unpacks in ((edge, 0), (edge + 1, 3)):
+                v = sign * (norm - 2 * rest)
+                t = [ctx.from_rational(x) for x in (v, rest, rest)]
+                want = unpacked_eigenvalues(ctx, t)
+                with monkeypatch.context() as m:
+                    calls = count_calls(m, "unpack", CyclotomicContext)
+                    got = cyclosum.matrices._circulant_eigenvalues(ctx, t)
+                assert got == want == [ctx.from_rational(x) for x in
+                                       ((v + 2 * rest, v - rest, v - rest))], (v, rest)
+                assert calls[0] == unpacks, (v, rest)
 
-    def spy(self, nums, bits):
-        widths.append(bits)
-        return pack(self, nums, bits)
 
-    rows = (([ctx.from_rational(a)] * 3, {0: 3 * a}),
-            ([ctx.zeta_pow(1) * a, ctx.zero, ctx.zero], {1: a}))
-    for t, s0 in rows:  # s0: the nonzero coefficients of s_0
-        want = unpacked_eigenvalues(ctx, t)
-        widths.clear()
-        with monkeypatch.context() as m:
-            m.setattr(CyclotomicContext, "pack", spy)
-            assert cyclosum.matrices._circulant_eigenvalues(ctx, t) == want
-        (bits,) = set(widths)
-        prod = [0] * n
-        for i, v in s0.items():
-            for j, w in enumerate(psi):
-                prod[(i + j) % n] += v * w
-        norm = sum(abs(v) for e in t for v in e.nums)
-        assert max(map(abs, prod)) == norm * max(map(abs, psi)) < 1 << (bits - 1)
-    assert max(map(abs, psi)) == (2 if n == 561 else 1)
+@pytest.mark.parametrize("n", (2, 3, 12, 30, 101, 105, 128, 561))
+def test_reduction_matrix_reduces_every_power_past_phi(n):
+    # Row m is x^(phi + m) modulo Phi_n, checked against zeta_pow, and the
+    # height is the largest coefficient of those rows and of Psi_n.
+    ctx = cyc_context(n)
+    reduction, height = cyclosum.matrices._reduction_matrix(n)
+    deg = ctx.basis_degree
+    assert reduction.shape == (n - deg, deg) and reduction.dtype == np.int64
+    for m, row in enumerate(reduction.tolist()):
+        assert row == list(ctx.zeta_pow(deg + m).nums), (n, m)
+    assert height == max(max(abs(v) for row in reduction.tolist() for v in row),
+                         max(abs(c) for _, c in ctx._psi))
+
+
+@pytest.mark.parametrize("n", (4, 6, 9, 12))
+def test_inverse_dft_rebuilds_the_row_of_a_spectrum(n):
+    # sum_k c_k zeta^(-(n/N) jk) for random integers c, against the same
+    # sum in field arithmetic, for every order N dividing n.
+    rng = Random(22_000 + n)
+    ctx = cyc_context(n)
+    for order in (k for k in range(1, n + 1) if n % k == 0):
+        c = [rng.randint(-50, 50) for _ in range(order)]
+        got = cyclosum.matrices._inverse_dft(ctx, np.array(c, dtype=np.int64), order)
+        step = n // order
+        for j in range(order):
+            want = sum((ctx.zeta_pow(-step * j * k) * ck for k, ck in enumerate(c)), ctx.zero)
+            assert got[j].tolist() == list(want.nums), (n, order, j)
+
+
+def test_sun_row_spectrum_at_401_stays_small(monkeypatch):
+    # The tables are O(N n) int64 values and the route forms no N x N x phi
+    # array (about 512 MB here); tracemalloc sees numpy's buffers.
+    ctx = cyc_context(401)
+    t = cyclosum.matrices._circulant_row(build_sun_matrix(ctx))
+    cyclosum.matrices._dft_grid.cache_clear()
+    cyclosum.matrices._reduction_matrix.cache_clear()
+    calls = count_calls(monkeypatch, "unpack", CyclotomicContext)
+    tracemalloc.start()
+    try:
+        lams = cyclosum.matrices._circulant_eigenvalues(ctx, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls[0] == 0 and all(lam.is_rational() for lam in lams)
+    assert peak < 64 * 2**20, peak
 
 
 @pytest.mark.parametrize("n", range(2, 34))
@@ -854,10 +907,10 @@ def test_sun_and_cotangent_spectra_take_no_unpack(n, monkeypatch):
 
 
 def test_a_folded_top_digit_in_the_upper_half_is_carried(monkeypatch):
-    # Row (-4, 1, 1) at n = 3 has eigenvalues -2, -5, -5, and s_1 =
-    # -4 + x + x^2, so s_1 Psi_3 = x^3 - 5x + 4 packs into
-    # [2^(w-1), 2^w), w = 3 bits.  fold must carry it to -5x + 5 = -5 Psi_3
-    # for the test to read lambda_1.
+    # Row (-4, 1, 1) at n = 3 has eigenvalues -2, -5, -5, which the
+    # certificate reads with no unpack.  Its s_1 = -4 + x + x^2 gives
+    # s_1 Psi_3 = x^3 - 5x + 4, which packs into [2^(w-1), 2^w), w = 3
+    # bits; fold must carry it to the balanced form -5x + 5 = -5 Psi_3.
     ctx = cyc_context(3)
     t = [ctx.from_rational(v) for v in (-4, 1, 1)]
     calls = count_calls(monkeypatch, "unpack", CyclotomicContext)
