@@ -1,9 +1,12 @@
 """Dense square matrices over Q(zeta_n): structured builders plus exact
 determinant, permanent, and sign-split derangement-sum kernels.
 
-The permanent and the derangement sums are exponential-time; their dimension
-caps are explicit arguments defaulting to PERMANENT_CAP, and exceeding a cap
-raises CapExceededError rather than hanging.
+The permanent is one residue walk modulo primes with two streams: the
+binary necklaces for a circulant or a one-index minor of one, and Glynn's
+sign vectors for any other matrix (see permanent_ryser).  The permanent and
+the derangement sums are exponential-time; their dimension caps are
+explicit arguments defaulting to PERMANENT_CAP, and exceeding a cap raises
+CapExceededError rather than hanging.
 """
 
 from __future__ import annotations
@@ -171,10 +174,11 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 # -- integer kernels ----------------------------------------------------------
 #
 # permanent_ryser and the circulant spectrum clear denominators once and run
-# on integer coefficient vectors over Z[zeta_n]: Kronecker-packed into one
-# Python integer per entry (CyclotomicContext.pack), with the digit width
-# from a proven bound on the coefficients of everything the kernel packs, or
-# held in int64 numpy arrays under a proven bound below 2^63.
+# on integer coefficient vectors over Z[zeta_n]: held in int64 numpy arrays,
+# as residues modulo primes below 2^31 or under a proven bound below 2^63,
+# or Kronecker-packed into one Python integer per entry
+# (CyclotomicContext.pack), with the digit width from a proven bound on the
+# coefficients of everything the kernel packs.
 
 
 def _l1(nums: Sequence[int]) -> int:
@@ -458,158 +462,17 @@ def _necklaces(d: int) -> Iterator[tuple[int, int]]:
             yield word, i
 
 
-def _galois_symmetries(ctx: CyclotomicContext, nums: Sequence[Sequence[int]]) -> list[int]:
-    """The group H of units u mod n with sigma_u(t_c) = t_(uc mod N) for
-    every c, checked exactly on the integer vectors nums of D t, N =
-    len(nums); sigma_u is zeta -> zeta^u.  H = {1} unless N == n, where
-    multiplying an index by a unit mod n permutes Z/N.  H is closed under
-    products, sigma_uv(t_c) = sigma_u(t_(vc)) = t_(uvc), so it is every
-    unit when it holds the generators g of ctx._norm_steps, which are
-    tested first; otherwise each unit is tested."""
+def _every_unit_fixes(ctx: CyclotomicContext, nums: Sequence[Sequence[int]]) -> bool:
+    """Whether sigma_u(t_c) = t_(uc mod N) for every unit u mod n and every
+    c, checked exactly on the integer vectors nums of D t, N = len(nums);
+    sigma_u is zeta -> zeta^u.  Only N == n can pass, since multiplying an
+    index by a unit mod n permutes Z/N only then.  The units that pass
+    form a group, sigma_uv(t_c) = sigma_u(t_(vc)) = t_(uvc), so the
+    generators g of ctx._norm_steps decide it."""
     order = len(nums)
-    if order != ctx.n:
-        return [1]
-    rows = [list(v) for v in nums]
-
-    def symmetric(u: int) -> bool:
-        return all(ctx._galois(v, u) == rows[u * c % order] for c, v in enumerate(rows))
-
-    units = [u for u in range(1, order) if math.gcd(u, order) == 1]
-    if all(symmetric(g) for g, _ in ctx._norm_steps):
-        return units
-    return [u for u in units if symmetric(u)]
-
-
-def _rotation_order(image: int, word: int, d: int) -> int:
-    """-1, 0 or 1 as the least rotation of the d-bit image is below, equal
-    to or above the necklace word (the least of its own rotations), for
-    image != word and word neither 0 nor all ones.  A rotation at most word
-    starts with word's z >= 1 leading zeros, so only the starts of runs of
-    z zeros in the doubled image are compared."""
-    mask = (1 << d) - 1
-    size = word.bit_length()
-    doubled = image | image << d
-    runs = ~doubled & (mask << d | mask)
-    have, z = 1, d - size
-    while have < z:  # bit p of runs: bits p..p+have-1 of doubled are zero
-        step = min(have, z - have)
-        runs &= runs >> step
-        have += step
-    starts = runs >> size & mask
-    while starts:
-        low = starts & -starts
-        starts ^= low
-        turned = doubled >> (low.bit_length() - 1) & mask
-        if turned < word:
-            return -1
-        if turned == word:
-            return 0
-    return 1
-
-
-def _orbits(d: int, units: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """The orbits of the maps c -> uc + s (u in units, a group of units mod
-    d, and s mod d) on the subsets of Z/d, bit c of a word standing for c,
-    each once as (word, size).  The word is the orbit's least binary
-    necklace: _necklaces yields each necklace S, and S is kept when no image
-    uS has a smaller least rotation.  The orbit's size is
-    period * |units| / #{u : uS is a rotation of S}.  With units = [1] these
-    are the necklaces and their periods.  At d = 14 to 20 the byte tables
-    and _rotation_order's early exit make this 2.4 to 3.4 times faster than
-    taking min over the d rotations of sum(1 << u*c % d for c in S), which
-    shows in the exact benchmark workload (BENCH_23.json, orbits_vs_plain)."""
-    others = [u for u in units if u != 1]
-    if not others:
-        yield from _necklaces(d)
-        return
-    # images[k][i][b]: the image under c -> others[k] c of byte b at byte i
-    images = []
-    for u in others:
-        tables = []
-        for base in range(0, d, 8):
-            table = [0] * 256
-            for b in range(1, 256):
-                low = b & -b
-                table[b] = table[b ^ low] | 1 << u * (base + low.bit_length() - 1) % d
-            tables.append(table)
-        images.append(tables)
-    for word, period in _necklaces(d):
-        fixed = 1
-        for tables in images:
-            image, rest = 0, word
-            for table in tables:
-                image |= table[rest & 255]
-                rest >>= 8
-            cmp = 0 if image == word else _rotation_order(image, word, d)
-            if cmp < 0:
-                break
-            if not cmp:
-                fixed += 1
-        else:
-            yield word, period * len(units) // fixed
-
-
-def _packed_ryser(
-    ctx: CyclotomicContext,
-    rows: Sequence[Sequence[Sequence[int]]],
-    words: Iterable[tuple[int, int]],
-    minor: bool = False,
-) -> list[int]:
-    """Ryser's sum (-1)^N sum_S w_S (-1)^|S| prod_i s_i(S), unpacked, over
-    the (word, weight) pairs of words, S the columns c of word (bit c) and
-    s_i(S) = sum_{c in S} a_ic for the N x N integer vectors a_ic =
-    rows[i][c].  With minor, factor i is s_i(S) + x [i in S], multiplied
-    into a pair (a, b) standing for a + b x modulo x^2, and the sum is of
-    the [x^1] coefficients.
-
-    The weights add up to at most the 2^N subsets, and a product has l1
-    norm at most prod_i (||row_i||_1 + minor), so 2^N times that bounds
-    every coefficient and fixes the digit width.  The running product is
-    folded modulo x^n - 1 after every factor, which keeps it at n digits
-    and within that norm.  The column sums are updated by the columns
-    whose membership changed: one for a Gray step, a few from one kept
-    orbit to the next."""
-    order = len(rows)
-    bound = 1 << order
-    for row in rows:
-        bound *= sum(map(_l1, row)) + minor
-    if not bound:
-        return [0] * ctx.basis_degree
-    bits = bound.bit_length() + 1
-    pack, fold = ctx.pack, ctx.fold
-    cols = [[pack(row[c], bits) for row in rows] for c in range(order)]
-    sums = [0] * order
-    total = prev = 0
-    for word, weight in words:
-        diff = word ^ prev
-        prev = word
-        while diff:
-            bit = diff & -diff
-            diff ^= bit
-            col = cols[bit.bit_length() - 1]
-            if word & bit:
-                sums = [s + x for s, x in zip(sums, col)]
-            else:
-                sums = [s - x for s, x in zip(sums, col)]
-        if minor:  # (a, b) stands for a + b x modulo x^2
-            a, b = weight, 0
-            for i, s in enumerate(sums):
-                b = fold(b * s + a if word >> i & 1 else b * s, bits)
-                a = fold(a * s, bits)
-            prod = b
-        else:
-            prod = weight
-            for s in sums:
-                prod = fold(prod * s, bits)
-                if not prod:
-                    break
-        if word.bit_count() & 1:
-            total -= prod
-        else:
-            total += prod
-    if order & 1:
-        total = -total
-    return ctx.unpack(total, bits)
+    return order == ctx.n and all(
+        ctx._galois(v, g) == list(nums[g * c % order])
+        for g, _ in ctx._norm_steps for c, v in enumerate(nums))
 
 
 def _is_prime(m: int) -> bool:
@@ -672,154 +535,228 @@ def _prime_images(n: int) -> Iterator[tuple[int, int]]:
         yield found[k]
 
 
-# Necklaces per block of the modular walk; it bounds the walk's arrays.
+# Words per block of the residue walk; it bounds the walk's arrays.
 _BLOCK = 1 << 8
 
 
-def _value_bound(nums: Sequence[Sequence[int]], dim: int) -> int:
-    """The bound on |V| of _rational_circulant_permanent: L^N for the
-    circulant, N L^(N-1) for a minor, L = sum_j ||D t_j||_1."""
-    order, norm = len(nums), sum(map(_l1, nums))
-    return order * norm ** (order - 1) if order > dim else norm**order
+def _necklace_blocks(order: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Ryser's stream for an order-N circulant, in blocks of _BLOCK: each
+    binary necklace S of length N, with the weight (-1)^|S| times its
+    period, since rotating S keeps Ryser's term and |S|."""
+    necklaces = _necklaces(order)
+    while block := list(itertools.islice(necklaces, _BLOCK)):
+        words, periods = np.array(block, dtype=np.int64).T
+        yield words, np.where(np.bitwise_count(words) & 1, -periods, periods)
 
 
-def _rational_circulant_permanent(
-    ctx: CyclotomicContext, nums: Sequence[Sequence[int]], den: int, dim: int
-) -> CycElem:
-    """per(M) as in _circulant_permanent, when the row's Galois symmetries
-    are every unit mod n, so that the permanent is rational.  Let
-    V = D^dim per(C) for the circulant and V = [x^1] per(DC + xI) =
-    N D^dim per(minor) for a minor: V lies in Z[zeta_n] and is rational,
-    so it is a rational integer.
+def _glynn_blocks(dim: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Glynn's stream, in blocks of _BLOCK: each sign vector delta in
+    {+-1}^dim with the last sign fixed, delta_dim = +1, as the word whose
+    bit c is set when delta_(c+1) = -1, with the weight prod_c delta_c.
+    The words are then 0 .. 2^(dim-1) - 1."""
+    half = 1 << (dim - 1)
+    for start in range(0, half, _BLOCK):
+        words = np.arange(start, min(start + _BLOCK, half), dtype=np.int64)
+        yield words, np.where(np.bitwise_count(words) & 1, -1, 1)
 
-    Bound.  Under any complex embedding |per(A)| <= prod_i sum_j |a_ij|,
-    and each row of DC has absolute sum at most L = sum_j ||D t_j||_1, a
-    row of the minor at most the same.  V is rational, so it equals its
-    image under every embedding: |V| <= L^N, and |V| <= N L^(N-1) on a
-    minor, whose N principal minors each take at most L^(N-1).
 
-    Residues.  For each (p, r) of _prime_images, zeta -> r maps V to
-    V mod p.  The walk runs Ryser over the binary necklaces weighted by
-    their period, as the packed walk does with H = {1}, on the images of
-    the entries D t_j in int64, one block of _BLOCK necklaces at a time
-    for every prime at once.  A block reads its column sums from tables of
-    the sums over each byte of columns: a sum is below N p < 2^36 for
-    N <= 32, and a product of two residues below 2^62.  The primes are
-    taken until their product P exceeds twice the bound, and the symmetric
-    residue of V mod P (von zur Gathen and Gerhard, Modern Computer
-    Algebra, ch. 5) is V."""
-    order = len(nums)
-    minor = order > dim
-    bound = _value_bound(nums, dim)
-    images = _prime_images(ctx.n)
+def _value_bound(norms: Sequence[int], minor: bool) -> int:
+    """A bound B on every coefficient of the walk's value G over
+    Z[x]/(x^n - 1), and on |V| when V = G(zeta) is rational, from the l1
+    norms R_i of the cleared rows: prod_i R_i, since the permanent sums
+    products with one entry from each row, and the l1 norm of a product is
+    at most the product of the norms.  On a minor, whose N rows all have
+    the norm L, [x^1] per(DC + xI) sums N principal minors: N L^(N-1)."""
+    order = len(norms)
+    return order * norms[0] ** (order - 1) if minor else math.prod(norms)
+
+
+def _lanes(
+    ctx: CyclotomicContext,
+    cells: Sequence[Sequence[int]],
+    index: np.ndarray,
+    bound: int,
+    rational: bool,
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
+    """Lane setup of the residue walk over the matrix whose entry (i, c) is
+    the integer vector cells[index[i, c]].  The primes p = 1 (mod n) of
+    _prime_images are taken until their product exceeds 2 bound.  Each
+    prime, with its primitive n-th root of unity r, gives one lane at r
+    when the value is known to be rational, and n lanes at the points r^k,
+    k = 0..n-1, otherwise: zeta -> r is a ring map Z[zeta_n] -> F_p, and
+    x -> r^k is one from Z[x]/(x^n - 1), since (r^k)^n = 1.
+
+    Returns the primes; powers[q, e] = r^e mod p for prime q and e < n;
+    each lane's prime, as a column; and col[l, i, c], the image of entry
+    (i, c) in lane l: its coefficients mod p times the powers of the
+    lane's point, summed mod p."""
+    n, deg = ctx.n, ctx.basis_degree
+    images = _prime_images(n)
     primes, modulus = [], 1
     while modulus <= 2 * bound:
         primes.append(next(images))
         modulus *= primes[-1][0]
-    ps = np.array([p for p, _ in primes], dtype=np.int64)[:, None]
-    # col[q, i, c]: entry (i, c) of D C, D t_((c - i) mod N), at r_q mod p_q
-    entry = np.array([[functools.reduce(lambda acc, v: (acc * r + v) % p, reversed(vs), 0)
-                       for vs in nums] for p, r in primes], dtype=np.int64)
-    col = entry[:, (np.arange(order) - np.arange(order)[:, None]) % order]
-    # (base, table) with table[q, i, b] = sum of col[q, i, base + c] over
-    # the bits c of the byte b
+    ps = np.array([p for p, _ in primes], dtype=np.int64)[:, None, None]
+    powers = np.array([[pow(r, e, p) for e in range(n)] for p, r in primes], dtype=np.int64)
+    points = np.array([1] if rational else range(n))
+    # residues[q, 0, c, i]: coefficient i of cells[c] mod p_q
+    residues = np.array([[v % p for vs in cells for v in vs] for p, _ in primes],
+                        dtype=np.int64).reshape(len(primes), 1, len(cells), deg)
+    # terms[q, k, c, i]: that coefficient times r_q^(i k), the power of point k
+    terms = residues * powers[:, np.outer(points, range(deg)) % n][:, :, None] % ps[..., None]
+    image = terms.sum(axis=3) % ps
+    lanes = np.repeat(ps[:, :, 0], len(points), axis=0)
+    return primes, powers, lanes, image.reshape(len(lanes), len(cells))[:, index]
+
+
+@functools.cache
+def _byte_signs(width: int, glynn: bool) -> np.ndarray:
+    """The width x 2^width matrix whose column b holds e_j for the bits j
+    of b: e_j = bit j (Ryser's subsets) or, with glynn, 1 - 2 (bit j)
+    (Glynn's signs), in float64 for a BLAS product that is exact, since
+    each entry of a byte table is below 8 p < 2^34 in absolute value."""
+    bits = np.arange(1 << width) >> np.arange(width)[:, None] & 1
+    return (1 - 2 * bits if glynn else bits).astype(np.float64)
+
+
+def _residue_walk(
+    ps: np.ndarray,
+    col: np.ndarray,
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+    glynn: bool,
+    minor: bool,
+) -> np.ndarray:
+    """The one block walk: for each lane l, the sum over the (word, weight)
+    pairs of blocks of weight * prod_i s_i mod p_l, with
+    s_i = sum_c e_c col[l, i, c], e_c = bit c of the word (Ryser's subsets)
+    or, with glynn, e_c = 1 - 2 (bit c) (Glynn's signs).  With minor,
+    factor i is s_i + x [bit i], multiplied into a pair standing for a
+    polynomial modulo x^2, and the sum is of its [x^1] coefficients.
+
+    A block reads its s_i from tables of the sums over each byte of
+    columns.  One table, N <= 8, is left as it is, and each block's sums
+    are reduced mod p, since a block has no more words than the table has
+    entries.  Past that, each table is reduced once: the sum of two entries
+    is below 2p, and a residue times it, plus a residue, below
+    2p^2 + p < 2^63 for p < 2^31; past two tables, N > 16, the sums are
+    reduced as well."""
+    order = col.shape[1]
+    reduced = order > 8
     tables = []
     for base in range(0, order, 8):
-        width = min(8, order - base)
-        bits = np.arange(1 << width) >> np.arange(width)[:, None] & 1
-        tables.append((base, col[:, :, base:base + width] @ bits))
-    totals = np.zeros(len(primes), dtype=object)
-    necklaces = _necklaces(order)
-    while block := list(itertools.islice(necklaces, _BLOCK)):
-        words = np.array([w for w, _ in block], dtype=np.int64)
-        # (-1)^|S| times the period
-        weights = np.array([-k if w.bit_count() & 1 else k for w, k in block], dtype=np.int64)
+        byte = col[:, :, base:base + 8]
+        table = (byte @ _byte_signs(byte.shape[2], glynn)).astype(np.int64)
+        tables.append((base, table % ps[:, :, None] if reduced else table))
+    total = np.zeros_like(ps)
+    for words, weights in blocks:
         sums = tables[0][1][:, :, words & 255]
         for base, table in tables[1:]:
             sums += table[:, :, words >> base & 255]
-        sums %= ps[:, :, None]
-        if minor:  # (a, b) stands for a + b x modulo x^2
-            a, b = np.ones_like(sums[:, 0]), np.zeros_like(sums[:, 0])
-            for i in range(order):
+        if not reduced or len(tables) > 2:
+            sums %= ps[:, :, None]
+        prod = sums[:, 0] % ps
+        if minor:  # (prod, b) stands for prod + b x modulo x^2
+            b = words & 1
+            for i in range(1, order):
                 s = sums[:, i]
-                b = (b * s + a * (words >> i & 1)) % ps
-                a = a * s % ps
+                b = (b * s + prod * (words >> i & 1)) % ps
+                prod = prod * s % ps
             prod = b
         else:
-            prod = np.ones_like(sums[:, 0])
-            for i in range(order):
+            for i in range(1, order):
                 prod = prod * sums[:, i] % ps
-        totals += (prod * weights).sum(axis=1).tolist()
-    value, modulus = 0, 1
-    for (p, _), x in zip(primes, totals.tolist()):
-        value += modulus * ((x - value) * pow(modulus, -1, p) % p)
+        total = (total + (prod * weights).sum(axis=1, keepdims=True)) % ps
+    return total[:, 0]
+
+
+def _lift(
+    ctx: CyclotomicContext,
+    primes: Sequence[tuple[int, int]],
+    powers: np.ndarray,
+    residues: np.ndarray,
+    scale: int,
+) -> list[int]:
+    """The coefficient vector of V = G(zeta) modulo Phi_n, from the walk's
+    residues of scale * G, one row per prime and one column per lane.  One
+    lane per prime reads V mod p itself.  n lanes read G(r^k),
+    k = 0..n-1, and the inverse DFT mod p, G_m = (1/n) sum_k G(r^k)
+    r^(-km), gives every coefficient of G mod p.  The CRT lifts each column
+    to its symmetric residue modulo the product of the primes, which
+    exceeds twice the bound (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 5), and one reduction modulo Phi_n gives V."""
+    points = residues.shape[1]
+    ps = np.array([p for p, _ in primes], dtype=np.int64)[:, None]
+    if points > 1:  # _dft_grid(n, n)[k, m] = -k m mod n
+        terms = residues[:, :, None] * powers[:, _dft_grid(ctx.n, ctx.n)] % ps[:, :, None]
+        residues = terms.sum(axis=1) % ps
+    coeffs, modulus = [0] * points, 1
+    for (p, _), row in zip(primes, residues.tolist()):
+        unscale, lift = pow(scale * points, -1, p), pow(modulus, -1, p)
+        coeffs = [c + modulus * ((x * unscale - c) * lift % p) for c, x in zip(coeffs, row)]
         modulus *= p
-    if value > modulus // 2:
-        value -= modulus
-    if order & 1:
-        value = -value
-    return ctx.from_rational(Fraction(value, order**minor * den**dim))
-
-
-def _circulant_permanent(ctx: CyclotomicContext, t: Sequence[CycElem], dim: int) -> CycElem:
-    """per(M) for the dim x dim matrix M that _circulant_row(M) == t
-    describes: the order-N circulant C with row 0 t, N = len(t), or a
-    principal (N-1)-minor of it.  See permanent_ryser."""
-    order = len(t)
-    minor = order > dim
-    (den,), (nums,) = _cleared((t,))
-    if not any(map(any, nums)):
-        return ctx.zero
-    units = _galois_symmetries(ctx, nums)
-    if len(units) == ctx.basis_degree:
-        return _rational_circulant_permanent(ctx, nums, den, dim)
-    rows = [[nums[(c - i) % order] for c in range(order)] for i in range(order)]
-    total = _packed_ryser(ctx, rows, _orbits(order, units), minor)
-    trace = [sum(cs) for cs in zip(*(ctx._galois(total, u) for u in units))]
-    return CycElem(ctx, trace, len(units) * (order if minor else 1) * den**dim)
+    coeffs = [c - modulus if c > modulus // 2 else c for c in coeffs]
+    return ctx._galois(coeffs, 1)  # sigma_1 reduces each x^m modulo Phi_n
 
 
 def permanent_ryser(m: ExactMatrix, cap: int = PERMANENT_CAP) -> CycElem:
-    """Permanent by inclusion-exclusion over column subsets:
-    per(M) = (-1)^dim * sum_S (-1)^|S| prod_i (sum_{j in S} m_ij).
+    """Permanent by one residue walk.  Each row is cleared by the lcm D_i of
+    its denominators (one D for a circulant's row), and one block walk
+    (_residue_walk) sums a permanent formula over a stream of
+    (word, weight) pairs, in int64 modulo primes p = 1 (mod n), for every
+    lane at once; the Chinese remainder theorem then gives the value.
 
-    A circulant C of order N (m[r][c] == t[(c - r) mod N] on every entry,
-    checked exactly by _circulant_row) takes one walk over the binary
-    necklaces.  Rotating S keeps Ryser's term T(S) and |S|.  A principal
-    (N-1)-minor of C takes the same walk on C + xI, which is circulant
-    with the same symmetries: per(minor) = (1/N) [x^1] per(C + xI), since
-    d/dx per(C + xI) at 0 sums the N equal principal minors.  Let H be the
-    group of units u mod n whose sigma_u maps the row onto itself,
-    sigma_u(t_c) = t_(uc) for every c (checked exactly by
-    _galois_symmetries, on the generators of the unit group first, so a
-    row with every symmetry costs a few unit checks, not phi(n)).
+    The stream.  A circulant C of order N (m[r][c] == t[(c - r) mod N] on
+    every entry, checked exactly by _circulant_row) walks Ryser's formula,
+    per(C) = (-1)^N sum_S (-1)^|S| prod_i sum_{c in S} C_ic, over the
+    binary necklaces weighted by their period (_necklace_blocks).  A
+    principal (N-1)-minor of C takes the same walk on C + xI:
+    per(minor) = (1/N) [x^1] per(C + xI), since d/dx per(C + xI) at 0 sums
+    the N equal principal minors.  Any other matrix walks Glynn's formula
+    (Glynn, "The permanent of a square matrix", European J. Combin. 31,
+    2010), per(A) = 2^-(N-1) sum_delta (prod_c delta_c) prod_i sum_c
+    delta_c a_ic, over the 2^(N-1) sign vectors with one sign fixed
+    (_glynn_blocks).
 
-    When H is every unit mod n (N == n, as for the sun and cotangent
-    rows; or n == 2, where the field is Q), the permanent is rational,
-    and the walk runs modulo primes in int64 with the Chinese remainder
-    theorem at the end (_rational_circulant_permanent).
-
-    Otherwise T(uS) = sigma_u(T(S)) for u in H, so the walk takes one S
-    per orbit of {c -> uc + s} (_orbits), weighted by the orbit's size,
-    and applies (1/|H|) sum_{u in H} sigma_u once to the sum: about
-    2^N / (N |H|) products; H = {1} gives the necklaces.
-
-    Any other matrix walks all subsets in Gray-code order, one column
-    update per step.  Both of these walks run in _packed_ryser, on the
-    matrix cleared of denominators and packed into integers: D M for a
-    circulant's one row, and diag(D_i) M for the Gray walk, D_i the lcm of
-    row i alone, with per(M) = per(diag(D_i) M) / prod_i D_i.
+    The lanes.  With the entries' integer vectors read as polynomials, the
+    walk's value G = per(diag(D_i) M), or [x^1] per(DC + xI) on a minor,
+    lies in Z[x]/(x^n - 1), and V = G(zeta).  Every coefficient of G is at
+    most B = prod_i sum_j ||D_i m_ij||_1, or N L^(N-1) on a minor
+    (_value_bound).  When V is known to be rational, each prime takes one
+    lane: every entry is rational (a matrix over Q, as eq3_1's), or the
+    circulant's row is fixed by every unit mod n (_every_unit_fixes; the
+    sun and cotangent rows and their minors), where sigma_u permutes the
+    rows and columns of C alike and so fixes its permanent.  Otherwise
+    each prime takes the n points r^k, and an inverse DFT mod p gives G
+    mod p (_lanes, _lift).  Primes are taken until their product exceeds
+    2B.
     """
     d = m.dim
     if d > cap:
         raise CapExceededError(f"dimension {d} exceeds permanent cap {cap}")
     ctx = m.context
     t = _circulant_row(m)
-    if t is not None:
-        return _circulant_permanent(ctx, t, d)
-    dens, rows = _cleared(m.entries)
-    gray = ((g ^ (g >> 1), 1) for g in range(1, 1 << d))
-    return CycElem(ctx, _packed_ryser(ctx, rows, gray), math.prod(dens))
+    if t is None:
+        dens, rows = _cleared(m.entries)
+        cells = [v for row in rows for v in row]
+        index = np.arange(d * d).reshape(d, d)
+        den = math.prod(dens)
+        blocks, scale = _glynn_blocks(d), 1 << (d - 1)
+    else:
+        order = len(t)
+        (row_den,), (cells,) = _cleared((t,))
+        index = (np.arange(order) - np.arange(order)[:, None]) % order  # C_ic = t_(c-i)
+        den = order ** (order > d) * row_den**d
+        blocks, scale = _necklace_blocks(order), (-1) ** order
+    minor = len(index) > d
+    norms = [_l1(v) for v in cells]
+    bound = _value_bound([sum(norms[c] for c in row) for row in index.tolist()], minor)
+    if not bound:
+        return ctx.zero
+    rational = not any(any(v[1:]) for v in cells) or (
+        t is not None and _every_unit_fixes(ctx, cells))
+    primes, powers, ps, col = _lanes(ctx, cells, index, bound, rational)
+    residues = _residue_walk(ps, col, blocks, t is None, minor)
+    return CycElem(ctx, _lift(ctx, primes, powers, residues.reshape(len(primes), -1), scale), den)
 
 
 @dataclass(frozen=True)

@@ -41,13 +41,16 @@ class Mutant:
 
 
 MUTANTS = (
-    # The modular route for permanents of rows with every Galois symmetry.
-    Mutant(
-        "one prime fewer than the bound asks for",
+    # The residue walk of every permanent: the lanes, the two streams and
+    # the lift.  A mutant that replaced one of the retired walk's is marked
+    # with the one it replaced.
+    Mutant(  # replaces "one prime fewer than the bound asks for"
+        "the CRT stopping one prime short of 2B",
         "matrices.py",
         "        modulus *= primes[-1][0]\n",
         "        modulus *= primes[-1][0]\n    primes = primes[:-1] if len(primes) > 1 else primes\n",
-        ("tests/test_kernels.py::test_modular_route_takes_every_prime_the_bound_asks_for",),
+        ("tests/test_kernels.py::test_modular_route_takes_every_prime_the_bound_asks_for",
+         "tests/test_kernels.py::test_n_lanes_take_every_prime_the_bound_asks_for"),
     ),
     Mutant(
         "a root of unity of order n/q for the least prime q | n",
@@ -60,57 +63,87 @@ MUTANTS = (
     Mutant(
         "the necklace period weight dropped",
         "matrices.py",
-        "[-k if w.bit_count() & 1 else k for w, k in block]",
-        "[-1 if w.bit_count() & 1 else 1 for w, k in block]",
+        "np.where(np.bitwise_count(words) & 1, -periods, periods)",
+        "np.where(np.bitwise_count(words) & 1, -1, 1)",
         ("tests/test_kernels.py::test_necklace_route_matches_gray_code_on_sun_matrix[8]",
          "tests/test_kernels.py::test_modular_route_matches_the_packed_walk_on_sun_matrices[9]"),
     ),
     Mutant(
         "the factor N of a minor dropped",
         "matrices.py",
-        "Fraction(value, order**minor * den**dim)",
-        "Fraction(value, den**dim)",
+        "den = order ** (order > d) * row_den**d",
+        "den = row_den**d",
         ("tests/test_kernels.py::test_modular_route_matches_the_packed_walk_on_sun_matrices[7]",
          "tests/test_acceptance.py::test_c02_minor_permanent_closed_form_odd_orders"),
     ),
-    # The packed orbit walk, which rows with a proper subgroup of
-    # symmetries still take.
-    Mutant(
-        "the 1/|H| of the orbit walk dropped",
+    Mutant(  # replaces "the necklace period used as the orbit weight"
+        "Glynn's sign product dropped",
         "matrices.py",
-        "CycElem(ctx, trace, len(units) * (order if minor else 1) * den**dim)",
-        "CycElem(ctx, trace, (order if minor else 1) * den**dim)",
-        ("tests/test_kernels.py::test_orbit_route_on_a_row_symmetric_under_conjugation_only[7]",),
-    ),
-    Mutant(
-        "the necklace period used as the orbit weight",
-        "matrices.py",
-        "yield word, period * len(units) // fixed",
-        "yield word, period",
-        ("tests/test_kernels.py::test_orbit_route_on_a_row_symmetric_under_conjugation_only[7]",
-         "tests/test_kernels.py::test_orbits_yield_each_affine_orbit_once_at_its_size[7]"),
-    ),
-    Mutant(
-        "the x [i in S] of a minor's factor dropped in the orbit walk",
-        "matrices.py",
-        "b = fold(b * s + a if word >> i & 1 else b * s, bits)",
-        "b = fold(b * s, bits)",
-        ("tests/test_kernels.py::test_orbit_route_on_a_row_symmetric_under_conjugation_only[7]",),
-    ),
-    # The packed Ryser body that the Gray walk and the orbit walk share.
-    Mutant(
-        "the (-1)^N sign of the packed Ryser sum dropped",
-        "matrices.py",
-        "    if order & 1:\n        total = -total\n",
-        "",
+        "yield words, np.where(np.bitwise_count(words) & 1, -1, 1)",
+        "yield words, np.ones_like(words)",
         ("tests/test_kernels.py::test_ryser_matches_naive_permanent[3]",),
     ),
-    # The Gray walk's denominators, one per row.
     Mutant(
-        "one row's denominator dropped from the Gray walk's product",
+        "Glynn's fixed sign left free",
         "matrices.py",
-        "math.prod(dens))",
-        "math.prod(dens[1:]))",
+        "    half = 1 << (dim - 1)\n",
+        "    half = 1 << dim\n",
+        ("tests/test_kernels.py::test_ryser_matches_naive_permanent[3]",),
+    ),
+    Mutant(  # replaces "the (-1)^N sign of the packed Ryser sum dropped"
+        "the (-1)^N of Ryser's necklace sum dropped",
+        "matrices.py",
+        "blocks, scale = _necklace_blocks(order), (-1) ** order",
+        "blocks, scale = _necklace_blocks(order), 1",
+        ("tests/test_kernels.py::test_necklace_route_matches_gray_code_on_sun_matrix[5]",),
+    ),
+    Mutant(  # replaces "the x [i in S] of a minor's factor dropped in the orbit walk"
+        "the x [i in S] of a minor's factor dropped",
+        "matrices.py",
+        "b = (b * s + prod * (words >> i & 1)) % ps",
+        "b = b * s % ps",
+        ("tests/test_kernels.py::test_necklace_route_matches_gray_code_on_sun_matrix[7]",),
+    ),
+    Mutant(  # replaces "the 1/|H| of the orbit walk dropped"
+        "n - 1 lanes",
+        "matrices.py",
+        "points = np.array([1] if rational else range(n))",
+        "points = np.array([1] if rational else range(n - 1))",
+        ("tests/test_kernels.py::test_ryser_matches_naive_permanent[3]",),
+    ),
+    Mutant(
+        "the residue walk's inverse DFT exponent sign flipped",
+        "matrices.py",
+        "powers[:, _dft_grid(ctx.n, ctx.n)]",
+        "powers[:, -_dft_grid(ctx.n, ctx.n) % ctx.n]",
+        ("tests/test_kernels.py::test_ryser_matches_naive_permanent[3]",),
+    ),
+    Mutant(
+        "the CRT's symmetric residue dropped",
+        "matrices.py",
+        "coeffs = [c - modulus if c > modulus // 2 else c for c in coeffs]",
+        "coeffs = [c - modulus if c > modulus else c for c in coeffs]",
+        ("tests/test_kernels.py::test_residue_walk_lifts_large_negative_coefficients[16]",),
+    ),
+    Mutant(
+        "a matrix taken as rational when any entry is",
+        "matrices.py",
+        "rational = not any(any(v[1:]) for v in cells) or (",
+        "rational = not all(any(v[1:]) for v in cells) or (",
+        ("tests/test_kernels.py::test_ryser_matches_naive_permanent[3]",),
+    ),
+    Mutant(
+        "the sums left unreduced past two byte tables",
+        "matrices.py",
+        "if not reduced or len(tables) > 2:",
+        "if not reduced or len(tables) > 3:",
+        ("tests/test_kernels.py::test_walk_past_two_byte_tables_reduces_its_sums",),
+    ),
+    Mutant(  # replaces "one row's denominator dropped from the Gray walk's product"
+        "one row's lcm dropped from the walk's denominator",
+        "matrices.py",
+        "den = math.prod(dens)",
+        "den = math.prod(dens[1:])",
         ("tests/test_kernels.py::test_ryser_matches_naive_permanent[3]",),
     ),
     # Kronecker packing: the carry of a negative low part, and signed digits.
@@ -252,12 +285,12 @@ MUTANTS = (
         "if -1 <= value >> (width - 1) <= 1:",
         ("tests/test_kernels.py::test_a_folded_top_digit_in_the_upper_half_is_carried",),
     ),
-    # The Galois symmetries of a row, tested on generators first.
+    # Whether every unit fixes a row, tested on the generators.
     Mutant(
         "only the first generator of the unit group tested",
         "matrices.py",
-        "if all(symmetric(g) for g, _ in ctx._norm_steps):",
-        "if all(symmetric(g) for g, _ in ctx._norm_steps[:1]):",
+        "for g, _ in ctx._norm_steps for c, v in enumerate(nums))",
+        "for g, _ in ctx._norm_steps[:1] for c, v in enumerate(nums))",
         ("tests/test_kernels.py::test_galois_generators_give_the_per_unit_scan[12]",),
     ),
     # The sun entries as Galois images, and the rational multiply path.

@@ -3,14 +3,15 @@ that the fast kernels in cyclosum are compared against, and the small
 builders the tests feed them.  Nothing in the package imports this module.
 
 Each oracle shares no code with the kernel it checks: the naive permanent
-sums over all permutations, the enumerated derangement sums walk the
-derangement stream, the Leibniz determinant sums signed permutation
-products with the sign read off the cycle structure, the circulant
-eigenvalues are plain field sums of the row times powers of zeta, the
-cotangent matrix's eigenvectors are written out as the matrix V that the
-tests multiply by, the product by such a V turns coefficient arrays and
-divides by Phi_n, and the interpolated polynomial multiplies out every
-Lagrange basis polynomial in Fractions.
+sums over all permutations, the Gray-code permanent runs Ryser's formula
+on packed integers where the kernel walks residues modulo primes, the
+enumerated derangement sums walk the derangement stream, the Leibniz
+determinant sums signed permutation products with the sign read off the
+cycle structure, the circulant eigenvalues are plain field sums of the row
+times powers of zeta, the cotangent matrix's eigenvectors are written out
+as the matrix V that the tests multiply by, the product by such a V turns
+coefficient arrays and divides by Phi_n, and the interpolated polynomial
+multiplies out every Lagrange basis polynomial in Fractions.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def leibniz_det(m: ExactMatrix) -> CycElem:
 
 def permanent_naive(m: ExactMatrix, cap: int = 9) -> CycElem:
     """Permanent as the plain sum over all permutations; oracle for both
-    routes of permanent_ryser, so it deliberately shares no code with it."""
+    streams of permanent_ryser, so it deliberately shares no code with it."""
     d = m.dim
     if d > cap:
         raise CapExceededError(f"dimension {d} exceeds naive permanent cap {cap}")
@@ -100,6 +101,46 @@ def permanent_naive(m: ExactMatrix, cap: int = 9) -> CycElem:
                 break
         total = total + prod
     return total
+
+
+def permanent_gray(m: ExactMatrix) -> CycElem:
+    """Permanent by Ryser's formula over every column subset in Gray-code
+    order, one column update per step, on Kronecker-packed integers: row i
+    is cleared by the lcm D_i of its denominators, every product is folded
+    modulo x^n - 1, and the sum is divided by prod_i D_i at the end.  The
+    digit width comes from 2^N prod_i sum_j ||D_i m_ij||_1, which bounds
+    every coefficient of every partial sum.  The second oracle for
+    permanent_ryser, fast enough for dimension 14: it shares with it no
+    step but the context's packing."""
+    ctx, d = m.context, m.dim
+    dens = [math.lcm(*(e.den for e in row)) for row in m.entries]
+    rows = [[[v * (den // e.den) for v in e.nums] for e in row]
+            for den, row in zip(dens, m.entries)]
+    bound = 1 << d
+    for row in rows:
+        bound *= sum(abs(v) for vs in row for v in vs)
+    if not bound:
+        return ctx.zero
+    bits = bound.bit_length() + 1
+    cols = [[ctx.pack(row[c], bits) for row in rows] for c in range(d)]
+    sums = [0] * d
+    total = prev = 0
+    for g in range(1, 1 << d):
+        word = g ^ (g >> 1)
+        bit = word ^ prev
+        prev = word
+        col = cols[bit.bit_length() - 1]
+        sign = 1 if word & bit else -1
+        sums = [s + sign * x for s, x in zip(sums, col)]
+        prod = 1
+        for s in sums:
+            prod = ctx.fold(prod * s, bits)
+            if not prod:
+                break
+        total += -prod if word.bit_count() & 1 else prod
+    if d & 1:
+        total = -total
+    return CycElem(ctx, ctx.unpack(total, bits), math.prod(dens))
 
 
 def circulant_eigenvalues_naive(ctx: CyclotomicContext, t: Sequence[CycElem]) -> list[CycElem]:

@@ -1,18 +1,18 @@
 """Oracle tests for the integer kernels: the norm-based inverse, the Galois
 maps, the sun entries as Galois images of one inverse per divisor,
-Kronecker packing, the rational multiply path, the permanent on its three
-routes (Gray code; the packed orbit walk over a circulant or a minor of
-one; and, for a row with every Galois symmetry, the necklace walk modulo
-primes), its primes and roots of unity, the necklace and orbit
-generators, the exact spectrum of a circulant with the inverse-DFT
-certificate of a rational spectrum and its int64 tables, the
-characteristic polynomial read off it, and the
+Kronecker packing, the rational multiply path, the permanent's one residue
+walk (its necklace, minor and Glynn streams, with one lane per prime for a
+value known to be rational and n lanes with an inverse DFT otherwise), its
+primes and roots of unity, the necklace generator, the exact spectrum of a
+circulant with the inverse-DFT certificate of a rational spectrum and its
+int64 tables, the characteristic polynomial read off it, and the
 determinant on both its routes (Gaussian elimination and that spectrum).
 
-Each packed kernel is compared with an implementation that does every step
-in CycElem arithmetic: the naive permanent, the Leibniz determinant and
-the naive circulant eigenvalues from oracles.py, and the element-wise
-Faddeev-LeVerrier recurrence below, on the field product matmul.
+Each kernel is compared with an implementation that shares none of its
+steps: the naive permanent, the packed Gray-code permanent, the Leibniz
+determinant and the naive circulant eigenvalues from oracles.py, and the
+element-wise Faddeev-LeVerrier recurrence below, on the field product
+matmul.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from random import Random
 import numpy as np
 import pytest
 
+import cyclosum.identities
 import cyclosum.matrices
 import cyclosum.spectral
 from cyclosum.exact import (
@@ -51,7 +52,13 @@ from cyclosum.matrices import (
     matrix_to_json,
     permanent_ryser,
 )
-from oracles import circulant_eigenvalues_naive, identity_matrix, leibniz_det, permanent_naive
+from oracles import (
+    circulant_eigenvalues_naive,
+    identity_matrix,
+    leibniz_det,
+    permanent_gray,
+    permanent_naive,
+)
 
 ORDERS = (2, 3, 4, 6, 8, 9, 12, 15, 16, 21, 25, 30, 32)
 
@@ -258,21 +265,28 @@ def test_packed_charpoly_matches_elementwise_recurrence(n):
             assert charpoly_exact(m) == charpoly_reference(m), f"n={n} N={order} dim={m.dim}"
 
 
-def gray_walk(m: ExactMatrix) -> CycElem:
-    """per(m) by the Gray-code walk: swapping rows 1 and 2 keeps the
-    permanent and, from dimension 3 on, breaks circulance, which is
-    asserted."""
-    rows = list(m.entries)
-    rows[0], rows[1] = rows[1], rows[0]
-    swapped = make_matrix(m.context, rows)
-    assert circulant_order(swapped) is None
-    return permanent_ryser(swapped, cap=m.dim)
+# --- the residue walk of permanent_ryser -------------------------------------------------
 
 
-def symmetries(m: ExactMatrix) -> list[int]:
-    """The Galois symmetry group the orbit route finds on m's circulant row."""
+def every_unit_fixes(m: ExactMatrix) -> bool:
+    """Whether every unit mod n fixes m's circulant row."""
     _, (nums,) = cyclosum.matrices._cleared((cyclosum.matrices._circulant_row(m),))
-    return cyclosum.matrices._galois_symmetries(m.context, nums)
+    return cyclosum.matrices._every_unit_fixes(m.context, nums)
+
+
+def record_walks(monkeypatch) -> list[tuple[str, int]]:
+    """Patch the block walk to record each call as (stream, lanes per
+    prime), the stream "glynn", "necklace" or "minor"."""
+    calls = []
+    walk = cyclosum.matrices._residue_walk
+
+    def recorded(ps, col, blocks, glynn, minor):
+        stream = "glynn" if glynn else "minor" if minor else "necklace"
+        calls.append((stream, len(ps) // len(set(ps[:, 0].tolist()))))
+        return walk(ps, col, blocks, glynn, minor)
+
+    monkeypatch.setattr(cyclosum.matrices, "_residue_walk", recorded)
+    return calls
 
 
 def units(n: int) -> list[int]:
@@ -294,20 +308,74 @@ def with_minors(ctx, first) -> list[ExactMatrix]:
     return [full] + ([delete_rows_cols(full, {full.dim})] if full.dim > 2 else [])
 
 
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 8, 9, 12))
+def test_residue_walk_matches_naive_to_dimension_8(n):
+    # Random matrices with mixed denominators (Glynn's signs), random
+    # circulants (the necklaces) and one-index minors of random circulants
+    # (the pair modulo x^2), at dimensions 1 to 8: one lane per prime at
+    # n = 2, where the field is Q, and n lanes otherwise.  The naive
+    # permanent at dimension 8 is the slow part, so it checks one shape
+    # there, a different one for each n.
+    rng = Random(24_000 + n)
+    ctx = cyc_context(n)
+    for dim in range(1, 9):
+        shapes = [mixed_matrix(n, dim, rng), circulant(ctx, random_row(ctx, dim, rng))]
+        if dim >= 2:
+            shapes.append(delete_rows_cols(circulant(ctx, random_row(ctx, dim + 1, rng)),
+                                           {dim + 1}))
+        if dim == 8:
+            shapes = [shapes[n % 3]]
+        for m in shapes:
+            assert permanent_ryser(m) == permanent_naive(m), f"n={n} dim={m.dim}"
+
+
+def eq3_1_matrix(l: int, seed: int) -> ExactMatrix:
+    """W_jk = 1/(x_k - x_j) off the diagonal for eq3_1's random distinct
+    rationals x, over Q: the matrix whose permanent eq3_1 takes."""
+    xs = cyclosum.identities.random_distinct_rationals(l, Random(seed))
+    return make_matrix(cyc_context(2), [[1 / (xk - xj) if xk != xj else 0 for xk in xs]
+                                        for xj in xs])
+
+
+def test_residue_walk_matches_the_gray_oracle_to_dimension_14(monkeypatch):
+    # Past the naive permanent's reach: eq3_1's rational matrix at l = 13
+    # and 14 (Glynn's signs, one lane; the permanent is 0 at odd l, where
+    # W is skew-symmetric), a random matrix over Q(zeta_3) at dimension 14
+    # and the sun matrix of order 13 without rows and columns 1 and 5
+    # (Glynn's signs, n lanes), and a random circulant of order 12 over
+    # Q(zeta_4) with its minor (the necklaces, n lanes).
+    ctx = cyc_context(4)
+    shapes = [eq3_1_matrix(13, 1), eq3_1_matrix(14, 2), mixed_matrix(3, 14, Random(3)),
+              delete_rows_cols(build_sun_matrix(cyc_context(13)), {1, 5}),
+              *with_minors(ctx, random_row(ctx, 12, Random(4)))]
+    walks = record_walks(monkeypatch)
+    got = [permanent_ryser(m) for m in shapes]
+    assert walks == [("glynn", 1)] * 2 + [("glynn", 3), ("glynn", 13), ("necklace", 4),
+                                          ("minor", 4)]
+    assert got[0] == 0 != got[1]
+    assert got == [permanent_gray(m) for m in shapes]
+
+
+def test_gray_oracle_matches_naive():
+    rng = Random(25_000)
+    for n, dim in ((2, 1), (2, 6), (3, 5), (7, 6), (12, 7)):
+        m = mixed_matrix(n, dim, rng)
+        assert permanent_gray(m) == permanent_naive(m), (n, dim)
+
+
 @pytest.mark.parametrize("n", range(2, 15))
 def test_necklace_route_matches_gray_code_on_sun_matrix(n):
-    # The sun matrix's row has every unit mod n as a symmetry, and C + xI
-    # keeps them, so the full matrix and its minor both take the necklace
-    # walk modulo primes.  The 2 x 2 matrices stay circulant under a row
-    # swap and are compared with the naive permanent instead.
+    # Every unit mod n fixes the sun matrix's row, and C + xI keeps that,
+    # so the full matrix and its minor both take the necklace walk with one
+    # lane per prime.  The Gray-code walk of the oracles checks both, and
+    # the naive permanent to dimension 7.
     sun = build_sun_matrix(cyc_context(n))
     minor = delete_rows_cols(sun, {n})
-    assert symmetries(sun) == units(n)
+    assert every_unit_fixes(sun)
     assert circulant_order(sun) == n and circulant_order(minor) == (n if n > 2 else 1)
     for m in (sun, minor):
         got = permanent_ryser(m, cap=m.dim)
-        if m.dim > 2:
-            assert got == gray_walk(m), f"n={n} dim={m.dim}"
+        assert got == permanent_gray(m), f"n={n} dim={m.dim}"
         if m.dim <= 7:
             assert got == permanent_naive(m), f"n={n} dim={m.dim}"
     if n % 2:
@@ -318,40 +386,43 @@ def test_necklace_route_matches_gray_code_on_sun_matrix(n):
 
 @pytest.mark.parametrize("n", range(3, 17))
 def test_modular_route_matches_the_packed_walk_on_sun_matrices(n, monkeypatch):
-    # The packed walk with H = {1} (the plain necklace sum over Z[zeta_n],
-    # weighted by period) is the oracle, past the Gray-code walk's reach
-    # too; the cotangent rows, 2/(1 - zeta^d), have every unit as well.
-    # At n = 2 the field is Q, so H = {1} is every unit and no packed walk
-    # runs.
+    # One lane per prime, which reads the rational value itself, against n
+    # lanes and the inverse DFT, which recover all of G over
+    # Z[x]/(x^n - 1) and so do not rest on the value being rational; to
+    # dimension 10 the packed Gray-code walk of the oracles checks both.
+    # The cotangent rows, 2/(1 - zeta^d), are fixed by every unit as well.
     sun = build_sun_matrix(cyc_context(n))
     matrices = [sun, delete_rows_cols(sun, {n})]
     if n <= 12:
         cp = build_cp_matrix(cyc_context(n))
         matrices += [cp, delete_rows_cols(cp, {n})]
-    assert all(symmetries(m) == units(n) for m in matrices)
+    assert all(every_unit_fixes(m) for m in matrices)
+    walks = record_walks(monkeypatch)
     fast = [permanent_ryser(m, cap=m.dim) for m in matrices]
-    monkeypatch.setattr(cyclosum.matrices, "_galois_symmetries", lambda ctx, nums: [1])
-    monkeypatch.setattr(cyclosum.matrices, "_rational_circulant_permanent", refuse_modular)
+    monkeypatch.setattr(cyclosum.matrices, "_every_unit_fixes", lambda ctx, nums: False)
     assert fast == [permanent_ryser(m, cap=m.dim) for m in matrices]
-
-
-def refuse_modular(*args):
-    raise AssertionError("the modular route ran where the packed walk was asked for")
+    assert [lanes for _, lanes in walks] == [1] * len(matrices) + [n] * len(matrices)
+    for m, per in zip(matrices, fast):
+        if m.dim <= 10:
+            assert per == permanent_gray(m), f"n={n} dim={m.dim}"
 
 
 @pytest.mark.parametrize("n", (3, 5, 6, 8, 9, 12))
-def test_orbit_route_on_random_galois_symmetric_rows(n):
-    # These rows have every unit as a symmetry, so they take the modular
-    # route; the Gray walk and the naive permanent are its oracles.
+def test_orbit_route_on_random_galois_symmetric_rows(n, monkeypatch):
+    # Every unit fixes these rows, so the circulant and its minor take the
+    # necklace walk with one lane per prime; the Gray-code walk and the
+    # naive permanent are its oracles.
     rng = Random(12_000 + n)
     ctx = cyc_context(n)
+    walks = record_walks(monkeypatch)
     for _ in range(2):
         for m in with_minors(ctx, galois_row(ctx, rng)):
-            assert symmetries(m) == units(n)
+            assert every_unit_fixes(m)
             got = permanent_ryser(m)
-            assert got == gray_walk(m), f"n={n} dim={m.dim}"
+            assert got == permanent_gray(m), f"n={n} dim={m.dim}"
             if m.dim <= 7:
                 assert got == permanent_naive(m), f"n={n} dim={m.dim}"
+    assert walks == [("necklace", 1), ("minor", 1)] * 2
 
 
 def conjugation_row(ctx) -> list:
@@ -363,31 +434,34 @@ def conjugation_row(ctx) -> list:
 
 
 @pytest.mark.parametrize("n", (5, 7, 8))
-def test_orbit_route_on_a_row_symmetric_under_conjugation_only(n):
+def test_orbit_route_on_a_row_symmetric_under_conjugation_only(n, monkeypatch):
+    # Conjugation alone fixes the row, so its permanent is real but not
+    # known to be rational: the circulant and its minor take the necklace
+    # walk with n lanes per prime.
     ctx = cyc_context(n)
+    walks = record_walks(monkeypatch)
     for m in with_minors(ctx, conjugation_row(ctx)):
-        assert symmetries(m) == [1, n - 1]
+        assert not every_unit_fixes(m)
         got = permanent_ryser(m)
-        assert got == gray_walk(m) == permanent_naive(m), f"n={n} dim={m.dim}"
+        assert got == permanent_gray(m) == permanent_naive(m), f"n={n} dim={m.dim}"
+    assert walks == [("necklace", n), ("minor", n)]
 
 
 @pytest.mark.parametrize("n", (3, 4, 12))
 def test_necklace_route_matches_naive_on_random_circulants(n):
     # Dimensions 4, 6 and 8 have necklaces of every proper period dividing
-    # them.  A random row has no Galois symmetry but the identity.  The
-    # naive permanent, which shares no code with either route, is the
-    # oracle at every size here; the Gray walk is checked as well.
+    # them.  A random row of order n is fixed by no unit but 1.  The naive
+    # permanent, which shares no code with the walk, is the oracle at every
+    # size here; the Gray-code walk is checked as well.
     rng = Random(10_000 + n)
     ctx = cyc_context(n)
     for order in range(1, 9):
         for m in with_minors(ctx, random_row(ctx, order, rng)):
             assert circulant_order(m) == order
             if order == n:
-                assert symmetries(m) == [1]
+                assert not every_unit_fixes(m)
             got = permanent_ryser(m)
-            assert got == permanent_naive(m), f"n={n} N={order} dim={m.dim}"
-            if m.dim > 2:
-                assert got == gray_walk(m), f"n={n} N={order} dim={m.dim}"
+            assert got == permanent_naive(m) == permanent_gray(m), f"n={n} N={order} dim={m.dim}"
 
 
 def test_necklace_route_on_zero_and_sparse_first_rows():
@@ -400,16 +474,16 @@ def test_necklace_route_on_zero_and_sparse_first_rows():
                   [a, ctx.zero, ctx.zero, b, ctx.zero, ctx.zero, ctx.zero, ctx.zero]):
         for m in with_minors(ctx, first):
             assert permanent_ryser(m) == permanent_naive(m), (first, m.dim)
-    # Rational values constant on each class {c : gcd(c, n) = g} are Galois
-    # symmetric; zero on most classes, they leave most row sums zero.
+    # Rational values constant on each class {c : gcd(c, n) = g} are fixed
+    # by every unit; zero on most classes, they leave most row sums zero.
     q = Fraction(-3, 4)
     for n, classes in ((6, {1: q}), (6, {2: q, 3: 1}), (8, {1: q}), (8, {4: q, 8: -q})):
         ctx = cyc_context(n)
         first = [ctx.from_rational(classes.get(math.gcd(c, n), 0)) for c in range(n)]
         for m in with_minors(ctx, first):
-            assert symmetries(m) == units(n)
+            assert every_unit_fixes(m)
             got = permanent_ryser(m)
-            assert got == permanent_naive(m) == gray_walk(m), (n, classes, m.dim)
+            assert got == permanent_naive(m) == permanent_gray(m), (n, classes, m.dim)
 
 
 def subgroup_row(ctx, group: list[int], rng: Random) -> list:
@@ -426,15 +500,18 @@ def subgroup_row(ctx, group: list[int], rng: Random) -> list:
 
 @pytest.mark.parametrize("n", (12, 15, 21, 24))
 def test_galois_generators_give_the_per_unit_scan(n):
-    # (Z/n)^* is not cyclic here.  Every subgroup generated by one or two
-    # units: when it holds the first generator of ctx._norm_steps but not
-    # the rest, a shortcut that tested only that generator would return
-    # every unit.
+    # (Z/n)^* is not cyclic here.  For the whole group and every subgroup
+    # generated by one or two units, the generator test says every unit
+    # fixes the row exactly when a scan of every unit finds the whole
+    # group: when the group holds the first generator of ctx._norm_steps
+    # but not the rest, a shortcut that tested only that generator would
+    # say every unit.
     rng = Random(22_000 + n)
     ctx = cyc_context(n)
     every = units(n)
     groups = {tuple(sorted({pow(a, i, n) * pow(b, j, n) % n for i in range(n) for j in range(n)}))
               for a in every for b in every}
+    groups.add(tuple(every))  # (Z/24)^* needs three generators
     first = ctx._norm_steps[0][0]
     assert any(first in h and len(h) < len(every) for h in groups)
     for group in sorted(groups):
@@ -443,15 +520,16 @@ def test_galois_generators_give_the_per_unit_scan(n):
         rows = [list(v) for v in nums]
         scan = [u for u in every
                 if all(ctx._galois(v, u) == rows[u * c % n] for c, v in enumerate(rows))]
-        assert cyclosum.matrices._galois_symmetries(ctx, nums) == scan == list(group), group
+        assert scan == list(group)
+        assert cyclosum.matrices._every_unit_fixes(ctx, nums) == (scan == every), group
 
 
 def test_a_perturbed_sun_matrix_falls_back_to_the_gray_code_walk(monkeypatch):
-    # One entry off breaks circulance: the orbit route must not run, and the
-    # Gray-code walk must give the perturbed matrix's own permanent.  One
-    # value off in every row keeps circulance but breaks the symmetry
-    # sigma_u(t_1) = t_u, which leaves only u = 1 and -1 as symmetries of
-    # the row.
+    # One entry off breaks circulance: the matrix must take Glynn's signs,
+    # with n lanes, and give its own permanent, the one the Gray-code walk
+    # and the naive permanent give.  One value off in every row keeps
+    # circulance but breaks the symmetry sigma_u(t_1) = t_u, which leaves
+    # only u = 1 and -1 fixing the row: the necklaces, with n lanes.
     ctx = cyc_context(7)
     sun = build_sun_matrix(ctx)
     rows = [list(row) for row in sun.entries]
@@ -461,39 +539,59 @@ def test_a_perturbed_sun_matrix_falls_back_to_the_gray_code_walk(monkeypatch):
     first[1] = first[1] + ctx.zeta_pow(1)
     first[6] = first[6] + ctx.zeta_pow(-1)
     twisted = circulant(ctx, first)
-    assert circulant_order(near) is None and symmetries(twisted) == [1, 6]
+    assert circulant_order(near) is None and not every_unit_fixes(twisted)
     want = [permanent_naive(near), permanent_naive(twisted)]
-    assert want[0] != permanent_naive(sun)
-
-    def refuse(*args):
-        raise AssertionError("the orbit route ran on a matrix that is not circulant")
-
-    assert permanent_ryser(twisted) == want[1]
-    monkeypatch.setattr(cyclosum.matrices, "_orbits", refuse)
-    assert permanent_ryser(near) == want[0]
+    assert want[0] != permanent_naive(sun) and want[0] == permanent_gray(near)
+    walks = record_walks(monkeypatch)
+    assert [permanent_ryser(near), permanent_ryser(twisted)] == want
+    assert walks == [("glynn", 7), ("necklace", 7)]
 
 
 def test_rows_with_every_unit_skip_the_orbit_walk(monkeypatch):
-    # The sun row at n = 7 and its minor take the modular route, which
-    # lists plain necklaces; a row symmetric under conjugation only still
-    # takes the packed orbit walk, once for the circulant and once for its
-    # minor.
-    calls = []
-    orbits = cyclosum.matrices._orbits
-
-    def counted(d, group):
-        calls.append((d, list(group)))
-        return orbits(d, group)
-
-    monkeypatch.setattr(cyclosum.matrices, "_orbits", counted)
+    # The sun row at n = 7 and its minor take one lane per prime, the
+    # rational value alone; a row fixed by conjugation only takes n lanes,
+    # once for the circulant and once for its minor.
+    walks = record_walks(monkeypatch)
     ctx = cyc_context(7)
     sun = build_sun_matrix(ctx)
-    assert permanent_ryser(sun) == gray_walk(sun)
+    assert permanent_ryser(sun) == permanent_gray(sun)
     assert permanent_ryser(delete_rows_cols(sun, {7})) == minor_permanent(7)
-    assert calls == []
     for m in with_minors(ctx, conjugation_row(ctx)):
         permanent_ryser(m)
-    assert calls == [(7, [1, 6]), (7, [1, 6])]
+    assert walks == [("necklace", 1), ("minor", 1), ("necklace", 7), ("minor", 7)]
+
+
+def test_every_input_reaches_the_one_walk_with_its_lanes(monkeypatch):
+    # Each permanent is one call of the block walk.  A circulant walks the
+    # necklaces, and a one-index minor of one keeps the pair modulo x^2;
+    # any other matrix walks Glynn's signs.  One lane per prime when the
+    # value is known to be rational: a row that every unit fixes, or
+    # rational entries, at n = 2 or at any n; n lanes otherwise.
+    rng = Random(23_000)
+    ctx = cyc_context(5)
+    sun = build_sun_matrix(ctx)
+
+    def rationals(count: int) -> list:
+        return [ctx.from_rational(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+                for _ in range(count)]
+
+    cases = [
+        (sun, ("necklace", 1)),
+        (delete_rows_cols(sun, {5}), ("minor", 1)),
+        (circulant(ctx, random_row(ctx, 5, rng)), ("necklace", 5)),
+        (delete_rows_cols(circulant(ctx, random_row(ctx, 6, rng)), {6}), ("minor", 5)),
+        (circulant(ctx, rationals(3)), ("necklace", 1)),
+        (delete_rows_cols(circulant(ctx, rationals(4)), {4}), ("minor", 1)),
+        (delete_rows_cols(sun, {2, 4}), ("glynn", 5)),
+        (mixed_matrix(5, 4, rng), ("glynn", 5)),
+        (make_matrix(ctx, [rationals(4) for _ in range(4)]), ("glynn", 1)),
+        (mixed_matrix(2, 5, rng), ("glynn", 1)),
+    ]
+    walks = record_walks(monkeypatch)
+    for m, (stream, _) in cases:
+        assert (circulant_order(m) is None) == (stream == "glynn"), stream
+        assert permanent_ryser(m) == permanent_naive(m), stream
+    assert walks == [route for _, route in cases]
 
 
 def primes_asked(n: int, bound: int) -> list[int]:
@@ -515,21 +613,55 @@ def test_modular_route_takes_every_prime_the_bound_asks_for():
     q = Fraction(-(2**20 + 1), 3)
     m = make_matrix(ctx, [[q] * 5] * 5)
     value = -120 * (2**20 + 1) ** 5
-    _, (nums,) = cyclosum.matrices._cleared((cyclosum.matrices._circulant_row(m),))
-    bound = cyclosum.matrices._value_bound(nums, 5)
+    bound = cyclosum.matrices._value_bound([5 * (2**20 + 1)] * 5, False)
     assert bound == (5 * (2**20 + 1)) ** 5 >= abs(value)
     primes = primes_asked(5, bound)
     assert len(primes) == 4 and math.prod(primes[:-1]) < 2 * abs(value)
+    assert circulant_order(m) == 5
     assert permanent_ryser(m) == math.factorial(5) * q**5
 
 
-def test_value_bound_holds_on_sun_rows_and_minors(monkeypatch):
+def test_n_lanes_take_every_prime_the_bound_asks_for(monkeypatch):
+    # Row i of the 5 x 5 matrix is q zeta^i throughout, q = -(2^20 + 1)/3,
+    # at n = 7: not circulant and not rational, so Glynn's signs with n
+    # lanes.  per = 5! q^5 zeta^10, and with D_i = 3 the walk's value is
+    # G = -120 (2^20 + 1)^5 x^3 over Z[x]/(x^7 - 1).  The bound
+    # (5 (2^20 + 1))^5 asks for four primes, and the first three multiply
+    # to less than 2 |G_3|, so stopping one prime early lifts a wrong
+    # coefficient.
+    ctx = cyc_context(7)
+    q = Fraction(-(2**20 + 1), 3)
+    m = make_matrix(ctx, [[ctx.zeta_pow(i) * q] * 5 for i in range(5)])
+    value = -120 * (2**20 + 1) ** 5
+    bound = cyclosum.matrices._value_bound([5 * (2**20 + 1)] * 5, False)
+    assert bound >= abs(value)
+    primes = primes_asked(7, bound)
+    assert len(primes) == 4 and math.prod(primes[:-1]) < 2 * abs(value)
+    walks = record_walks(monkeypatch)
+    assert permanent_ryser(m) == math.factorial(5) * q**5 * ctx.zeta_pow(10)
+    assert walks == [("glynn", 7)]
+
+
+def test_walk_past_two_byte_tables_reduces_its_sums():
+    # From N = 17 a column sum adds three byte tables, each below p, so it
+    # must be reduced before a product, or a residue times it can pass
+    # 2^63.  The constant row q = -(2^40 + 1)/3 makes every column sum
+    # |S| q, and per = N! q^N.
+    ctx = cyc_context(2)
+    q = Fraction(-(2**40 + 1), 3)
+    for dim in (17, 18):
+        m = make_matrix(ctx, [[q] * dim] * dim)
+        assert permanent_ryser(m, cap=dim) == math.factorial(dim) * q**dim, dim
+
+
+def test_value_bound_holds_on_sun_rows_and_minors():
     # V from the closed forms (full matrices at even n, minors at odd n)
-    # up to n = 22, and from the packed walk for the other parity up to 12.
-    monkeypatch.setattr(cyclosum.matrices, "_galois_symmetries", lambda ctx, nums: [1])
+    # up to n = 22, and from the Gray-code walk of the oracles for the
+    # other parity up to 12.
     for n in range(2, 23):
         sun = build_sun_matrix(cyc_context(n))
         (den,), (nums,) = cyclosum.matrices._cleared((cyclosum.matrices._circulant_row(sun),))
+        norm = sum(map(cyclosum.matrices._l1, nums))
         values = {}
         if n % 2 == 0:
             values[n] = den**n * full_permanent(n)
@@ -537,13 +669,12 @@ def test_value_bound_holds_on_sun_rows_and_minors(monkeypatch):
             values[n - 1] = n * den ** (n - 1) * minor_permanent(n)
         if n <= 12:
             for m in (sun, delete_rows_cols(sun, {n})):
-                per = permanent_ryser(m, cap=m.dim)
-                assert not any(per.nums[1:])
-                per = Fraction(per.nums[0], per.den)
-                values.setdefault(m.dim, (n if m.dim < n else 1) * den**m.dim * per)
+                per = permanent_gray(m)
+                assert per.is_rational()
+                values.setdefault(m.dim, (n if m.dim < n else 1) * den**m.dim * per.as_rational())
         for dim, value in values.items():
             assert value.denominator == 1, (n, dim)
-            assert abs(value) <= cyclosum.matrices._value_bound(nums, dim), (n, dim)
+            assert abs(value) <= cyclosum.matrices._value_bound([norm] * n, dim < n), (n, dim)
 
 
 @pytest.mark.parametrize("n, q", ((6, 2), (6, 3), (8, 2), (9, 3), (12, 2)))
@@ -561,16 +692,21 @@ def test_a_root_of_lower_order_gives_a_wrong_permanent(n, q, monkeypatch):
 
 
 def test_modular_walk_in_tiny_blocks_gives_the_same_permanents(monkeypatch):
+    # Blocks of 1 and 3 words, on every stream: the necklaces with one lane
+    # and with n lanes, the minors, and Glynn's signs.
     rng = Random(13_000)
     matrices = []
     for n in (7, 8, 10):
         ctx = cyc_context(n)
         sun = build_sun_matrix(ctx)
-        matrices += [sun, delete_rows_cols(sun, {n})] + with_minors(ctx, galois_row(ctx, rng))
+        matrices += [sun, delete_rows_cols(sun, {n}), delete_rows_cols(sun, {1, 3})]
+        matrices += with_minors(ctx, galois_row(ctx, rng))
+        matrices += with_minors(ctx, random_row(ctx, 6, rng)) + [mixed_matrix(n, 5, rng)]
     want = [permanent_ryser(m) for m in matrices]
     for block in (1, 3):
         monkeypatch.setattr(cyclosum.matrices, "_BLOCK", block)
         assert [permanent_ryser(m) for m in matrices] == want, block
+    assert want[-1] == permanent_naive(matrices[-1])
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -645,6 +781,36 @@ def test_packed_kernels_carry_large_negative_coefficients(n):
     assert charpoly_exact(c) == charpoly_reference(c)
 
 
+@pytest.mark.parametrize("n", (3, 16, 21, 25, 32))
+def test_residue_walk_lifts_large_negative_coefficients(n, monkeypatch):
+    # Every coefficient of every entry is about -10^30, so at odd dimension
+    # every coefficient of G over Z[x]/(x^n - 1) is a large negative
+    # number, and the CRT must lift each to its symmetric residue, not to
+    # the positive one below the product of the primes.  A lift that added
+    # the product of the primes to every coefficient alike would still
+    # give the right value, since 1 + x + ... + x^(n-1) is 0 modulo Phi_n,
+    # so the same matrices with every odd coefficient negated, whose G has
+    # large coefficients of both signs, come too.  Glynn's signs at
+    # dimensions 2 to 5, and the necklaces on a circulant of a large
+    # negative row and on its minor, all with n lanes.
+    ctx = cyc_context(n)
+
+    def signs_mixed(m: ExactMatrix) -> ExactMatrix:
+        return make_matrix(ctx, [[CycElem(ctx, [(-1) ** i * v for i, v in enumerate(e.nums)],
+                                          e.den) for e in row] for row in m.entries])
+
+    walks = record_walks(monkeypatch)
+    for dim in range(2, 6):
+        for m in (negative_matrix(n, dim), signs_mixed(negative_matrix(n, dim))):
+            got = permanent_ryser(m)
+            assert got == permanent_gray(m), f"n={n} dim={dim}"
+            if dim <= 4:
+                assert got == permanent_naive(m), f"n={n} dim={dim}"
+    for m in with_minors(ctx, negative_matrix(n, 5).entries[0]):
+        assert permanent_ryser(m) == permanent_gray(m), f"n={n} circulant dim={m.dim}"
+    assert walks == [("glynn", n)] * 8 + [("necklace", n), ("minor", n)]
+
+
 # --- necklaces ------------------------------------------------------------------
 
 
@@ -663,36 +829,6 @@ def test_fkm_yields_each_binary_necklace_once(d):
     assert len(words) == count
     assert len({w for w, _ in words}) == count
     assert sum(p for _, p in words) == 1 << d
-
-
-def subgroups(d: int) -> list[list[int]]:
-    """The unit group mod d, {1, -1} and the subgroup generated by 3 or 5
-    when coprime to d, each sorted, without repeats."""
-    out = [units(d) or [1], sorted({1, (d - 1) or 1})]
-    for g in (3, 5):
-        if math.gcd(g, d) == 1:
-            out.append(sorted({pow(g, e, d) or 1 for e in range(d)}))
-    return [list(h) for h in dict.fromkeys(map(tuple, out))]
-
-
-@pytest.mark.parametrize("d", range(1, 13))
-def test_orbits_yield_each_affine_orbit_once_at_its_size(d):
-    # Brute force: the orbit of every subset under c -> uc + s, u in the
-    # group, s mod d, and its least rotation-minimal member.
-    mask = (1 << d) - 1
-
-    def image(word, u, s):
-        return sum(1 << (u * c + s) % d for c in range(d) if word >> c & 1) & mask
-
-    for group in subgroups(d):
-        orbits = {}
-        for word in range(1 << d):
-            orbit = frozenset(image(word, u, s) for u in group for s in range(d))
-            orbits[min(orbit)] = len(orbit)
-        got = list(cyclosum.matrices._orbits(d, group))
-        assert dict(got) == orbits, f"d={d} group={group}"
-        assert len(got) == len(orbits)
-        assert sum(size for _, size in got) == 1 << d
 
 
 # --- determinants ------------------------------------------------------------
