@@ -486,8 +486,9 @@ def verify_thm3_1(n: int, deleted: Sequence[int]) -> VerificationReport:
 
 def verify_thm2_1(n: int) -> VerificationReport:
     """The cotangent matrix's eigenpairs (2i - n - 1, zeta^(-ij)), checked
-    exactly in Q(zeta_n) by cp_eigenpair_failures, which settles the whole
-    integer spectrum and every eigenvector.
+    exactly in Q(zeta_n) by cp_eigenpair_failures, which compares each
+    claimed eigenvalue with C's own exact circulant eigenvalue for that
+    eigenvector.
 
     lhs counts the failing eigenpairs, so it is 0.0 on a pass;
     eigenvector_residual is 0.0 on a pass and None on a fail.  The check
@@ -538,7 +539,7 @@ def verify_eei(
     # weights[j][i] = |v_i(j)|^2.  Python's complex abs gives the bits of
     # numpy's scalar abs; numpy's abs of a whole array does not always.
     weights = [[abs(v) ** 2 for v in row] for row in dec.eigenvectors.tolist()]
-    for minor_lam, weight in zip(spectral.minor_spectra(matrix), weights):
+    for minor_lam, weight in zip(spectral.minor_spectra(matrix), weights, strict=True):
         minor_lam = minor_lam.tolist()
         for i in range(n):
             r = _eei_pair(lam, i, gaps[i], weight[i], minor_lam)
@@ -601,8 +602,8 @@ def verify_eq2_4(n: int) -> VerificationReport:
 
     Both sides are compared exactly: the verdict is pass only when every
     exact coefficient is rational and equals its interpolated Fraction.
-    lhs counts the coefficients that differ, so it is 0.0 on a pass, and
-    the recorded tol is 0.0.
+    lhs counts the coefficients that differ, those that one side lacks
+    included, so it is 0.0 on a pass, and the recorded tol is 0.0.
 
     The printed source values carry a 1/(2n) factor where the derivation
     gives 2^(n-1)/n; the ratio 2^n is recorded so the discrepancy stays
@@ -612,7 +613,7 @@ def verify_eq2_4(n: int) -> VerificationReport:
     interp = charpoly_lagrange(n)
     minor = delete_rows_cols(build_cp_matrix(cyc_context(n)), {n})
     exact = charpoly_exact(minor)
-    mismatches = sum(
+    mismatches = abs(len(exact) - len(interp)) + sum(
         not (c.is_rational() and c.as_rational() == q) for c, q in zip(exact, interp)
     )
     return VerificationReport(

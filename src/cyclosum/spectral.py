@@ -13,9 +13,9 @@ minor_spectra solves the d principal minors of a matrix in one stack,
 eigenvalues only.  It is the one float kernel here: the
 eigenvector-eigenvalue identity is the only statement checked in floating
 point.  The cotangent matrix's eigenpairs are checked exactly in
-Q(zeta_n), against the matrix they imply, an inverse DFT of integers, and
-the scaled minor's spectrum is settled exactly through its characteristic
-polynomial.
+Q(zeta_n), against its circulant spectrum as the matrices module proves
+it, and the scaled minor's spectrum is settled exactly through its
+characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -30,15 +30,10 @@ import numpy as np
 
 from .exact import CycElem, cyc_context, minor_determinant
 from .matrices import (
-    _INT64,
     ExactMatrix,
     _circulant_charpoly,
     _circulant_eigenvalues,
     _circulant_row,
-    _cleared,
-    _inverse_dft,
-    _l1,
-    _reduction_matrix,
     build_cp_matrix,
     build_sun_matrix,
 )
@@ -274,42 +269,18 @@ def cp_eigenpair_failures(n: int) -> list[int]:
     cotangent matrix C, mu = cp_eigenvalues(n) and v_i = (zeta^(-ij))_j.
 
     C must be circulant, checked exactly on every entry, or every column
-    fails.  With C's row 0 t and D t = a over Z[zeta_n], v_i is the
-    eigenvector (zeta^(jk))_j, k = -i mod n, of the eigenvalue lambda_k of
-    _circulant_eigenvalues.  The claim is c_k = D mu_i for that k, and it
-    is checked by the certificate of that function: the row it implies,
-    sum_k c_k zeta^(-jk) modulo Phi_n, rebuilt by _inverse_dft, must equal
-    n a_j for every j.  If it does, the length-n DFT gives
-    D lambda_k = c_k for every k, which proves the whole spectrum and
-    every eigenvector (C = V diag(mu) V^-1 for the Vandermonde matrix V of
-    the v_i), and no column fails.  A claim beyond L = sum_j ||a_j||_1
-    fails at once; otherwise the certificate runs under that function's
-    int64 bound, L n h < 2^63, and OverflowError is raised when the bound
-    does not hold.  When the claim fails, C v_i = lambda_(-i mod n) v_i,
-    lambda from _circulant_eigenvalues, names the failing columns; if it
-    names none, the two routes disagree and the call raises RuntimeError."""
+    fails.  Then v_i is the Fourier eigenvector (zeta^(jk))_j, k = -i mod n,
+    of C's eigenvalue lambda_k (Davis, Circulant Matrices, 1979), so
+    C v_i = mu_i v_i exactly when lambda_(-i mod n) = mu_i, with lambda
+    from _circulant_eigenvalues, which proves C's spectrum exactly."""
     if n < 2:
         raise ValueError("n must be >= 2")
     ctx = cyc_context(n)
     t = _circulant_row(build_cp_matrix(ctx))
     if t is None or len(t) != n:
         return list(range(1, n + 1))
-    mu = cp_eigenvalues(n)
-    (den,), (nums,) = _cleared((t,))
-    norm = sum(map(_l1, nums))
-    _, height = _reduction_matrix(n)
-    if norm * n * height >= _INT64:
-        raise OverflowError(f"n={n}: the certificate would not fit in int64")
-    claim = [den * mu[-k % n - 1] for k in range(n)]
-    if max(map(abs, claim)) <= norm and np.array_equal(
-        _inverse_dft(ctx, np.array(claim, dtype=np.int64), n), n * np.array(nums, dtype=np.int64)
-    ):
-        return []
     lam = _circulant_eigenvalues(ctx, t)
-    failing = [i for i, want in enumerate(mu, 1) if lam[-i % n] != want]
-    if not failing:
-        raise RuntimeError(f"n={n}: the rebuilt matrix and C's eigenvalues disagree")
-    return failing
+    return [i for i, mu in enumerate(cp_eigenvalues(n), 1) if lam[-i % n] != mu]
 
 
 @dataclass(frozen=True)

@@ -66,14 +66,14 @@ MUTANTS = (
         "np.where(np.bitwise_count(words) & 1, -periods, periods)",
         "np.where(np.bitwise_count(words) & 1, -1, 1)",
         ("tests/test_kernels.py::test_necklace_route_matches_gray_code_on_sun_matrix[8]",
-         "tests/test_kernels.py::test_modular_route_matches_the_packed_walk_on_sun_matrices[9]"),
+         "tests/test_kernels.py::test_one_lane_matches_n_lanes_on_sun_and_cotangent_matrices[9]"),
     ),
     Mutant(
         "the factor N of a minor dropped",
         "matrices.py",
         "den = order ** (order > d) * row_den**d",
         "den = row_den**d",
-        ("tests/test_kernels.py::test_modular_route_matches_the_packed_walk_on_sun_matrices[7]",
+        ("tests/test_kernels.py::test_one_lane_matches_n_lanes_on_sun_and_cotangent_matrices[7]",
          "tests/test_acceptance.py::test_c02_minor_permanent_closed_form_odd_orders"),
     ),
     Mutant(  # replaces "the necklace period used as the orbit weight"
@@ -162,9 +162,8 @@ MUTANTS = (
         ("tests/test_kernels.py::"
          "test_unpack_borrows_for_a_negative_digit_below_a_positive_top_digit[16]",),
     ),
-    # thm2_1: the matrix its claimed eigenpairs imply, and the failing
-    # columns from the circulant spectrum behind det_exact and
-    # charpoly_exact.
+    # thm2_1: each claimed eigenvalue against C's circulant eigenvalue for
+    # its eigenvector, and every column failing off a circulant.
     Mutant(
         "thm2_1's eigenvalue read at index i, not -i",
         "spectral.py",
@@ -173,25 +172,11 @@ MUTANTS = (
         ("tests/test_identities.py::test_integer_spectrum_fails_on_an_eigenvalue_off_by_one",),
     ),
     Mutant(
-        "thm2_1's claim placed at k = i, not k = -i",
+        "thm2_1 passing every column of a matrix that is not circulant",
         "spectral.py",
-        "mu[-k % n - 1]",
-        "mu[k % n - 1]",
-        ("tests/test_spectral.py::test_closed_form_spectrum_order_four",),
-    ),
-    Mutant(
-        "thm2_1's rebuilt row compared without its factor n",
-        "spectral.py",
-        "n * np.array(nums, dtype=np.int64)",
-        "np.array(nums, dtype=np.int64)",
-        ("tests/test_spectral.py::test_closed_form_spectrum_order_four",),
-    ),
-    Mutant(
-        "thm2_1's rebuilt row never compared",
-        "spectral.py",
-        "if max(map(abs, claim)) <= norm and np.array_equal(",
-        "if True or np.array_equal(",
-        ("tests/test_identities.py::test_integer_spectrum_fails_on_an_eigenvalue_off_by_one",),
+        "return list(range(1, n + 1))",
+        "return []",
+        ("tests/test_identities.py::test_integer_spectrum_fails_on_a_wrong_eigenvector",),
     ),
     Mutant(
         "the 1/N of a minor's characteristic polynomial dropped",
@@ -315,7 +300,23 @@ MUTANTS = (
         "e is t[(c - r) % order]",
         ("tests/test_kernels.py::test_circulance_is_exact_on_entries_that_are_not_shared",),
     ),
+    # eq2_4's exact comparison of every coefficient.
+    Mutant(
+        "eq2_4's coefficients that one side lacks left uncounted",
+        "identities.py",
+        "mismatches = abs(len(exact) - len(interp)) + sum(",
+        "mismatches = sum(",
+        ("tests/test_identities.py::test_interpolation_fails_on_a_truncated_polynomial[top]",),
+    ),
     # The Jacobi eigensolver, its stacked minors, and the EEI verdict.
+    Mutant(
+        "the EEI judging only the pairs whose minor spectrum is there",
+        "identities.py",
+        "weights, strict=True):",
+        "weights):",
+        ("tests/test_identities.py::"
+         "test_minor_spectra_identity_raises_when_a_minor_spectrum_is_missing[one]",),
+    ),
     Mutant(
         "a Jacobi round's J[q, p] with its sign flipped",
         "spectral.py",

@@ -494,27 +494,6 @@ def test_integer_spectrum_fails_on_a_wrong_eigenvector(monkeypatch):
     check([1, 2, 3, 4, 5])
 
 
-def test_integer_spectrum_raises_when_its_two_routes_disagree(monkeypatch):
-    # A claim off by one fails the rebuilt matrix; C's eigenvalues, patched
-    # to echo the claim, then find no failing column, and the call raises
-    # rather than pass or fail on one route's word.
-    real = cyclosum.spectral.cp_eigenvalues
-
-    def off_by_one(n):
-        lam = real(n)
-        lam[2] += 1
-        return lam
-
-    def echo(ctx, t):
-        claimed = off_by_one(ctx.n)
-        return [ctx.from_rational(claimed[-k % ctx.n - 1]) for k in range(ctx.n)]
-
-    monkeypatch.setattr(cyclosum.spectral, "cp_eigenvalues", off_by_one)
-    monkeypatch.setattr(cyclosum.spectral, "_circulant_eigenvalues", echo)
-    with pytest.raises(RuntimeError, match="disagree"):
-        cyclosum.spectral.cp_eigenpair_failures(6)
-
-
 def test_integer_spectrum_makes_no_matrix_product(monkeypatch):
     calls = []
     product = cyclosum.matrices.matmul
@@ -582,6 +561,21 @@ def test_minor_spectra_identity_overflow_is_inconclusive():
     assert report.verdict == "inconclusive"
     assert report.parameters["inconclusive_pairs"] == 81
     assert not math.isfinite(pair.residual) and not pair.conclusive
+
+
+@pytest.mark.parametrize("missing", ["every", "one"])
+def test_minor_spectra_identity_raises_when_a_minor_spectrum_is_missing(monkeypatch, missing):
+    # Every one of the d^2 pairs must be judged: with fewer minor spectra
+    # than minors the check raises, and a campaign records an error, rather
+    # than judge fewer pairs than the record's "pairs" claims.
+    real = cyclosum.spectral.minor_spectra
+
+    def fewer(m):
+        return [] if missing == "every" else real(m)[:-1]
+
+    monkeypatch.setattr(cyclosum.spectral, "minor_spectra", fewer)
+    with pytest.raises(ValueError):
+        verify_eei(5, rng=Random(1))
 
 
 def _eei_matrices():
@@ -727,6 +721,21 @@ def test_interpolation_mismatch_fails_exactly(monkeypatch, offset):
     assert report.verdict == "fail"
     assert report.lhs == 1.0
     assert report.notes.startswith("lhs counts the coefficients")
+
+
+@pytest.mark.parametrize("cut", ["every", "top"])
+def test_interpolation_fails_on_a_truncated_polynomial(monkeypatch, cut):
+    # An exact polynomial with no coefficients, or without its top one,
+    # fails: lhs counts the coefficients it lacks as mismatches.
+    exact_charpoly = cyclosum.identities.charpoly_exact
+
+    def truncated(m):
+        return [] if cut == "every" else exact_charpoly(m)[:-1]
+
+    monkeypatch.setattr(cyclosum.identities, "charpoly_exact", truncated)
+    report = verify_eq2_4(7)
+    assert report.verdict == "fail"
+    assert report.lhs == (7.0 if cut == "every" else 1.0)
 
 
 # --- report plumbing -------------------------------------------------------------------------

@@ -385,7 +385,7 @@ def test_necklace_route_matches_gray_code_on_sun_matrix(n):
 
 
 @pytest.mark.parametrize("n", range(3, 17))
-def test_modular_route_matches_the_packed_walk_on_sun_matrices(n, monkeypatch):
+def test_one_lane_matches_n_lanes_on_sun_and_cotangent_matrices(n, monkeypatch):
     # One lane per prime, which reads the rational value itself, against n
     # lanes and the inverse DFT, which recover all of G over
     # Z[x]/(x^n - 1) and so do not rest on the value being rational; to
@@ -408,7 +408,7 @@ def test_modular_route_matches_the_packed_walk_on_sun_matrices(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", (3, 5, 6, 8, 9, 12))
-def test_orbit_route_on_random_galois_symmetric_rows(n, monkeypatch):
+def test_necklace_walk_takes_one_lane_on_random_galois_symmetric_rows(n, monkeypatch):
     # Every unit fixes these rows, so the circulant and its minor take the
     # necklace walk with one lane per prime; the Gray-code walk and the
     # naive permanent are its oracles.
@@ -434,7 +434,7 @@ def conjugation_row(ctx) -> list:
 
 
 @pytest.mark.parametrize("n", (5, 7, 8))
-def test_orbit_route_on_a_row_symmetric_under_conjugation_only(n, monkeypatch):
+def test_necklace_walk_takes_n_lanes_on_a_row_symmetric_under_conjugation_only(n, monkeypatch):
     # Conjugation alone fixes the row, so its permanent is real but not
     # known to be rational: the circulant and its minor take the necklace
     # walk with n lanes per prime.
@@ -524,7 +524,7 @@ def test_galois_generators_give_the_per_unit_scan(n):
         assert cyclosum.matrices._every_unit_fixes(ctx, nums) == (scan == every), group
 
 
-def test_a_perturbed_sun_matrix_falls_back_to_the_gray_code_walk(monkeypatch):
+def test_a_perturbed_sun_matrix_gets_its_own_permanent_with_n_lanes(monkeypatch):
     # One entry off breaks circulance: the matrix must take Glynn's signs,
     # with n lanes, and give its own permanent, the one the Gray-code walk
     # and the naive permanent give.  One value off in every row keeps
@@ -547,7 +547,7 @@ def test_a_perturbed_sun_matrix_falls_back_to_the_gray_code_walk(monkeypatch):
     assert walks == [("glynn", 7), ("necklace", 7)]
 
 
-def test_rows_with_every_unit_skip_the_orbit_walk(monkeypatch):
+def test_rows_that_every_unit_fixes_take_one_lane(monkeypatch):
     # The sun row at n = 7 and its minor take one lane per prime, the
     # rational value alone; a row fixed by conjugation only takes n lanes,
     # once for the circulant and once for its minor.

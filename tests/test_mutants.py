@@ -1,5 +1,5 @@
 """The mutation check in mutants.py runs outside Tier-1, since it takes
-about a minute.  This test keeps its list from drifting: a refactor that
+about two minutes on a 2-CPU host.  This test keeps its list from drifting: a refactor that
 rewrites a mutant's source text, or renames a test that kills it, fails
 here at once instead of when someone next runs the script."""
 

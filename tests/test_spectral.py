@@ -11,6 +11,7 @@ from random import Random
 import numpy as np
 import pytest
 
+import cyclosum.matrices
 import cyclosum.spectral
 from cyclosum.exact import cp_minor_determinant, cyc_context
 from cyclosum.identities import verify_eei, verify_eq2_3_liu
@@ -400,6 +401,40 @@ def test_eigenpair_failures_agree_with_the_fourier_product(monkeypatch):
             monkeypatch.setattr(cyclosum.spectral, "cp_eigenvalues", lambda _: claimed)
             assert cp_eigenpair_failures(n) == failing, n
         assert failing == [i for i in range(1, n + 1) if 2 * i != n + 1], n
+
+
+def test_eigenpair_failures_agree_on_the_int64_and_packed_routes(monkeypatch):
+    # The same failing columns whether C's spectrum is proved by the int64
+    # inverse DFT or unpacked from packed integers, which an int64 bound of
+    # 1 forces; for the true spectrum and for one eigenvalue off by one.
+    real = cp_eigenvalues
+    dfts = []
+    inverse_dft = cyclosum.matrices._inverse_dft
+
+    def counting(*args):
+        dfts.append(args[-1])
+        return inverse_dft(*args)
+
+    monkeypatch.setattr(cyclosum.matrices, "_inverse_dft", counting)
+    for n in range(2, 17):
+        off = n // 2 + 1
+
+        def off_by_one(m):
+            lam = real(m)
+            lam[off - 1] += 1
+            return lam
+
+        for claimed, want in ((real, []), (off_by_one, [off])):
+            monkeypatch.setattr(cyclosum.spectral, "cp_eigenvalues", claimed)
+            dfts.clear()
+            int64 = cp_eigenpair_failures(n)
+            assert dfts == [n], n
+            with monkeypatch.context() as patch:
+                patch.setattr(cyclosum.matrices, "_INT64", 1)
+                dfts.clear()
+                packed = cp_eigenpair_failures(n)
+                assert dfts == [], n
+            assert int64 == packed == want, n
 
 
 # --- eigenvector-eigenvalue identity --------------------------------------------------
